@@ -1,4 +1,4 @@
-.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint ci
+.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke ci
 
 all:
 	dune build @all
@@ -76,12 +76,18 @@ lint:
 	  dune exec bin/hipec_cli.exe -- lint $$f || exit 1; \
 	done
 
+# the host-time benchmark (BENCHMARK.json) at reduced size: builds
+# hostbench/hostbench.exe against the current library API, runs every
+# workload once and fails unless every named metric appears
+hostbench-smoke:
+	python3 hostbench/run.py --smoke
+
 # What CI runs: full build, the whole test suite (which includes the
 # oracle, golden, storm, span and adversary suites), the policy lint
 # gate, the chaos and storm acceptance checks at smoke scale, the
-# adversary regression gate, the span cross-backend gate, and the
-# backend equivalence benches.
-ci: all test lint oracle golden chaos storm adversary spans backend-bench metrics-bench storm-bench adversary-bench spans-bench
+# adversary regression gate, the span cross-backend gate, the
+# host-time benchmark smoke run, and the backend equivalence benches.
+ci: all test lint oracle golden chaos storm adversary spans hostbench-smoke backend-bench metrics-bench storm-bench adversary-bench spans-bench
 
 bench:
 	dune exec bench/main.exe

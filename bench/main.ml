@@ -414,15 +414,13 @@ module Ev = Hipec_trace.Event
 (* A policy-heavy PageFault handler: a counted arithmetic loop in front
    of the standard take, so per-command fetch/decode overhead dominates
    the run — the cost the compiled backend exists to remove.  The loop
-   body is a three-command arith chain whose middle command divides by a
-   never-written operand: install-time analysis proves the divisor
-   nonzero and the whole body fuses; without the proof the fallible Div
-   would split the chain. *)
+   body is three arith commands, the last dividing by a never-written
+   operand. *)
 let spin_x = Operand.Std.first_user
 let spin_limit = Operand.Std.first_user + 1
 let spin_zero = Operand.Std.first_user + 2
 let spin_acc = Operand.Std.first_user + 3
-let spin_div = Operand.Std.first_user + 4 (* never written: provably nonzero *)
+let spin_div = Operand.Std.first_user + 4 (* never written: stays 7 *)
 
 let spin_program () =
   let open Program.Asm in
@@ -730,53 +728,14 @@ let backend_bench ~quick () =
             (float_of_int sim /. 1e3))
         ei.per_opcode)
     rows;
-  (* The analysis-enabled fusion plan for the spin policy: the loop
-     body's Div joins its arith chain only because install-time
-     analysis proves the never-written divisor nonzero.  Plan both ways
-     so the win is recorded (and gated) alongside the timings. *)
-  let chain_with, chain_without =
-    let program = spin_program () in
-    let ops = Operand.create () in
-    ignore
-      (Operand.install_std ops ~name:"bench" ~free_target:4 ~inactive_target:8
-         ~reserved_target:2);
-    List.iter
-      (fun (ix, v) -> Operand.set ops ix v)
-      [
-        (spin_x, Operand.Int (ref 0));
-        (spin_limit, Operand.Int (ref 100));
-        (spin_zero, Operand.Int (ref 0));
-        (spin_acc, Operand.Int (ref 0));
-        (spin_div, Operand.Int (ref 7));
-      ];
-    let code = Option.get (Program.code program ~event:Events.page_fault) in
-    let a = Analysis.analyze ~ops program in
-    let max_chain plan =
-      List.fold_left
-        (fun acc g ->
-          match g with Fusion.Arith_chain { len; _ } -> max acc len | _ -> acc)
-        0 plan
-    in
-    ( max_chain
-        (Fusion.plan
-           ~safe_div:(fun cc -> Analysis.safe_div a ~event:Events.page_fault ~cc)
-           code),
-      max_chain (Fusion.plan code) )
-  in
-  Printf.printf
-    "\n  spin-heavy fusion: longest arith chain %d with analysis facts, %d without\n"
-    chain_with chain_without;
   let path = "BENCH_7.json" in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       Printf.fprintf oc
-        "{\n  \"bench\": \"backend\",\n  \"quick\": %b,\n\
-        \  \"spin_fusion\": { \"longest_chain_with_analysis\": %d, \
-         \"longest_chain_without\": %d },\n\
-        \  \"scenarios\": [\n"
-        quick chain_with chain_without;
+        "{\n  \"bench\": \"backend\",\n  \"quick\": %b,\n  \"scenarios\": [\n"
+        quick;
       List.iteri
         (fun i (name, mi, mc, speedup, digest_match, ei, ec, exec_speedup) ->
           Printf.fprintf oc
@@ -807,12 +766,6 @@ let backend_bench ~quick () =
           Printf.sprintf "spin-heavy: whole-scenario speedup %.2fx < 1.5x" speedup
           :: !failures)
     rows;
-  if chain_with <= chain_without then
-    failures :=
-      Printf.sprintf
-        "spin-heavy: analysis facts did not extend the fusion plan (%d <= %d)"
-        chain_with chain_without
-      :: !failures;
   (match !failures with
   | [] -> Printf.printf "  regression gate: PASS\n\n"
   | fs ->

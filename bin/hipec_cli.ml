@@ -1,7 +1,7 @@
 (* hipec: the command-line front end.
 
      hipec translate FILE        translate pseudo-code to HiPEC commands
-     hipec check FILE            static security validation only
+     hipec check FILE            static security validation + lint findings
      hipec run-join ...          the Figure 6 join experiment
      hipec run-aim ...           the Figure 5 throughput experiment
      hipec table3 / table4      the section 5.1 measurements
@@ -60,44 +60,6 @@ let translate_cmd =
           (Program.total_commands program)
           (List.length (Program.events program))
           (List.length out.Hipec_pseudoc.Codegen.extra_operands);
-        (* install-time facts: the analysis sees the operand values the
-           source declared, exactly as an install through Api would *)
-        let analysis =
-          let ops = Operand.create () in
-          let _ =
-            Operand.install_std ops ~name:"translate" ~free_target:4 ~inactive_target:8
-              ~reserved_target:2
-          in
-          List.iter
-            (fun (ix, v) -> Operand.set ops ix v)
-            out.Hipec_pseudoc.Codegen.extra_operands;
-          Analysis.analyze ~ops program
-        in
-        (* what the compiled backend will fuse into superinstructions *)
-        let stats, covered, total =
-          Hipec_pseudoc.Optimizer.fusion_report ~analysis program
-        in
-        if covered > 0 then
-          Printf.printf ";; compiled-backend fusion: %s — %d of %d commands covered\n"
-            (String.concat ", "
-               (List.map (fun (n, c) -> Printf.sprintf "%d %s" c n) stats))
-            covered total
-        else Printf.printf ";; compiled-backend fusion: no fusable groups\n";
-        (* fusion groups only the analysis facts made possible *)
-        List.iter
-          (fun (event, cc, ivl) ->
-            let opname =
-              match Program.code program ~event with
-              | Some code -> (
-                  match code.(cc) with
-                  | Instr.Arith (_, _, Opcode.Arith_op.Rem) -> "Rem"
-                  | _ -> "Div")
-              | None -> "Div"
-            in
-            Printf.printf ";; analysis: %s CC %d %s fused: divisor ∈ %s\n"
-              (Events.name event) cc opname
-              (Analysis.Interval.to_string ivl))
-          (Hipec_pseudoc.Optimizer.div_fusions ~analysis program);
         0
   in
   Cmd.v
@@ -122,23 +84,25 @@ let check_cmd =
         List.iter
           (fun (ix, v) -> Operand.set ops ix v)
           out.Hipec_pseudoc.Codegen.extra_operands;
-        match Checker.validate out.Hipec_pseudoc.Codegen.program ops with
+        let program = out.Hipec_pseudoc.Codegen.program in
+        match Checker.validate program ops with
         | Ok () ->
             print_endline "policy accepted by the security checker";
-            (match Checker.Lint.run out.Hipec_pseudoc.Codegen.program with
-            | [] -> ()
-            | warnings ->
-                List.iter
-                  (fun w ->
-                    Format.printf "warning: %a@." Checker.Lint.pp_warning w)
-                  warnings);
+            (* the advisory rules are hipec lint's findings; they never
+               change the checker's verdict *)
+            List.iter
+              (fun f -> Format.printf "%a@." Analysis.pp_finding f)
+              (Analysis.findings (Analysis.analyze ~ops program));
             0
         | Error e ->
             Printf.eprintf "security checker rejected: %s\n" e;
             1)
   in
   Cmd.v
-    (Cmd.info "check" ~doc:"Run the security checker's static validation on a policy.")
+    (Cmd.info "check"
+       ~doc:
+         "Run the security checker's static validation on a policy and print \
+          the static analyzer's findings (the same list $(b,lint) prints).")
     Term.(const run $ file)
 
 (* ------------------------------------------------------------------ *)

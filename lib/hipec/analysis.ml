@@ -23,7 +23,7 @@
    operands.  The only entry facts admitted are the install-time values
    of int operands that no event ever writes (when [analyze] is given
    the operand array); those are the "install-time constants" the
-   divisor-nonzero fusion facts rest on.  Must-facts (typestate
+   divisor-nonzero facts rest on.  Must-facts (typestate
    warnings, dead edges) are derived only from within-event transfer,
    so a proven fact holds on every concrete execution of the event.
 
@@ -227,7 +227,7 @@ module Interval = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Structural CFG helpers (shared with Checker.Lint)                   *)
+(* Structural CFG helpers (shared with the pseudoc compiler)          *)
 (* ------------------------------------------------------------------ *)
 
 let successors code cc =
@@ -252,7 +252,7 @@ let reachable code =
 
 (* Multi-command cycles consisting solely of unconditional Jumps: once
    entered, control can never leave — no test, no Return.  Single-node
-   self-jumps are reported separately (the legacy lint rule). *)
+   self-jumps are reported separately (the self-loop rule). *)
 let jump_only_cycles code =
   let len = Array.length code in
   let cycles = ref [] in
@@ -1146,7 +1146,7 @@ let analyze ?ops program =
   List.iter
     (fun (ev, info) ->
       let code = info.code in
-      (* structural rules (legacy lint, now framework-hosted) *)
+      (* structural rules *)
       Array.iteri
         (fun cc instr ->
           match instr with
@@ -1274,21 +1274,6 @@ let findings t = t.all_findings
 let fuel t ~event = List.assoc_opt event t.fuels
 let fuel_table t = t.fuels
 let possible_traps t = t.traps
-
-let site_at t ~event ~cc =
-  match List.assoc_opt event t.infos with
-  | None -> []
-  | Some info -> Option.value (List.assoc_opt cc info.site_list) ~default:[]
-
-let div_interval t ~event ~cc =
-  List.find_map
-    (function Sdiv { divisor; _ } -> Some divisor | _ -> None)
-    (site_at t ~event ~cc)
-
-let safe_div t ~event ~cc =
-  match div_interval t ~event ~cc with
-  | Some ivl -> not (Interval.contains ivl 0)
-  | None -> false
 
 let comp_verdict t ~event ~cc =
   match List.assoc_opt event t.infos with

@@ -18,10 +18,11 @@
     analyzed program.  Entry states assume nothing about mutable
     operands; only install-time values of int operands no event ever
     writes (available when [analyze] is given the operand array) seed
-    the entry environment.  The compiled backend keeps its defensive
+    the entry environment.  Both executor backends keep their defensive
     runtime checks regardless, so executor correctness never depends on
-    these facts — they only unlock better fusion plans and earlier
-    diagnostics. *)
+    these facts — they feed diagnostics ({!findings}, [hipec lint] and
+    [hipec check]), static fuel verdicts and pseudoc dead-branch
+    elimination. *)
 
 (** Integer intervals with infinite bounds. *)
 module Interval : sig
@@ -54,7 +55,8 @@ end
 
 (** {1 Structural CFG helpers}
 
-    Shared with [Checker.Lint]; purely syntactic, no fixpoint. *)
+    Shared with the pseudoc code generator and optimizer; purely
+    syntactic, no fixpoint. *)
 
 val successors : Instr.t array -> int -> int list
 (** CFG successors of one command under skip-next semantics (tests
@@ -67,7 +69,7 @@ val jump_only_cycles : Instr.t array -> int list list
 (** Cycles of two or more commands consisting solely of unconditional
     [Jump]s: guaranteed non-termination once entered.  Each cycle is
     returned as a sorted list of its command counters.  Single-command
-    self-jumps are not included (they have their own legacy rule). *)
+    self-jumps are not included (they have their own rule). *)
 
 (** {1 Findings} *)
 
@@ -124,13 +126,6 @@ val possible_traps : t -> trap list
 (** Trap classes with at least one reachable site the analysis could
     not prove safe.  A class absent from this list is proved to never
     occur at runtime. *)
-
-val safe_div : t -> event:int -> cc:int -> bool
-(** The command at [cc] is a Div/Rem whose divisor interval excludes
-    zero — safe to fuse into an arith chain. *)
-
-val div_interval : t -> event:int -> cc:int -> Interval.t option
-(** The divisor interval at a Div/Rem site, if [cc] is one. *)
 
 val comp_verdict : t -> event:int -> cc:int -> [ `Always_true | `Always_false | `Unknown ]
 val reachable_cc : t -> event:int -> cc:int -> bool

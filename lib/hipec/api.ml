@@ -179,8 +179,8 @@ let hipec_region_of_spec t task region spec =
               install_command_buffer t task container;
               install_hook t container;
               (* install-time abstract interpretation: static fuel
-                 bounds for the per-tenant throttle, trap-class proofs,
-                 and the facts the compiled backend fuses against *)
+                 bounds for the per-tenant throttle and trap-class
+                 proofs *)
               Hashtbl.replace t.analyses (Container.id container)
                 (Analysis.analyze ~ops:operands spec.policy);
               Ok (region, container)))

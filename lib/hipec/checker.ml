@@ -146,116 +146,6 @@ let validate program ops =
     (List.filter (fun e -> e >= Events.first_user) (Program.events program))
 
 (* ------------------------------------------------------------------ *)
-(* Lint: advisory analyses                                             *)
-(* ------------------------------------------------------------------ *)
-
-module Lint = struct
-  type warning = { event : int; cc : int option; message : string }
-
-  let pp_warning fmt w =
-    Format.fprintf fmt "%s%s: %s" (Events.name w.event)
-      (match w.cc with Some cc -> Printf.sprintf " CC %d" cc | None -> "")
-      w.message
-
-  (* Flow reachability under skip-next semantics (hosted on the
-     abstract-interpretation framework's shared CFG). *)
-  let reachable = Analysis.reachable
-
-  let self_loops ~event code =
-    let out = ref [] in
-    Array.iteri
-      (fun cc instr ->
-        match instr with
-        | Instr.Jump target when target = cc ->
-            out :=
-              { event; cc = Some cc; message = "unconditional self-jump never terminates" }
-              :: !out
-        | _ -> ())
-      code;
-    !out
-
-  (* Multi-command cycles made solely of unconditional Jumps: no test,
-     no Return — guaranteed non-termination once entered. *)
-  let jump_cycles ~event code =
-    List.map
-      (fun cycle ->
-        {
-          event;
-          cc = (match cycle with head :: _ -> Some head | [] -> None);
-          message =
-            Printf.sprintf "unconditional jump cycle through CC %s never terminates"
-              (String.concat ", " (List.map string_of_int cycle));
-        })
-      (Analysis.jump_only_cycles code)
-
-  let unreachable ~event code =
-    let seen = reachable code in
-    let out = ref [] in
-    Array.iteri
-      (fun cc reached ->
-        if not reached then
-          out := { event; cc = Some cc; message = "command is unreachable" } :: !out)
-      seen;
-    List.rev !out
-
-  let activations code =
-    Array.to_list code
-    |> List.filter_map (function Instr.Activate ev -> Some ev | _ -> None)
-
-  let run program =
-    let events = Program.events program in
-    let per_event =
-      List.concat_map
-        (fun event ->
-          match Program.code program ~event with
-          | None -> []
-          | Some code ->
-              self_loops ~event code @ jump_cycles ~event code
-              @ unreachable ~event code)
-        events
-    in
-    (* user events nothing activates *)
-    let activated =
-      List.concat_map
-        (fun event ->
-          match Program.code program ~event with
-          | None -> []
-          | Some code -> activations code)
-        events
-    in
-    let orphans =
-      List.filter_map
-        (fun event ->
-          if event >= Events.first_user && not (List.mem event activated) then
-            Some { event; cc = None; message = "user event is never activated" }
-          else None)
-        events
-    in
-    (* Request from inside ReclaimFrame (directly or via activation) *)
-    let rec reaches_request visited event =
-      if List.mem event visited then false
-      else
-        match Program.code program ~event with
-        | None -> false
-        | Some code ->
-            Array.exists (function Instr.Request _ -> true | _ -> false) code
-            || List.exists (reaches_request (event :: visited)) (activations code)
-    in
-    let reclaim_requests =
-      if reaches_request [] Events.reclaim_frame then
-        [
-          {
-            event = Events.reclaim_frame;
-            cc = None;
-            message = "Request while the manager is reclaiming can thrash";
-          };
-        ]
-      else []
-    in
-    per_event @ orphans @ reclaim_requests
-end
-
-(* ------------------------------------------------------------------ *)
 (* The checker thread                                                  *)
 (* ------------------------------------------------------------------ *)
 

@@ -34,36 +34,6 @@ val check_termination : Instr.t array -> (unit, string) result
     and — independently of check ordering — a zero-length body is an
     error, never an out-of-bounds access. *)
 
-(** Advisory analyses beyond the paper's current checker (its §6 calls
-    for "detecting malicious actions or mistakes"); none of these block
-    loading, since a human-off policy may be deliberate. *)
-module Lint : sig
-  type warning = {
-    event : int;
-    cc : int option;  (** anchor command, when one exists *)
-    message : string;
-  }
-
-  val reachable : Instr.t array -> bool array
-  (** Which commands control can reach from CC 0, under skip-next
-      semantics (also used by the pseudo-code compiler to trim its
-      safety epilogue). *)
-
-  val run : Program.t -> warning list
-  (** Currently detected: trivially infinite self-jumps,
-      multi-command unconditional jump cycles (guaranteed
-      non-termination), code unreachable from an event's entry, user
-      events no event ever activates, and [Request] issued from inside
-      [ReclaimFrame] (the manager is reclaiming — asking it for more
-      memory at best fails and at worst thrashes).
-
-      These structural rules are hosted on the {!Analysis} CFG;
-      [hipec lint] runs the full abstract-interpretation rule set on
-      top of them. *)
-
-  val pp_warning : Format.formatter -> warning -> unit
-end
-
 (** {1 The checker thread} *)
 
 type t

@@ -15,13 +15,11 @@ type exec = Value of Operand.value option | Err of string | Tout
 (* Mutable state of one top-level [run].  The step budget and the
    activation depth are shared across nested [Activate] frames, exactly
    like the interpreter's [steps] ref and [depth] argument.  [prof] is
-   the per-opcode profiler's boundary-timer state; it also selects the
-   closure table: profiled runs execute an unfused table whose per-step
-   prologue feeds the boundary timer, unprofiled runs execute a table
-   with no profiler branch at all (and with superinstructions fused
-   in).  One [rt] lives in each [t] and is reset per run — runs never
-   nest on the same container (the reclaim path's re-entry guard), so
-   the scratch record is safe to reuse and [run] allocates nothing. *)
+   the per-opcode profiler's boundary-timer state, polled by every step
+   prologue exactly as the interpreter polls it.  One [rt] lives in each
+   [t] and is reset per run — runs never nest on the same container (the
+   reclaim path's re-entry guard), so the scratch record is safe to
+   reuse and [run] allocates nothing. *)
 type rt = {
   mutable steps : int;
   mutable depth : int;
@@ -36,12 +34,7 @@ type t = {
   dispatch_cost : Sim_time.t;
   entry : int -> code;
   scratch : rt;
-  fused : int;  (* superinstruction groups emitted across all events *)
 }
-
-(* Install-time toggle for the superinstruction pass; the differential
-   tests flip it to compare fused against unfused closure tables. *)
-let fusion_enabled = ref true
 
 (* Events are a byte in the [Activate] encoding, so 256 slots cover the
    whole dispatch space.  The undefined-event diagnostics (interpreter
@@ -60,13 +53,6 @@ type 'a setter = S of ('a -> unit) | Serr of string
 let compile ~engine ~costs ~max_steps ~max_activation_depth ~services ~counter container =
   let ops = Container.operands container in
   let free_q = Container.free_queue container in
-  (* Install-time abstract interpretation: its divisor-excludes-zero
-     facts admit Div/Rem sites into fused arith chains.  Lazy so the
-     unfused flavor (and the differential tests' fusion_enabled=false
-     runs) never pays for the fixpoint. *)
-  let analysis =
-    lazy (Analysis.analyze ~ops (Container.program container))
-  in
   let fetch_cost = costs.Costs.hipec_fetch_decode in
   let queue_cost = costs.Costs.queue_op in
   let complex_cost = costs.Costs.hipec_complex_command in
@@ -131,12 +117,11 @@ let compile ~engine ~costs ~max_steps ~max_activation_depth ~services ~counter c
   let cqueue ix = Operand.read_queue ops ix in
   let empty_page_msg ix = Printf.sprintf "operand %d: empty page register" ix in
 
-  (* Dense event dispatch: two precompiled 256-slot arrays (fast and
-     profiled flavors), preloaded with the shared undefined-event error
-     closures.  [entry] is one depth check, one bounds check and one
-     indexed load — no hashing, no string formatting. *)
-  let fast_tbl = Array.copy undefined_event_code in
-  let prof_tbl = Array.copy undefined_event_code in
+  (* Dense event dispatch: one precompiled 256-slot array, preloaded
+     with the shared undefined-event error closures.  [entry] is one
+     depth check, one bounds check and one indexed load — no hashing,
+     no string formatting. *)
+  let handlers = Array.copy undefined_event_code in
   let depth_msg =
     Printf.sprintf "activation depth exceeds %d" max_activation_depth
   in
@@ -144,12 +129,10 @@ let compile ~engine ~costs ~max_steps ~max_activation_depth ~services ~counter c
     if rt.depth > max_activation_depth then Err depth_msg
     else if event land -256 <> 0 then
       Err (Printf.sprintf "undefined event %s" (Events.name event))
-    else
-      let table = match rt.prof with None -> fast_tbl | Some _ -> prof_tbl in
-      (Array.unsafe_get table event) rt
+    else (Array.unsafe_get handlers event) rt
   in
 
-  let compile_event ~profiled event code : code * int =
+  let compile_event event code : code =
     let len = Array.length code in
     let table : code array = Array.make len (fun _ -> Tout) in
     let ev_name = Events.name event in
@@ -476,335 +459,39 @@ let compile ~engine ~costs ~max_steps ~max_activation_depth ~services ~counter c
     Array.iteri
       (fun cc instr ->
         let b = body cc instr in
-        if profiled then begin
-          (* Opcode index resolved at compile time for the profiler. *)
-          let opc = Opcode.code (Instr.opcode instr) in
-          (* The per-step prologue, in the interpreter's exact order:
-             profiler boundary, count the step, charge the fetch, then
-             check the budget. *)
-          table.(cc) <-
-            (fun rt ->
-              (match rt.prof with
-              | None -> ()
-              | Some pr ->
-                  Hipec_metrics.Metrics.profile_step pr ~opcode:opc
-                    ~sim_ns:(Sim_time.to_ns (Engine.now engine)));
-              rt.steps <- rt.steps + 1;
-              incr counter;
-              Container.count_commands container 1;
-              Engine.advance engine fetch_cost;
-              if rt.steps > max_steps then Tout else b rt)
-        end
-        else
-          (* Fast flavor: identical accounting, no profiler branch —
-             the boundary-timer check is hoisted to [entry] (via the
-             table split), not paid per step. *)
-          table.(cc) <-
-            (fun rt ->
-              rt.steps <- rt.steps + 1;
-              incr counter;
-              Container.count_commands container 1;
-              Engine.advance engine fetch_cost;
-              if rt.steps > max_steps then Tout else b rt))
+        (* Opcode index resolved at compile time for the profiler. *)
+        let opc = Opcode.code (Instr.opcode instr) in
+        (* The per-step prologue, in the interpreter's exact order:
+           profiler boundary, count the step, charge the fetch, then
+           check the budget. *)
+        table.(cc) <-
+          (fun rt ->
+            (match rt.prof with
+            | None -> ()
+            | Some pr ->
+                Hipec_metrics.Metrics.profile_step pr ~opcode:opc
+                  ~sim_ns:(Sim_time.to_ns (Engine.now engine)));
+            rt.steps <- rt.steps + 1;
+            incr counter;
+            Container.count_commands container 1;
+            Engine.advance engine fetch_cost;
+            if rt.steps > max_steps then Tout else b rt))
       code;
-
-    (* ---- superinstruction fusion (fast flavor only) ----------------
-       Overwrite each fusable group's head slot with one closure doing
-       the whole group's work, charging exactly the constituents'
-       simulated costs (k fetches, the same queue ops) and counting
-       exactly the constituents' commands.  Singles stay in the table:
-       control transfers into the middle of a group, operand-resolution
-       failures and step-budget boundaries all fall back to them, so
-       observable behaviour — trace digests included — is unchanged. *)
-    let fused = ref 0 in
-    (if (not profiled) && !fusion_enabled then
-       let fetch_ns = Sim_time.to_ns fetch_cost in
-       (* One constituent step of a fused closure: the singles prologue
-          minus the budget branch (checked by the caller). *)
-       let charge1 rt =
-         rt.steps <- rt.steps + 1;
-         incr counter;
-         Container.count_commands container 1;
-         Engine.advance engine fetch_cost
-       in
-       let fuse_group g : code option =
-         match g with
-         | Fusion.Test_skip { cc } -> (
-             let jump_target =
-               match code.(cc + 1) with Instr.Jump t -> t | _ -> assert false
-             in
-             let taken = goto (cc + 2) in
-             let target = goto jump_target in
-             (* test FALSE: the else-branch Jump is a counted step *)
-             let not_taken rt =
-               charge1 rt;
-               if rt.steps > max_steps then Tout else target rt
-             in
-             match code.(cc) with
-             | Instr.Comp (a, b, op) -> (
-                 match (cread_int a, cread_int b) with
-                 | G ga, G gb ->
-                     let test =
-                       match op with
-                       | Opcode.Comp_op.Gt -> fun () -> ga () > gb ()
-                       | Lt -> fun () -> ga () < gb ()
-                       | Eq -> fun () -> ga () = gb ()
-                       | Ne -> fun () -> ga () <> gb ()
-                       | Ge -> fun () -> ga () >= gb ()
-                       | Le -> fun () -> ga () <= gb ()
-                     in
-                     Some
-                       (fun rt ->
-                         charge1 rt;
-                         if rt.steps > max_steps then Tout
-                         else if test () then taken rt
-                         else not_taken rt)
-                 | _ -> None)
-             | Instr.Emptyq q -> (
-                 match cqueue q with
-                 | Error _ -> None
-                 | Ok queue ->
-                     Some
-                       (fun rt ->
-                         charge1 rt;
-                         if rt.steps > max_steps then Tout
-                         else begin
-                           Engine.advance engine queue_cost;
-                           if Page_queue.is_empty queue then taken rt
-                           else not_taken rt
-                         end))
-             | Instr.Ref p | Instr.Mod p -> (
-                 match cpage_slot p with
-                 | Error _ -> None
-                 | Ok slot ->
-                     let empty = empty_page_msg p in
-                     let bit =
-                       match code.(cc) with
-                       | Instr.Ref _ -> Vm_page.referenced
-                       | _ -> Vm_page.dirty
-                     in
-                     Some
-                       (fun rt ->
-                         charge1 rt;
-                         if rt.steps > max_steps then Tout
-                         else
-                           match !slot with
-                           | None -> Err empty
-                           | Some page ->
-                               if bit page then taken rt else not_taken rt))
-             | _ -> None)
-         | Fusion.Arith_chain { cc; len = k } -> (
-             (* A chain is a sequence of infallible ops plus (when the
-                planner's [safe_div] facts admitted them) guarded Div/Rem
-                sites.  Infallible runs batch their charges; each guard
-                charges its own step and re-checks the divisor at run
-                time — the analysis fact enlarges the fused region, it
-                is never trusted for correctness. *)
-             let resolve i =
-               match code.(cc + i) with
-               | Instr.Arith (a, b, op) -> (
-                   match (cread_int a, cwrite_int a) with
-                   | G geta, S seta -> (
-                       match op with
-                       | Opcode.Arith_op.Inc ->
-                           Some (`Plain (fun () -> seta (geta () + 1)))
-                       | Dec -> Some (`Plain (fun () -> seta (geta () - 1)))
-                       | (Add | Sub | Mul) as op -> (
-                           match cread_int b with
-                           | Gerr _ -> None
-                           | G getb ->
-                               Some
-                                 (`Plain
-                                   (match op with
-                                   | Opcode.Arith_op.Add ->
-                                       fun () -> seta (geta () + getb ())
-                                   | Sub -> fun () -> seta (geta () - getb ())
-                                   | _ -> fun () -> seta (geta () * getb ()))))
-                       | (Div | Rem) as op -> (
-                           match cread_int b with
-                           | Gerr _ -> None
-                           | G getb ->
-                               let err, app =
-                                 match op with
-                                 | Opcode.Arith_op.Div ->
-                                     ( "division by zero",
-                                       fun d -> seta (geta () / d) )
-                                 | _ ->
-                                     ( "remainder by zero",
-                                       fun d -> seta (geta () mod d) )
-                               in
-                               Some (`Guard (getb, app, err))))
-                   | _ -> None)
-               | _ -> None
-             in
-             let rec gather i acc =
-               if i = k then Some (List.rev acc)
-               else
-                 match resolve i with
-                 | Some f -> gather (i + 1) (f :: acc)
-                 | None -> None
-             in
-             match gather 0 [] with
-             | None | Some [] -> None
-             | Some items ->
-                 (* compress runs of infallible ops into batches *)
-                 let segs =
-                   List.fold_left
-                     (fun acc item ->
-                       match (item, acc) with
-                       | `Plain f, `Batch (n, act) :: rest ->
-                           `Batch
-                             ( n + 1,
-                               fun () ->
-                                 act ();
-                                 f () )
-                           :: rest
-                       | `Plain f, acc -> `Batch (1, f) :: acc
-                       | `Guard g, acc -> `Guard g :: acc)
-                     [] items
-                   |> List.rev
-                 in
-                 let cont = goto (cc + k) in
-                 (* compose the segment closures back-to-front *)
-                 let rec build = function
-                   | [] -> cont
-                   | `Batch (n, act) :: rest ->
-                       let batch_fetch = Sim_time.ns (n * fetch_ns) in
-                       let tail = build rest in
-                       fun rt ->
-                         rt.steps <- rt.steps + n;
-                         counter := !counter + n;
-                         Container.count_commands container n;
-                         Engine.advance engine batch_fetch;
-                         act ();
-                         tail rt
-                   | `Guard (getb, app, errmsg) :: rest ->
-                       let tail = build rest in
-                       fun rt ->
-                         charge1 rt;
-                         let d = getb () in
-                         if d = 0 then Err errmsg
-                         else begin
-                           app d;
-                           tail rt
-                         end
-                 in
-                 let body = build segs in
-                 (* budget boundary inside the chain: run the untouched
-                    singles for exact per-step Tout semantics *)
-                 let slow = table.(cc) in
-                 Some
-                   (fun rt -> if rt.steps + k > max_steps then slow rt else body rt))
-         | Fusion.Deq_enq { cc; with_set } -> (
-             let rest = if with_set then 2 else 1 in
-             let enq_cc = cc + rest in
-             match (code.(cc), code.(enq_cc)) with
-             | Instr.Dequeue (p, q, dw), Instr.Enqueue (_, q2, ew) -> (
-                 match (cqueue q, cqueue q2, cpage_slot p) with
-                 | Ok srcq, Ok dstq, Ok slot
-                   when Page_queue.id dstq <> Page_queue.id free_q -> (
-                     (* enqueueing onto the free queue launders/unbinds
-                        (make_free_slot) — not fused, singles handle it *)
-                     let set_apply =
-                       if not with_set then
-                         Some (fun (_ : Vm_page.t) -> ())
-                       else
-                         match code.(cc + 1) with
-                         | Instr.Set (_, action, which) ->
-                             let v = action = Opcode.Bit_action.Set_bit in
-                             Some
-                               (match which with
-                               | Opcode.Bit_which.Reference ->
-                                   fun page ->
-                                     Frame.set_referenced (Vm_page.frame page) v
-                               | Opcode.Bit_which.Modify ->
-                                   fun page ->
-                                     Frame.set_modified (Vm_page.frame page) v)
-                         | _ -> None
-                     in
-                     match set_apply with
-                     | None -> None
-                     | Some set_apply ->
-                         let deq =
-                           match dw with
-                           | Opcode.Queue_end.Head -> Page_queue.dequeue_head
-                           | Opcode.Queue_end.Tail -> Page_queue.dequeue_tail
-                         in
-                         let enq =
-                           match ew with
-                           | Opcode.Queue_end.Head -> Page_queue.enqueue_head
-                           | Opcode.Queue_end.Tail -> Page_queue.enqueue_tail
-                         in
-                         let deq_empty =
-                           Printf.sprintf "DeQueue from empty queue %s"
-                             (Page_queue.name srcq)
-                         in
-                         (* the rest of the group is infallible once the
-                            dequeue lands, so its fetches and the
-                            enqueue's queue op batch into one advance *)
-                         let rest_cost =
-                           Sim_time.ns
-                             ((rest * fetch_ns) + Sim_time.to_ns queue_cost)
-                         in
-                         let rest_slow = goto (cc + 1) in
-                         let cont = goto (enq_cc + 1) in
-                         Some
-                           (fun rt ->
-                             charge1 rt;
-                             if rt.steps > max_steps then Tout
-                             else begin
-                               Engine.advance engine queue_cost;
-                               match deq srcq with
-                               | None -> Err deq_empty
-                               | Some page ->
-                                   slot := Some page;
-                                   if rt.steps + rest > max_steps then
-                                     rest_slow rt
-                                   else begin
-                                     rt.steps <- rt.steps + rest;
-                                     counter := !counter + rest;
-                                     Container.count_commands container rest;
-                                     Engine.advance engine rest_cost;
-                                     set_apply page;
-                                     enq dstq page;
-                                     cont rt
-                                   end
-                             end))
-                 | _ -> None)
-             | _ -> None)
-       in
-       List.iter
-         (fun g ->
-           match fuse_group g with
-           | Some c ->
-               table.(Fusion.head g) <- c;
-               incr fused
-           | None -> ())
-         (Fusion.plan
-            ~safe_div:(fun cc -> Analysis.safe_div (Lazy.force analysis) ~event ~cc)
-            code));
-    (goto 0, !fused)
+    goto 0
   in
-  let fused_total = ref 0 in
   List.iter
     (fun event ->
       match Program.code (Container.program container) ~event with
       | None -> ()
       | Some code ->
           if event land -256 = 0 then begin
-            let fast_code, fused = compile_event ~profiled:false event code in
-            let prof_code, _ = compile_event ~profiled:true event code in
-            fused_total := !fused_total + fused;
+            let run_code = compile_event event code in
             (* the interpreter's run counter ticks on every defined-event
                entry, nested activations included *)
-            fast_tbl.(event) <-
+            handlers.(event) <-
               (fun rt ->
                 Container.count_event_run container;
-                fast_code rt);
-            prof_tbl.(event) <-
-              (fun rt ->
-                Container.count_event_run container;
-                prof_code rt)
+                run_code rt)
           end)
     (Program.events (Container.program container));
   {
@@ -813,11 +500,9 @@ let compile ~engine ~costs ~max_steps ~max_activation_depth ~services ~counter c
     dispatch_cost = costs.Costs.hipec_dispatch;
     entry;
     scratch = { steps = 0; depth = 0; prof = None };
-    fused = !fused_total;
   }
 
 let container t = t.container
-let fused_groups t = t.fused
 
 let run ?prof t ~event =
   Container.start_execution t.container ~at:(Engine.now t.engine);

@@ -16,31 +16,22 @@
     - statically ill-typed commands compile to error thunks carrying the
       exact diagnostic the interpreter would produce at runtime.
 
-    The per-step budget and cost accounting ([hipec_fetch_decode],
-    the step counter, the container's command counter) is the only work
-    left on the hot path, and it is byte-for-byte identical to the
-    interpreter's: a compiled program produces the same simulated-time
-    charge sequence, the same counters and the same error strings, and
-    therefore the same trace digest, as interpreting it.
+    Each defined event compiles to exactly one closure array, one
+    closure per command.  Every closure starts with the interpreter's
+    per-step prologue, in the interpreter's order: the per-opcode
+    profiler's boundary-timer branch, count the step, charge
+    [hipec_fetch_decode], check the step budget.  That prologue is the
+    only per-command work left on the hot path, and it is identical to
+    the interpreter's: a compiled program produces the same
+    simulated-time charge sequence, the same counters and the same
+    error strings, and therefore the same trace digest, as interpreting
+    it.  Profiled and unprofiled runs execute the same table, so the
+    profiler times exactly what normal runs execute.
 
     Fixed costs are kept off the per-fault path: event dispatch is a
     dense 256-slot closure array (no hashing; undefined-event and
-    depth diagnostics are preformatted), each [t] owns one reusable
-    scratch runtime record so {!run} allocates nothing, and the
-    profiler branch is hoisted out of the step prologue entirely by
-    compiling two flavors of every event — a fast table used when no
-    profiler is attached and an unfused profiled table that feeds the
-    boundary timer (selecting the table is one branch per event entry,
-    not per step).
-
-    On top of the fast table, a superinstruction pass ({!Fusion})
-    replaces each fusable group's head closure with one fused closure
-    with compile-time-resolved operands.  Fused closures charge
-    exactly the constituents' simulated costs and command counts —
-    adjacent [advance]s may coalesce into one, which is invisible
-    because nothing observes the clock mid-group — and fall back to
-    the untouched single-command closures at step-budget boundaries,
-    so digests stay bit-identical with the interpreter. *)
+    depth diagnostics are preformatted), and each [t] owns one reusable
+    scratch runtime record so {!run} allocates nothing. *)
 
 open Hipec_sim
 open Hipec_machine
@@ -79,17 +70,8 @@ val compile :
     owning executor's global command counter, bumped once per step
     exactly like the interpreter's. *)
 
-val fusion_enabled : bool ref
-(** Whether {!compile} runs the superinstruction pass (default [true]).
-    Read at install time; the differential tests flip it to compare
-    fused against unfused closure tables. *)
-
 val container : t -> Container.t
 (** The container this program was compiled against. *)
-
-val fused_groups : t -> int
-(** Superinstruction groups emitted across all events (0 when the pass
-    is disabled or nothing matched). *)
 
 val run : ?prof:Hipec_metrics.Metrics.Profile.run -> t -> event:int -> exec
 (** Execute the compiled handler for [event]: stamps

@@ -9,10 +9,14 @@
 
     - {!Interp} re-decodes every command word on each fetch (the
       reference implementation);
-    - {!Compiled} translates each event's command array into threaded
-      OCaml closures once, at install time (see {!Compiled}), and is
-      observationally identical — same simulated-time charges, counters,
-      error strings and trace digests — just faster on the host clock.
+    - {!Compiled} translates each event's command array into one array
+      of OCaml closures once, at install time (see {!Compiled}).  Each
+      closure runs the interpreter's per-step prologue (profiler branch,
+      step count, fetch charge, budget check) before its command, so the
+      backend is observationally identical — same simulated-time
+      charges, counters, error strings and trace digests — and the
+      profiler times the same table that unprofiled runs execute.  It
+      saves host time only where per-command decode dominates.
 
     On entry it stamps the container with the current time; the security
     checker polls that stamp to detect runaway policies.  Execution is

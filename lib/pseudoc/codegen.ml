@@ -320,7 +320,7 @@ let compile (ast : Ast.program) =
                  actually fall through to it *)
               let code =
                 let len = Array.length code in
-                if len > 1 && not (Checker.Lint.reachable code).(len - 1) then
+                if len > 1 && not (Analysis.reachable code).(len - 1) then
                   Array.sub code 0 (len - 1)
                 else code
               in

@@ -59,7 +59,7 @@ let compact code dead =
 let one_pass code =
   let code, threaded = thread_jumps code in
   let len = Array.length code in
-  let reachable = Checker.Lint.reachable code in
+  let reachable = Analysis.reachable code in
   (* Constant facts from the bare-code abstract interpreter (no operand
      environment, so every fact holds whatever the install-time operand
      values are).  Lazy: most passes never decide a branch. *)
@@ -119,59 +119,3 @@ let optimize program =
        (Program.events program))
 
 let savings ~before ~after = (Program.total_commands before, Program.total_commands after)
-
-(* ------------------------------------------------------------------ *)
-(* Superinstruction planning (reporting layer).
-
-   The fusion pass itself lives in {!Hipec_core.Fusion} and is applied
-   by the compiled backend at install time — policies assembled by hand
-   (bypassing pseudoc) must fuse too, and the cost model the fused
-   closures must reproduce belongs to the core.  What the pseudoc
-   pipeline adds is visibility: the peepholes above (jump threading +
-   dead-code compaction) bring commands adjacent, so the fusion plan of
-   the *optimized* program is the honest account of what the compiled
-   backend will fuse, and `hipec translate` reports it alongside the
-   command-count savings. *)
-
-let fusion_plan ?analysis program =
-  let safe_div event =
-    match analysis with
-    | None -> fun _ -> false
-    | Some a -> fun cc -> Analysis.safe_div a ~event ~cc
-  in
-  List.map
-    (fun event ->
-      ( event,
-        Fusion.plan ~safe_div:(safe_div event)
-          (Option.get (Program.code program ~event)) ))
-    (Program.events program)
-
-let fusion_report ?analysis program =
-  let plans = fusion_plan ?analysis program in
-  let groups = List.concat_map snd plans in
-  let covered = Fusion.covered groups in
-  (Fusion.stats groups, covered, Program.total_commands program)
-
-(* Div/Rem sites that analysis facts admitted into fused arith chains,
-   with the proven divisor interval — `hipec translate`'s "Div fused:
-   divisor ∈ [1,255]" lines. *)
-let div_fusions ~analysis program =
-  List.concat_map
-    (fun (event, groups) ->
-      let code = Option.get (Program.code program ~event) in
-      List.concat_map
-        (function
-          | Fusion.Arith_chain { cc; len } ->
-              List.filter_map
-                (fun i ->
-                  let cc = cc + i in
-                  match code.(cc) with
-                  | Instr.Arith (_, _, (Opcode.Arith_op.Div | Opcode.Arith_op.Rem)) ->
-                      Option.map
-                        (fun ivl -> (event, cc, ivl))
-                        (Analysis.div_interval analysis ~event ~cc)
-                  | _ -> None)
-                (List.init len Fun.id)
-          | _ -> [])
-        groups)
-    (fusion_plan ~analysis program)

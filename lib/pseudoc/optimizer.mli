@@ -31,20 +31,3 @@ val optimize : Program.t -> Program.t
 
 val savings : before:Program.t -> after:Program.t -> int * int
 (** [(commands_before, commands_after)]. *)
-
-val fusion_plan : ?analysis:Analysis.t -> Program.t -> (int * Fusion.group list) list
-(** Per event, the superinstruction groups ({!Hipec_core.Fusion}) the
-    compiled backend will fuse at install time.  Meaningful on the
-    {e optimized} program: the peepholes above bring commands adjacent
-    and so enlarge the plan.  With [?analysis] (an
-    {!Hipec_core.Analysis.analyze} result for this program), Div/Rem
-    sites whose divisor interval excludes zero join arith chains,
-    mirroring what the compiled backend fuses at install time. *)
-
-val fusion_report : ?analysis:Analysis.t -> Program.t -> (string * int) list * int * int
-(** [(group counts by pattern, commands covered, total commands)] —
-    the summary [hipec translate] prints. *)
-
-val div_fusions : analysis:Analysis.t -> Program.t -> (int * int * Analysis.Interval.t) list
-(** [(event, cc, divisor interval)] for each Div/Rem the analysis facts
-    admitted into a fused arith chain. *)

@@ -11,9 +11,8 @@
        one entry executes — checked by driving the executor directly,
        entry by entry, against a non-re-entrant service stub.
 
-   Property (c) of the trio — analysis-enabled fusion keeps trace
-   digests bit-identical — lives in test_backend.ml, where the
-   fused/unfused/interp comparison machinery already is. *)
+   The backend differential (compiled == interp on random programs)
+   lives in test_backend.ml. *)
 
 open Hipec_vm
 open Hipec_core
@@ -113,12 +112,13 @@ let test_check_termination () =
   | Ok () -> Alcotest.fail "body falling off the end accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Lint (framework-hosted structural rules)                            *)
+(* Lint (the structural rules among the findings)                     *)
 (* ------------------------------------------------------------------ *)
 
 let lint_messages program =
-  List.map (fun w -> (w.Checker.Lint.event, w.Checker.Lint.cc, w.Checker.Lint.message))
-    (Checker.Lint.run program)
+  List.map
+    (fun f -> (f.Analysis.event, f.Analysis.cc, f.Analysis.rule, f.Analysis.message))
+    (Analysis.findings (Analysis.analyze program))
 
 let test_lint_jump_cycle_and_unreachable () =
   let program =
@@ -131,10 +131,13 @@ let test_lint_jump_cycle_and_unreachable () =
   let msgs = lint_messages program in
   Alcotest.(check bool) "jump cycle reported" true
     (List.mem
-       (Events.page_fault, Some 2, "unconditional jump cycle through CC 2, 3 never terminates")
+       ( Events.page_fault,
+         Some 2,
+         "jump-cycle",
+         "unconditional jump cycle through CC 2, 3 never terminates" )
        msgs);
   Alcotest.(check bool) "skipped return reported unreachable" true
-    (List.mem (Events.page_fault, Some 1, "command is unreachable") msgs)
+    (List.mem (Events.page_fault, Some 1, "unreachable", "command is unreachable") msgs)
 
 let test_lint_orphan_and_reclaim_request () =
   let program =
@@ -148,10 +151,13 @@ let test_lint_orphan_and_reclaim_request () =
   in
   let msgs = lint_messages program in
   Alcotest.(check bool) "orphan user event reported" true
-    (List.mem (Events.first_user, None, "user event is never activated") msgs);
+    (List.mem (Events.first_user, None, "orphan-event", "user event is never activated") msgs);
   Alcotest.(check bool) "Request inside ReclaimFrame reported" true
     (List.mem
-       (Events.reclaim_frame, None, "Request while the manager is reclaiming can thrash")
+       ( Events.reclaim_frame,
+         None,
+         "request-in-reclaim",
+         "Request while the manager is reclaiming can thrash" )
        msgs)
 
 (* ------------------------------------------------------------------ *)
@@ -189,18 +195,14 @@ let has_finding ?cc ?severity rule a =
       && match severity with None -> true | Some s -> f.Analysis.severity = s)
     (Analysis.findings a)
 
-let test_safe_div_facts () =
+let test_nonzero_divisor_facts () =
   (* divisor is an install-time constant no event writes: the analysis
-     proves it nonzero, marks the site fusable and the class absent *)
+     proves it nonzero and the class absent *)
   let a =
     analyze_pf
       ~extra:[ (d_slot, Operand.Int (ref 7)) ]
       [| Instr.Arith (x_slot, d_slot, Opcode.Arith_op.Div); Instr.Return Std.null |]
   in
-  Alcotest.(check bool) "safe_div" true
-    (Analysis.safe_div a ~event:Events.page_fault ~cc:0);
-  Alcotest.(check (option ivl)) "divisor interval" (Some (I.const 7))
-    (Analysis.div_interval a ~event:Events.page_fault ~cc:0);
   Alcotest.(check bool) "div-by-zero proven absent" false
     (List.mem Analysis.Div_by_zero (Analysis.possible_traps a));
   Alcotest.(check bool) "no findings" true
@@ -215,9 +217,7 @@ let test_div_by_zero_finding () =
   Alcotest.(check bool) "provably-zero divisor flagged" true
     (has_finding ~cc:0 "div-by-zero" a);
   Alcotest.(check bool) "the trap prunes every path to Return" true
-    (has_finding ~severity:Analysis.Error "no-return-reachable" a);
-  Alcotest.(check bool) "not safe to fuse" false
-    (Analysis.safe_div a ~event:Events.page_fault ~cc:0)
+    (has_finding ~severity:Analysis.Error "no-return-reachable" a)
 
 let test_deq_empty_finding () =
   (* TRUE edge of Emptyq proves the free queue holds zero pages, so the
@@ -641,7 +641,7 @@ let () =
         ] );
       ( "findings",
         [
-          Alcotest.test_case "safe div facts" `Quick test_safe_div_facts;
+          Alcotest.test_case "safe div facts" `Quick test_nonzero_divisor_facts;
           Alcotest.test_case "div by zero" `Quick test_div_by_zero_finding;
           Alcotest.test_case "deq from empty" `Quick test_deq_empty_finding;
           Alcotest.test_case "deq proven safe" `Quick test_deq_proven_safe;

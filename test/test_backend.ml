@@ -437,15 +437,10 @@ let equivalence_prop =
           QCheck.Test.fail_reportf "compiled rejected install, interp ran: %s" e)
 
 (* ------------------------------------------------------------------ *)
-(* Superinstruction fusion                                             *)
+(* Per-opcode attribution                                              *)
 (* ------------------------------------------------------------------ *)
 
 module Mx = Hipec_metrics.Metrics
-
-let with_fusion flag f =
-  let saved = !Compiled.fusion_enabled in
-  Compiled.fusion_enabled := flag;
-  Fun.protect ~finally:(fun () -> Compiled.fusion_enabled := saved) f
 
 let obs_str = function
   | Install_error e -> "install error: " ^ e
@@ -454,33 +449,9 @@ let obs_str = function
         r.faults
         (Option.value r.demoted ~default:"-")
 
-(* The fused closures must charge exactly the simulated costs of their
-   constituent commands: fused compiled, unfused compiled and the
-   interpreter all record bit-identical trace digests (every Engine
-   charge is on the digest via the event timestamps). *)
-let fusion_equivalence_prop =
-  QCheck.Test.make
-    ~name:"fused == unfused == interp on random programs" ~count:80
-    (QCheck.make ~print:print_desc desc_gen)
-    (fun desc ->
-      let i = run_case Executor.Interp desc in
-      let f = with_fusion true (fun () -> run_case Executor.Compiled desc) in
-      let u = with_fusion false (fun () -> run_case Executor.Compiled desc) in
-      if f <> u then
-        QCheck.Test.fail_reportf
-          "fusion changed the observation@.fused:   %s@.unfused: %s" (obs_str f)
-          (obs_str u);
-      if f <> i then
-        QCheck.Test.fail_reportf
-          "compiled diverged from interp@.compiled: %s@.interp:   %s" (obs_str f)
-          (obs_str i);
-      true)
-
 (* Per-opcode *simulated* time attribution must agree cell for cell
    between the backends on random programs too (test_metrics pins the
-   golden scenarios).  Profiled compiled runs execute the unfused table,
-   so attribution stays per-constituent by construction — this property
-   guards that design. *)
+   golden scenarios). *)
 let profile_of backend desc =
   let reg = Mx.install () in
   let obs =
@@ -520,116 +491,6 @@ let attribution_prop =
       | Ran _, _, _ -> QCheck.Test.fail_reportf "a backend left no profile");
       true)
 
-(* Fusion.plan pattern recognition on hand-built command blocks. *)
-
-let group_t : Fusion.group Alcotest.testable =
-  Alcotest.testable
-    (fun fmt g ->
-      Format.fprintf fmt "%s@%d w%d" (Fusion.name g) (Fusion.head g) (Fusion.width g))
-    ( = )
-
-let test_plan_patterns () =
-  let open Instr in
-  let plan items = Fusion.plan (Array.of_list items) in
-  let p = 10 and q = 11 and q2 = 12 in
-  Alcotest.(check (list group_t))
-    "test + else-branch jump fuses"
-    [ Fusion.Test_skip { cc = 0 } ]
-    (plan
-       [
-         Comp (1, 2, Opcode.Comp_op.Gt);
-         Jump 3;
-         Arith (1, 1, Opcode.Arith_op.Inc);
-         Return 0;
-       ]);
-  Alcotest.(check (list group_t))
-    "emptyq + jump fuses"
-    [ Fusion.Test_skip { cc = 0 } ]
-    (plan [ Emptyq q; Jump 2; Return 0 ]);
-  Alcotest.(check (list group_t))
-    "test without a following jump stays single" []
-    (plan [ Comp (1, 2, Opcode.Comp_op.Gt); Return 0 ]);
-  Alcotest.(check (list group_t))
-    "three infallible ariths chain"
-    [ Fusion.Arith_chain { cc = 0; len = 3 } ]
-    (plan
-       [
-         Arith (1, 2, Opcode.Arith_op.Add);
-         Arith (1, 2, Opcode.Arith_op.Sub);
-         Arith (1, 1, Opcode.Arith_op.Inc);
-         Return 0;
-       ]);
-  Alcotest.(check (list group_t))
-    "div splits the chain (can fault mid-chain)"
-    [ Fusion.Arith_chain { cc = 2; len = 2 } ]
-    (plan
-       [
-         Arith (1, 2, Opcode.Arith_op.Add);
-         Arith (1, 2, Opcode.Arith_op.Div);
-         Arith (1, 2, Opcode.Arith_op.Sub);
-         Arith (1, 2, Opcode.Arith_op.Mul);
-         Return 0;
-       ]);
-  Alcotest.(check (list group_t))
-    "analysis-proven div joins the chain"
-    [ Fusion.Arith_chain { cc = 0; len = 4 } ]
-    (Fusion.plan
-       ~safe_div:(fun cc -> cc = 1)
-       [|
-         Arith (1, 2, Opcode.Arith_op.Add);
-         Arith (1, 2, Opcode.Arith_op.Div);
-         Arith (1, 2, Opcode.Arith_op.Sub);
-         Arith (1, 2, Opcode.Arith_op.Mul);
-         Return 0;
-       |]);
-  Alcotest.(check (list group_t))
-    "dequeue/set/enqueue on one page register fuses"
-    [ Fusion.Deq_enq { cc = 0; with_set = true } ]
-    (plan
-       [
-         Dequeue (p, q, Opcode.Queue_end.Head);
-         Set (p, Opcode.Bit_action.Set_bit, Opcode.Bit_which.Reference);
-         Enqueue (p, q2, Opcode.Queue_end.Tail);
-         Return 0;
-       ]);
-  Alcotest.(check (list group_t))
-    "dequeue/enqueue pair fuses"
-    [ Fusion.Deq_enq { cc = 0; with_set = false } ]
-    (plan
-       [ Dequeue (p, q, Opcode.Queue_end.Head); Enqueue (p, q2, Opcode.Queue_end.Tail) ]);
-  Alcotest.(check (list group_t))
-    "different page registers do not fuse" []
-    (plan
-       [
-         Dequeue (p, q, Opcode.Queue_end.Head);
-         Enqueue (p + 1, q2, Opcode.Queue_end.Tail);
-       ])
-
-let test_plan_accounting () =
-  let open Instr in
-  let p = 10 and q = 11 in
-  let groups =
-    Fusion.plan
-      [|
-        Dequeue (p, q, Opcode.Queue_end.Head);
-        Enqueue (p, q, Opcode.Queue_end.Tail);
-        Emptyq q;
-        Jump 0;
-      |]
-  in
-  Alcotest.(check (list group_t))
-    "non-overlapping, program order"
-    [ Fusion.Deq_enq { cc = 0; with_set = false }; Fusion.Test_skip { cc = 2 } ]
-    groups;
-  Alcotest.(check int) "covered counts constituents" 4 (Fusion.covered groups);
-  Alcotest.(check (list (pair string int)))
-    "stats keyed by pattern, stable order"
-    [ ("test_skip", 1); ("deq_enq", 1) ]
-    (Fusion.stats groups);
-  Alcotest.(check bool) "div/rem are not fusable" false
-    (Fusion.fusable_arith Opcode.Arith_op.Div
-    || Fusion.fusable_arith Opcode.Arith_op.Rem)
-
 let () =
   (* "trace:" lines pin checked-in recordings, not regenerable
      scenarios; test_golden.ml replays those on both backends *)
@@ -648,11 +509,5 @@ let () =
             Alcotest.test_case name `Quick (check_golden_equivalence g))
           goldens );
       ("random programs", [ QCheck_alcotest.to_alcotest equivalence_prop ]);
-      ( "fusion",
-        [
-          Alcotest.test_case "plan patterns" `Quick test_plan_patterns;
-          Alcotest.test_case "plan accounting" `Quick test_plan_accounting;
-          QCheck_alcotest.to_alcotest fusion_equivalence_prop;
-          QCheck_alcotest.to_alcotest attribution_prop;
-        ] );
+      ("attribution", [ QCheck_alcotest.to_alcotest attribution_prop ]);
     ]

@@ -706,22 +706,31 @@ let test_migrated_frames_usable_by_destination () =
     (Frame.Table.check_conservation (Kernel.frame_table k))
 
 (* ------------------------------------------------------------------ *)
-(* Lint                                                                *)
+(* Lint: the structural rules among the analysis findings              *)
 (* ------------------------------------------------------------------ *)
 
-let lint_messages program =
-  List.map (fun w -> w.Checker.Lint.message) (Checker.Lint.run program)
+let structural_rules =
+  [ "self-loop"; "jump-cycle"; "unreachable"; "orphan-event"; "request-in-reclaim" ]
+
+(* (rule id, message) of every structural finding *)
+let lint_findings program =
+  List.filter_map
+    (fun f ->
+      if List.mem f.Analysis.rule structural_rules then
+        Some (f.Analysis.rule, f.Analysis.message)
+      else None)
+    (Analysis.findings (Analysis.analyze program))
 
 let test_lint_clean_policies () =
   List.iter
     (fun p ->
-      Alcotest.(check (list string)) "no warnings" [] (lint_messages p))
+      Alcotest.(check (list (pair string string))) "no warnings" [] (lint_findings p))
     [ Policies.fifo (); Policies.mru (); Policies.clock (); Policies.fifo_second_chance () ]
 
 let test_lint_detects_self_loop () =
-  let warnings = lint_messages (Policies.looping ()) in
+  let warnings = lint_findings (Policies.looping ()) in
   Alcotest.(check bool) "self-loop flagged" true
-    (List.exists (fun m -> m = "unconditional self-jump never terminates") warnings)
+    (List.mem ("self-loop", "unconditional self-jump never terminates") warnings)
 
 let test_lint_detects_unreachable () =
   let program =
@@ -729,9 +738,9 @@ let test_lint_detects_unreachable () =
       [| Instr.Return Std.null; Instr.Arith (Std.scratch0, Std.null, Opcode.Arith_op.Inc);
          Instr.Return Std.null |]
   in
-  let warnings = lint_messages program in
+  let warnings = lint_findings program in
   Alcotest.(check bool) "unreachable flagged" true
-    (List.exists (fun m -> m = "command is unreachable") warnings)
+    (List.mem ("unreachable", "command is unreachable") warnings)
 
 let test_lint_detects_orphan_event () =
   let program =
@@ -742,9 +751,9 @@ let test_lint_detects_orphan_event () =
         (5, [| Instr.Return Std.null |]);
       ]
   in
-  let warnings = lint_messages program in
+  let warnings = lint_findings program in
   Alcotest.(check bool) "orphan flagged" true
-    (List.exists (fun m -> m = "user event is never activated") warnings)
+    (List.mem ("orphan-event", "user event is never activated") warnings)
 
 let test_lint_detects_request_in_reclaim () =
   let program =
@@ -755,10 +764,10 @@ let test_lint_detects_request_in_reclaim () =
          [| Instr.Request 8; Instr.Jump 2; Instr.Return Std.null |]);
       ]
   in
-  let warnings = lint_messages program in
+  let warnings = lint_findings program in
   Alcotest.(check bool) "request-in-reclaim flagged" true
-    (List.exists
-       (fun m -> m = "Request while the manager is reclaiming can thrash")
+    (List.mem
+       ("request-in-reclaim", "Request while the manager is reclaiming can thrash")
        warnings)
 
 let test_lint_request_via_activation_detected () =
@@ -770,10 +779,10 @@ let test_lint_request_via_activation_detected () =
         (2, [| Instr.Request 8; Instr.Jump 2; Instr.Return Std.null |]);
       ]
   in
-  let warnings = lint_messages program in
+  let warnings = lint_findings program in
   Alcotest.(check bool) "transitive request flagged" true
-    (List.exists
-       (fun m -> m = "Request while the manager is reclaiming can thrash")
+    (List.mem
+       ("request-in-reclaim", "Request while the manager is reclaiming can thrash")
        warnings)
 
 (* ------------------------------------------------------------------ *)
