@@ -1,4 +1,4 @@
-.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke ci
+.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke fig6 ci
 
 all:
 	dune build @all
@@ -82,12 +82,19 @@ lint:
 hostbench-smoke:
 	python3 hostbench/run.py --smoke
 
+# Figure 6 at full scale; exits nonzero unless every run's measured
+# faults equal the paper's analytic counts (PF_l for the LRU-like
+# kernel, PF_m for HiPEC MRU)
+fig6:
+	dune exec bench/main.exe -- fig6
+
 # What CI runs: full build, the whole test suite (which includes the
 # oracle, golden, storm, span and adversary suites), the policy lint
 # gate, the chaos and storm acceptance checks at smoke scale, the
 # adversary regression gate, the span cross-backend gate, the
-# host-time benchmark smoke run, and the backend equivalence benches.
-ci: all test lint oracle golden chaos storm adversary spans hostbench-smoke backend-bench metrics-bench storm-bench adversary-bench spans-bench
+# host-time benchmark smoke run, the full-scale Figure 6 fault-count
+# gate, and the backend equivalence benches.
+ci: all test lint oracle golden chaos storm adversary spans hostbench-smoke fig6 backend-bench metrics-bench storm-bench adversary-bench spans-bench
 
 bench:
 	dune exec bench/main.exe

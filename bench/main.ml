@@ -132,11 +132,23 @@ let fig6 ~quick () =
     (if quick then " [quick: 16 scans]" else "");
   Printf.printf "  %6s  %12s %10s  %12s %10s  %9s\n" "outer" "LRU-like" "(pred PF)" "HiPEC MRU"
     "(pred PF)" "speedup";
+  (* measured faults must equal the analytic counts at every size; the
+     gate prints nothing on success, so the table is unchanged *)
+  let mismatches = ref [] in
+  let check outer_mb name (r : Join.result) predicted =
+    if r.Join.faults <> predicted then
+      mismatches :=
+        Printf.sprintf "%dMB %s: %d faults, predicted %d" outer_mb name r.Join.faults
+          predicted
+        :: !mismatches
+  in
   List.iter
     (fun outer_mb ->
       let c = scale_cfg outer_mb in
       let lru = Join.run Join.Kernel_default c in
       let mru = Join.run Join.Hipec_mru c in
+      check outer_mb "LRU-like" lru (Join.predicted_faults `Lru c);
+      check outer_mb "HiPEC MRU" mru (Join.predicted_faults `Mru c);
       Printf.printf "  %4dMB  %9.1fmin %10d  %9.1fmin %10d  %8.2fx\n" outer_mb
         (T.to_min_f lru.Join.elapsed)
         (Join.predicted_faults `Lru c)
@@ -146,7 +158,11 @@ let fig6 ~quick () =
     sizes;
   Printf.printf
     "\n(paper: a great response-time gap opens once the outer table exceeds\n\
-    \ the 40 MB of managed memory; measured times match the analytic counts)\n\n"
+    \ the 40 MB of managed memory; measured times match the analytic counts)\n\n";
+  if !mismatches <> [] then
+    failwith
+      ("fig6: measured faults differ from the analytic counts: "
+      ^ String.concat "; " (List.rev !mismatches))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)

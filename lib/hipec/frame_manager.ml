@@ -916,21 +916,26 @@ let page_fault t container ~fault_va =
       if Vm_page.is_bound page then
         Error "PageFault policy returned a page that is still bound"
       else begin
-        (* the slot leaves the policy's queues and becomes the fault's frame *)
-        (match Vm_page.on_queue page with
+        (* the slot leaves the container's queues and becomes the fault's
+           frame.  A slot the policy still keeps on a queue it declared
+           itself is a policy error; it is unlinked first so that the
+           demotion frees it from the page register. *)
+        match Vm_page.on_queue page with
+        | None -> Ok page
         | Some _ -> (
-            let q = Container.free_queue container in
-            match Page_queue.mem q page with
-            | true -> Page_queue.remove q page
-            | false -> (
-                let q = Container.inactive_queue container in
-                match Page_queue.mem q page with
-                | true -> Page_queue.remove q page
-                | false ->
-                    let q = Container.active_queue container in
-                    if Page_queue.mem q page then Page_queue.remove q page))
-        | None -> ());
-        Ok page
+            match container_queue_of_page container page with
+            | None -> Error "PageFault policy returned a page on an unknown queue"
+            | Some q ->
+                Page_queue.remove q page;
+                if
+                  q == Container.free_queue container
+                  || q == Container.inactive_queue container
+                  || q == Container.active_queue container
+                then Ok page
+                else
+                  Error
+                    (Printf.sprintf "PageFault policy returned a page still on its queue %s"
+                       (Page_queue.name q)))
       end
   | Executor.Returned (Some (Operand.Page { contents = None })) ->
       Error "PageFault policy returned an empty page register"

@@ -1,89 +1,54 @@
-open Hipec_sim
+(* The links live on the pages themselves (see Vm_page): this module
+   adds the exclusivity checks and the iteration helpers. *)
 
-type node = { page : Vm_page.t; mutable prev : node option; mutable next : node option }
+type t = Vm_page.queue
 
-type t = {
-  id : int;
-  name : string;
-  mutable head : node option;
-  mutable tail : node option;
-  nodes : (int, node) Hashtbl.t;  (* page id -> node *)
-}
-
-let next_id = ref 0
-
-let create name =
-  incr next_id;
-  { id = !next_id; name; head = None; tail = None; nodes = Hashtbl.create 64 }
-
-let id t = t.id
-let name t = t.name
-let length t = Hashtbl.length t.nodes
-let is_empty t = Hashtbl.length t.nodes = 0
+let create = Vm_page.new_queue
+let id = Vm_page.queue_id
+let name = Vm_page.queue_name
+let length = Vm_page.queue_length
+let is_empty t = Vm_page.queue_length t = 0
 
 let claim t page =
-  (match Vm_page.on_queue page with
+  match Vm_page.on_queue page with
   | Some q ->
       invalid_arg
-        (Printf.sprintf "Page_queue.%s: page #%d already on queue %d" t.name
+        (Printf.sprintf "Page_queue.%s: page #%d already on queue %d" (name t)
            (Vm_page.id page) q)
-  | None -> ());
-  Vm_page.set_on_queue page (Some t.id)
+  | None -> ()
 
 let enqueue_head t page =
   claim t page;
-  let node = { page; prev = None; next = t.head } in
-  (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-  t.head <- Some node;
-  Hashtbl.replace t.nodes (Vm_page.id page) node
+  Vm_page.link t page ~at_head:true
 
 let enqueue_tail t page =
   claim t page;
-  let node = { page; prev = t.tail; next = None } in
-  (match t.tail with Some tl -> tl.next <- Some node | None -> t.head <- Some node);
-  t.tail <- Some node;
-  Hashtbl.replace t.nodes (Vm_page.id page) node
+  Vm_page.link t page ~at_head:false
 
-let unlink t node =
-  (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
-  (match node.next with Some n -> n.prev <- node.prev | None -> t.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None;
-  Hashtbl.remove t.nodes (Vm_page.id node.page);
-  Vm_page.set_on_queue node.page None
-
-let dequeue_head t =
-  match t.head with
+let take t = function
   | None -> None
-  | Some node ->
-      unlink t node;
-      Some node.page
+  | Some page as found ->
+      Vm_page.unlink t page;
+      found
 
-let dequeue_tail t =
-  match t.tail with
-  | None -> None
-  | Some node ->
-      unlink t node;
-      Some node.page
-
-let peek_head t = Option.map (fun n -> n.page) t.head
-let peek_tail t = Option.map (fun n -> n.page) t.tail
+let dequeue_head t = take t (Vm_page.head t)
+let dequeue_tail t = take t (Vm_page.tail t)
+let peek_head = Vm_page.head
+let peek_tail = Vm_page.tail
+let mem = Vm_page.linked_on
 
 let remove t page =
-  match Hashtbl.find_opt t.nodes (Vm_page.id page) with
-  | None -> invalid_arg (Printf.sprintf "Page_queue.%s: remove of absent page" t.name)
-  | Some node -> unlink t node
-
-let mem t page = Hashtbl.mem t.nodes (Vm_page.id page)
+  if Vm_page.linked_on t page then Vm_page.unlink t page
+  else invalid_arg (Printf.sprintf "Page_queue.%s: remove of absent page" (name t))
 
 let iter f t =
   let rec loop = function
     | None -> ()
-    | Some node ->
-        f node.page;
-        loop node.next
+    | Some page ->
+        f page;
+        loop (Vm_page.next page)
   in
-  loop t.head
+  loop (Vm_page.head t)
 
 let fold f init t =
   let acc = ref init in
@@ -91,106 +56,6 @@ let fold f init t =
   !acc
 
 let to_list t = List.rev (fold (fun acc p -> p :: acc) [] t)
-
-(* Direct node walks: one [by] call per element and no interim [Some]
-   allocations (the fold versions paid both, and these scans dominate
-   LRU/MRU complex-command cost).  Ties resolve to the page nearest the
-   head — replacement only on strict improvement — which victim
-   selection (and hence trace digests) depends on. *)
-let find_min ~by t =
-  match t.head with
-  | None -> None
-  | Some first ->
-      let best = ref first and best_key = ref (by first.page) in
-      let rec loop = function
-        | None -> ()
-        | Some node ->
-            let k = by node.page in
-            if k < !best_key then begin
-              best := node;
-              best_key := k
-            end;
-            loop node.next
-      in
-      loop first.next;
-      Some !best.page
-
-let find_max ~by t =
-  match t.head with
-  | None -> None
-  | Some first ->
-      let best = ref first and best_key = ref (by first.page) in
-      let rec loop = function
-        | None -> ()
-        | Some node ->
-            let k = by node.page in
-            if k > !best_key then begin
-              best := node;
-              best_key := k
-            end;
-            loop node.next
-      in
-      loop first.next;
-      Some !best.page
-
-(* Specialized last-access scans for the LRU/MRU complex commands: the
-   generic [find_min ~by] pays an un-inlinable closure call per node,
-   and these scans are the dominant cost of MRU-driven workloads.  Same
-   tie-break as above: first minimum / first maximum wins. *)
-let find_oldest t =
-  match t.head with
-  | None -> None
-  | Some first ->
-      let best = ref first and best_key = ref (Vm_page.last_access first.page) in
-      let rec loop = function
-        | None -> ()
-        | Some node ->
-            let k = Vm_page.last_access node.page in
-            if Sim_time.(k < !best_key) then begin
-              best := node;
-              best_key := k
-            end;
-            loop node.next
-      in
-      loop first.next;
-      Some !best.page
-
-let find_newest t =
-  match t.head with
-  | None -> None
-  | Some first ->
-      let best = ref first and best_key = ref (Vm_page.last_access first.page) in
-      let rec loop = function
-        | None -> ()
-        | Some node ->
-            let k = Vm_page.last_access node.page in
-            if Sim_time.(k > !best_key) then begin
-              best := node;
-              best_key := k
-            end;
-            loop node.next
-      in
-      loop first.next;
-      Some !best.page
-
-let check_invariants t =
-  let ok = ref true in
-  let count = ref 0 in
-  (* physical equality on optional nodes: the structure is cyclic in
-     spirit, so structural (=) must not be used *)
-  let same a b =
-    match (a, b) with None, None -> true | Some x, Some y -> x == y | _ -> false
-  in
-  let rec walk prev = function
-    | None -> if not (same t.tail prev) then ok := false
-    | Some node ->
-        incr count;
-        if not (same node.prev prev) then ok := false;
-        (match Hashtbl.find_opt t.nodes (Vm_page.id node.page) with
-        | Some n when n == node -> ()
-        | _ -> ok := false);
-        if Vm_page.on_queue node.page <> Some t.id then ok := false;
-        walk (Some node) node.next
-  in
-  walk None t.head;
-  !ok && !count = Hashtbl.length t.nodes
+let find_oldest = Vm_page.oldest
+let find_newest = Vm_page.newest
+let check_invariants = Vm_page.check_links

@@ -60,14 +60,63 @@ val set_wired : t -> bool -> unit
 val last_access : t -> Sim_time.t
 val touch : t -> Sim_time.t -> unit
 (** Record an access time (kernel-visible approximation used by the LRU
-    and MRU complex commands). *)
+    and MRU complex commands).  A page on an indexed queue is re-sorted
+    in that queue's recency list: O(1) when the time is the queue's
+    newest, as it is for every kernel access (the clock never goes
+    back); it walks back only across pages touched at the same
+    instant. *)
 
-(** {1 Queue membership (maintained by {!Page_queue})} *)
+(** {1 Queue links (maintained by {!Page_queue})}
+
+    A page carries the links of the one queue that may hold it, so
+    linking, unlinking and touching never allocate.  The links make
+    pages cyclic: compare pages with [==] or {!id}, never with
+    structural equality, which does not terminate on them. *)
+
+type queue
+(** The link core of one {!Page_queue.t}: its queue-order list plus a
+    recency list of the same members sorted by (last access, rank),
+    where rank order is queue order.  The recency list is built on the
+    first {!oldest} or {!newest} and maintained from then on. *)
 
 val on_queue : t -> int option
-(** Id of the queue currently holding the page, if any. *)
+(** Id of the queue currently holding the page, if any.  Allocates
+    nothing. *)
 
-val set_on_queue : t -> int option -> unit
-(** For {!Page_queue}'s internal use only. *)
+(** The rest is {!Page_queue}'s implementation; nothing else calls it. *)
+
+val new_queue : string -> queue
+val queue_id : queue -> int
+val queue_name : queue -> string
+val queue_length : queue -> int
+
+val linked_on : queue -> t -> bool
+(** The page is on this queue. *)
+
+val link : queue -> t -> at_head:bool -> unit
+(** Link an off-queue page at one end.  On an indexed queue the recency
+    insert walks from both ends in lockstep: O(distance to the nearer
+    end). *)
+
+val unlink : queue -> t -> unit
+(** Unlink a page that is on this queue. *)
+
+val head : queue -> t option
+val tail : queue -> t option
+val next : t -> t option
+
+val oldest : queue -> t option
+(** Least recently touched member; ties go to the page nearest the
+    head.  O(1) once the index is built (the first call builds it in
+    O(n log n)). *)
+
+val newest : queue -> t option
+(** Most recently touched member; ties go to the page nearest the head.
+    O(1 + members sharing the newest time) once the index is built. *)
+
+val check_links : queue -> bool
+(** Both lists are consistent, ordered, of the queue's length, and hold
+    the same members, each of which points back at this queue (an
+    unbuilt recency list links none). *)
 
 val pp : Format.formatter -> t -> unit

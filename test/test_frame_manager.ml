@@ -15,7 +15,11 @@
    - seize_one's off-queue scan ignored pages still linked on a
      user-declared queue, freeing their frames while the queue node
      still pointed at them — corrupting the queue.  Forced reclamation
-     must unlink before freeing; the auditor's sweep stays clean. *)
+     must unlink before freeing; the auditor's sweep stays clean.
+
+   - A PageFault program returning a slot it still kept on a
+     user-declared queue raised [Invalid_argument] out of the access
+     path.  The policy must be demoted cleanly instead. *)
 
 open Hipec_core
 open Hipec_vm
@@ -155,6 +159,62 @@ let test_release_off_queue () =
   Alcotest.(check bool) "policy not demoted" false (Container.degraded h.container);
   Alcotest.(check int) "one frame released" (before - 1)
     (Container.frames_held h.container)
+
+(* ------------------------------------------------------------------ *)
+(* PageFault returning a slot parked on a user-declared queue          *)
+(* ------------------------------------------------------------------ *)
+
+(* The fault path used to unlink the returned slot only from the free,
+   inactive and active queues, so a slot left on a user-declared queue
+   reached the kernel's active-queue enqueue and raised
+   [Invalid_argument] out of [Kernel.touch_region].  Returning a slot
+   the policy still keeps on its own queue is a policy error: the
+   policy is demoted, the slot freed, and the faults served by the
+   default policy. *)
+let test_fault_returns_slot_on_user_queue () =
+  let user_q = Page_queue.create "user" in
+  let program =
+    Program.make
+      [
+        ( Events.page_fault,
+          asm
+            [
+              Op (Instr.Dequeue (Std.page_reg, Std.free_queue, Opcode.Queue_end.Head));
+              Op (Instr.Enqueue (Std.page_reg, x_slot, Opcode.Queue_end.Tail));
+              Op (Instr.Return Std.page_reg);
+            ] );
+        (Events.reclaim_frame, [| Instr.Return Std.null |]);
+      ]
+  in
+  let config = { Kernel.default_config with Kernel.total_frames = 256; hipec_kernel = true } in
+  let kernel = Kernel.create ~config () in
+  let sys = Api.init ~start_checker:false kernel in
+  let task = Kernel.create_task kernel () in
+  let spec =
+    {
+      (Api.default_spec ~policy:program ~min_frames:32) with
+      Api.extra_operands = [ (x_slot, Operand.Queue user_q) ];
+    }
+  in
+  match Api.vm_allocate_hipec sys task ~npages:8 spec with
+  | Error e -> Alcotest.fail ("setup: " ^ e)
+  | Ok (region, container) ->
+      (match Kernel.touch_region kernel task region ~write:false with
+      | () -> ()
+      | exception Invalid_argument e -> Alcotest.fail ("fault path raised: " ^ e));
+      Alcotest.(check bool) "task alive" true (Task.alive task);
+      Alcotest.(check bool) "policy demoted" true (Container.degraded container);
+      Alcotest.(check (option string)) "demotion reason"
+        (Some "HiPEC policy error: PageFault policy returned a page still on its queue user")
+        (Container.degraded_reason container);
+      Alcotest.(check int) "no frames left in specific accounting" 0
+        (Container.frames_held container);
+      Alcotest.(check int) "user queue emptied" 0 (Page_queue.length user_q);
+      Alcotest.(check bool) "user queue invariants" true (Page_queue.check_invariants user_q);
+      Alcotest.(check (list (pair string string))) "audit checks clean" []
+        (Frame_manager.audit_check (Api.manager sys) ());
+      Alcotest.(check bool) "frames conserved" true
+        (Frame.Table.check_conservation (Kernel.frame_table kernel))
 
 (* ------------------------------------------------------------------ *)
 (* Graceful rejection when the pool cannot cover a grant               *)
@@ -560,6 +620,11 @@ let () =
           Alcotest.test_case "slot on a user-declared queue" `Quick
             test_release_on_user_queue;
           Alcotest.test_case "slot parked off-queue" `Quick test_release_off_queue;
+        ] );
+      ( "fault",
+        [
+          Alcotest.test_case "returned slot on a user-declared queue" `Quick
+            test_fault_returns_slot_on_user_queue;
         ] );
       ( "grants",
         [

@@ -107,19 +107,80 @@ let test_queue_remove_middle () =
           Page_queue.remove q b)
   | _ -> Alcotest.fail "expected 3 pages"
 
+(* Reference oracle for the recency index: the first extremum of the
+   last-access time in head-to-tail order, by linear scan. *)
+let scan_extremum better q =
+  let key p = T.to_ns (Vm_page.last_access p) in
+  Page_queue.fold
+    (fun best p ->
+      match best with Some b when not (better (key p) (key b)) -> best | _ -> Some p)
+    None q
+
+let scan_oldest = scan_extremum ( < )
+let scan_newest = scan_extremum ( > )
+let same_page a b = match (a, b) with None, None -> true | Some x, Some y -> x == y | _ -> false
+
 let test_queue_find_min_max () =
   let q = Page_queue.create "q" in
   let ps = pages 5 in
   List.iteri (fun i p -> Vm_page.touch p (T.us ((i * 7) mod 3 * 10 + i))) ps;
   List.iter (Page_queue.enqueue_tail q) ps;
   let by p = T.to_ns (Vm_page.last_access p) in
-  let mn = Option.get (Page_queue.find_min ~by q) in
-  let mx = Option.get (Page_queue.find_max ~by q) in
+  let mn = Option.get (Page_queue.find_oldest q) in
+  let mx = Option.get (Page_queue.find_newest q) in
   Page_queue.iter
     (fun p ->
       Alcotest.(check bool) "min is min" true (by mn <= by p);
       Alcotest.(check bool) "max is max" true (by mx >= by p))
-    q
+    q;
+  (* ties on both ends: the page nearest the head wins *)
+  List.iter (fun p -> Vm_page.touch p (T.us 100)) ps;
+  Alcotest.(check bool) "oldest matches the scan" true
+    (same_page (Page_queue.find_oldest q) (scan_oldest q));
+  Alcotest.(check bool) "newest matches the scan" true
+    (same_page (Page_queue.find_newest q) (scan_newest q));
+  Alcotest.(check int) "tie goes to the head" (Vm_page.id (List.hd ps))
+    (Vm_page.id (Option.get (Page_queue.find_newest q)));
+  Alcotest.(check bool) "invariants" true (Page_queue.check_invariants q)
+
+(* Touch, enqueue, dequeue and remove on a warmed queue allocate
+   nothing: the links and their [Some] cells live on the pages. *)
+let test_queue_ops_allocate_nothing () =
+  let q = Page_queue.create "warm" in
+  let ps = Array.of_list (pages 64) in
+  Array.iter (Page_queue.enqueue_tail q) ps;
+  let clock = ref 0 in
+  let round () =
+    for i = 0 to Array.length ps - 1 do
+      incr clock;
+      Vm_page.touch ps.(i) (T.ns !clock)
+    done;
+    for _ = 1 to 16 do
+      let p = Option.get (Page_queue.find_newest q) in
+      Page_queue.remove q p;
+      Page_queue.enqueue_head q p;
+      let p = Option.get (Page_queue.dequeue_head q) in
+      Page_queue.enqueue_tail q p;
+      let p = Option.get (Page_queue.find_oldest q) in
+      Page_queue.remove q p;
+      Page_queue.enqueue_tail q p;
+      let p = Option.get (Page_queue.dequeue_tail q) in
+      Page_queue.enqueue_head q p
+    done
+  in
+  round ();
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let a = Gc.minor_words () in
+  for _ = 1 to 10 do
+    round ()
+  done;
+  let b = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" overhead (b -. a);
+  Alcotest.(check bool) "invariants" true (Page_queue.check_invariants q)
 
 (* ------------------------------------------------------------------ *)
 (* Vm_object                                                           *)
@@ -130,7 +191,7 @@ let test_object_connect_disconnect () =
   let p = make_page () in
   Vm_object.connect obj p ~offset:4;
   Alcotest.(check int) "resident" 1 (Vm_object.resident_count obj);
-  Alcotest.(check bool) "found" true (Vm_object.find_resident obj ~offset:4 = Some p);
+  Alcotest.(check bool) "found" true (match Vm_object.find_resident obj ~offset:4 with Some p' -> p' == p | None -> false);
   Vm_object.disconnect obj p;
   Alcotest.(check int) "gone" 0 (Vm_object.resident_count obj);
   Alcotest.(check bool) "unbound" false (Vm_page.is_bound p)
@@ -642,6 +703,40 @@ let prop_queue_ops_keep_invariants =
       Page_queue.check_invariants q
       && Page_queue.length q + List.length !off_queue = 8)
 
+(* The recency index against the scan oracle, over random queue
+   operations interleaved with touches.  Touch times never decrease and
+   often tie; pages start fresh at time zero, and dequeued pages come
+   back stale, keeping their old time.  The first query comes after a
+   random prefix of operations, so the index is also built from a
+   queue in an arbitrary state. *)
+let prop_recency_matches_scan =
+  QCheck.Test.make ~name:"recency index matches the first-extremum scan" ~count:300
+    QCheck.(pair small_nat (list (pair (int_bound 6) small_nat)))
+    (fun (first_query, ops) ->
+      let q = Page_queue.create "recency" in
+      let ps = Array.of_list (pages 12) in
+      let clock = ref 0 in
+      List.for_all
+        (fun (step, (op, k)) ->
+          let p = ps.(k mod Array.length ps) in
+          let off = Vm_page.on_queue p = None in
+          (match op with
+          | 0 -> if off then Page_queue.enqueue_head q p
+          | 1 -> if off then Page_queue.enqueue_tail q p
+          | 2 -> ignore (Page_queue.dequeue_head q)
+          | 3 -> ignore (Page_queue.dequeue_tail q)
+          | 4 -> if Page_queue.mem q p then Page_queue.remove q p
+          | _ ->
+              (* 5 ties with the previous touch; 6 advances the clock *)
+              if op = 6 then clock := !clock + 1 + (k mod 3);
+              Vm_page.touch p (T.ns !clock));
+          Page_queue.check_invariants q
+          && (step < first_query
+             || same_page (Page_queue.find_oldest q) (scan_oldest q)
+                && same_page (Page_queue.find_newest q) (scan_newest q)
+                && Page_queue.check_invariants q))
+        (List.mapi (fun step op -> (step, op)) ops))
+
 let prop_faults_bounded_by_accesses =
   QCheck.Test.make ~name:"faults <= accesses; frames conserved" ~count:40
     QCheck.(list_of_size Gen.(1 -- 60) (int_bound 49))
@@ -673,6 +768,8 @@ let () =
           Alcotest.test_case "exclusivity" `Quick test_queue_exclusivity;
           Alcotest.test_case "remove middle" `Quick test_queue_remove_middle;
           Alcotest.test_case "find min/max" `Quick test_queue_find_min_max;
+          Alcotest.test_case "operations allocate nothing" `Quick
+            test_queue_ops_allocate_nothing;
         ] );
       ( "vm_object",
         [
@@ -731,5 +828,11 @@ let () =
           Alcotest.test_case "respects reserve" `Quick test_readahead_respects_reserve;
           Alcotest.test_case "skips hipec regions" `Quick test_readahead_skips_hipec_regions;
         ] );
-      ("properties", qc [ prop_queue_ops_keep_invariants; prop_faults_bounded_by_accesses ]);
+      ( "properties",
+        qc
+          [
+            prop_queue_ops_keep_invariants;
+            prop_recency_matches_scan;
+            prop_faults_bounded_by_accesses;
+          ] );
     ]
