@@ -1,4 +1,4 @@
-.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench metrics-bench storm storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke fig6 ci
+.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench metrics-bench storm storm-sweep storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke fig6 ci
 
 all:
 	dune build @all
@@ -32,6 +32,15 @@ metrics-bench:
 # nonzero on a conservation break, audit violation or honest starvation
 storm:
 	dune exec bin/hipec_cli.exe -- storm --smoke
+
+# the storm past the old ~1.3k-tenant breaking point, with the shipped
+# 500 ms auditor; each run must exit 0: no exception, no audit
+# violation, conservation ok, honest tenants alive
+storm-sweep:
+	for n in 1400 1500 2000; do \
+	  echo "== storm --tenants=$$n"; \
+	  dune exec bin/hipec_cli.exe -- storm --tenants=$$n > /dev/null || exit 1; \
+	done
 
 # storm isolation metrics under both backends; fails on digest
 # instability or backend divergence and rewrites BENCH_5.json
@@ -91,10 +100,11 @@ fig6:
 # What CI runs: full build, the whole test suite (which includes the
 # oracle, golden, storm, span and adversary suites), the policy lint
 # gate, the chaos and storm acceptance checks at smoke scale, the
-# adversary regression gate, the span cross-backend gate, the
-# host-time benchmark smoke run, the full-scale Figure 6 fault-count
-# gate, and the backend equivalence benches.
-ci: all test lint oracle golden chaos storm adversary spans hostbench-smoke fig6 backend-bench metrics-bench storm-bench adversary-bench spans-bench
+# storm tenant sweep at 1.4k-2k tenants, the adversary regression
+# gate, the span cross-backend gate, the host-time benchmark smoke
+# run, the full-scale Figure 6 fault-count gate, and the backend
+# equivalence benches.
+ci: all test lint oracle golden chaos storm storm-sweep adversary spans hostbench-smoke fig6 backend-bench metrics-bench storm-bench adversary-bench spans-bench
 
 bench:
 	dune exec bench/main.exe

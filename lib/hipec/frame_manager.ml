@@ -177,8 +177,7 @@ let take_free_slots t container n =
       match Page_queue.dequeue_head (Container.free_queue container) with
       | None -> n - k
       | Some slot ->
-          assert (not (Vm_page.is_bound slot));
-          Frame.Table.free tbl (Vm_page.frame slot);
+          Vm_page.release_frame tbl slot;
           loop (k - 1)
   in
   let got = loop n in
@@ -230,9 +229,7 @@ let seize_one t container ~flush_dirty =
       | obj -> Vm_object.disconnect obj page
       | exception Not_found -> Vm_page.unbind page)
     end;
-    Vm_page.set_wired page false;
-    Frame.set_modified (Vm_page.frame page) false;
-    Frame.Table.free tbl (Vm_page.frame page);
+    Vm_page.release_frame tbl page;
     Container.remove_frames container 1;
     t.specific_total <- t.specific_total - 1;
     t.stats.frames_reclaimed <- t.stats.frames_reclaimed + 1;
@@ -384,13 +381,8 @@ let demote t container ~reason =
     let held = Container.frames_held container in
     let freed = ref 0 and migrated = ref 0 in
     let release_slot page =
-      let frame = Vm_page.frame page in
-      if not (Frame.is_free frame) then begin
-        Vm_page.set_wired page false;
-        Frame.set_modified frame false;
-        Frame.Table.free tbl frame;
-        incr freed
-      end
+      Vm_page.release_frame tbl page;
+      incr freed
     in
     let hand_to_daemon page =
       Pageout.note_new_resident daemon page;
@@ -415,12 +407,18 @@ let demote t container ~reason =
         if Vm_page.on_queue page = None && not (Vm_page.wired page) then
           hand_to_daemon page)
       (Container.obj container);
-    (* unbound slots parked in page-register operands *)
+    (* unbound slots parked in page-register operands.  A register is
+       only a weak reference: it may still name a slot whose frame the
+       policy released (or the drains above freed), and that frame may
+       since have been granted to another page, so a slot is released
+       only while it still holds its frame. *)
     let ops = Container.operands container in
     for ix = 0 to Operand.size - 1 do
       match Operand.get ops ix with
       | Some (Operand.Page { contents = Some page })
-        when (not (Vm_page.is_bound page)) && Vm_page.on_queue page = None ->
+        when (not (Vm_page.is_bound page))
+             && Vm_page.on_queue page = None
+             && Vm_page.holds_frame page ->
           release_slot page
       | _ -> ()
     done;
@@ -915,6 +913,8 @@ let page_fault t container ~fault_va =
   | Executor.Returned (Some (Operand.Page { contents = Some page })) ->
       if Vm_page.is_bound page then
         Error "PageFault policy returned a page that is still bound"
+      else if not (Vm_page.holds_frame page) then
+        Error "PageFault policy returned a slot it had released"
       else begin
         (* the slot leaves the container's queues and becomes the fault's
            frame.  A slot the policy still keeps on a queue it declared
@@ -988,28 +988,31 @@ let create ~kernel ?(burst_fraction = 0.5) ?max_steps ?backend () =
       release_count = (fun c ~count -> take_free_slots t c count);
       release_page =
         (fun c page ->
-          if Vm_page.is_bound page then Error "Release: page is still bound"
-          else begin
-            let free_it () =
-              Frame.Table.free (Kernel.frame_table kernel) (Vm_page.frame page);
+          (* the slot may sit on any of the container's queues — free,
+             inactive, active, or one the policy declared as a user
+             operand — or be parked off-queue in a page register.  A
+             register can be stale: a slot released before no longer
+             holds its frame, which may belong to another page by now. *)
+          let unlinked =
+            if Vm_page.is_bound page then Error "page is still bound"
+            else if not (Vm_page.holds_frame page) then Vm_page.releasable page
+            else
+              match Vm_page.on_queue page with
+              | None -> Ok ()
+              | Some _ -> (
+                  match container_queue_of_page c page with
+                  | Some q -> Ok (Page_queue.remove q page)
+                  | None -> Error "page is on an unknown queue")
+          in
+          match unlinked with
+          | Error msg -> Error ("Release: " ^ msg)
+          | Ok () ->
+              Vm_page.release_frame (Kernel.frame_table kernel) page;
               Container.remove_frames c 1;
               t.specific_total <- t.specific_total - 1;
               t.stats.frames_reclaimed <- t.stats.frames_reclaimed + 1;
               note_gauges t c;
-              Ok ()
-            in
-            (* the slot may sit on any of the container's queues — free,
-               inactive, active, or one the policy declared as a user
-               operand — or be parked off-queue in a page register *)
-            match Vm_page.on_queue page with
-            | None -> free_it ()
-            | Some _ -> (
-                match container_queue_of_page c page with
-                | Some q ->
-                    Page_queue.remove q page;
-                    free_it ()
-                | None -> Error "Release: page is on an unknown queue")
-          end);
+              Ok ());
       flush_page = (fun _c page -> flush_bound_page t page);
       resolve_object = (fun oid -> Kernel.resolve_object kernel oid);
     }

@@ -3,7 +3,10 @@
     A frame carries the hardware-maintained reference and modify bits
     (the i486 sets these in the page-table entry; Mach mirrors them per
     physical page, which is the view HiPEC's [Ref]/[Mod]/[Set] commands
-    operate on). *)
+    operate on), and records its one holder: it is free in the table's
+    pool, allocated but held by no page, or held by exactly one resident
+    page ({!Hipec_vm.Vm_page} claims it at creation and gives it back
+    through [Vm_page.release_frame]). *)
 
 val page_size : int
 (** Bytes per page frame: 4096, as on the paper's i486. *)
@@ -23,6 +26,18 @@ val set_wired : t -> bool -> unit
 
 val is_free : t -> bool
 (** True while the frame sits in the frame table's free pool. *)
+
+val holder : t -> int
+(** The id of the page holding the frame; [0] while it is allocated but
+    held by no page, and negative while it is free. *)
+
+val describe_holder : int -> string
+(** ["free"], ["held by no page"] or ["held by page N"], for messages. *)
+
+val claim : t -> holder:int -> unit
+(** Record page [holder] (a positive id) as the frame's holder.  Raises
+    [Invalid_argument], naming the frame and its current holder, unless
+    the frame is allocated and held by no page. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -44,16 +59,19 @@ module Table : sig
 
   val alloc : t -> frame option
   (** Take a frame from the free pool; its ref/mod/wired bits are
-      cleared.  [None] when the pool is empty. *)
+      cleared and it is held by no page.  [None] when the pool is
+      empty. *)
 
   val alloc_many : t -> int -> frame list
   (** Up to [n] frames; returns fewer when the pool runs dry. *)
 
   val free : t -> frame -> unit
-  (** Return a frame to the pool.  Raises [Invalid_argument] if the
-      frame is already free or wired. *)
+  (** Return a frame to the pool, whoever holds it.  Raises
+      [Invalid_argument] if the frame is already free or wired.  A frame
+      a page holds goes back through [Vm_page.release_frame], which
+      checks the holder; this primitive is for frames no page holds. *)
 
   val check_conservation : t -> bool
-  (** Every frame is either in the free pool or allocated, never both —
-      used by tests and debug assertions. *)
+  (** Every frame is either in the free pool or allocated, never both,
+      and the pool's count agrees.  Allocates nothing. *)
 end

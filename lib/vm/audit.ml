@@ -21,6 +21,7 @@ type t = {
   mutable pending : Engine.handle option;
   mutable sweeps : int;
   mutable violations_found : int;
+  mutable first_violation : violation option;
 }
 
 let create ?(period = Sim_time.ms 500) ?(raise_on_violation = true) kernel =
@@ -34,6 +35,7 @@ let create ?(period = Sim_time.ms 500) ?(raise_on_violation = true) kernel =
     pending = None;
     sweeps = 0;
     violations_found = 0;
+    first_violation = None;
   }
 
 let register_queue t q =
@@ -56,57 +58,68 @@ let register_check t ~name f =
 let unregister_check t ~name =
   t.extra_checks <- List.filter (fun (n, _) -> n <> name) t.extra_checks
 
+(* The region of [regions] containing [vpn], without the option and
+   closure [Vm_map.find] allocates.  Raises [Not_found]. *)
+let rec region_at vpn = function
+  | [] -> raise Not_found
+  | r :: rest ->
+      if vpn >= r.Vm_map.start_vpn && vpn < Vm_map.region_end_vpn r then r
+      else region_at vpn rest
+
 (* One full consistency sweep.  Checks, in order:
    - the frame table's free-list conservation;
-   - every audited queue's link invariants and each member's [on_queue];
+   - every audited queue's link invariants, each member's [on_queue],
+     and that each unbound member still holds its frame;
    - every object's resident table: bindings point back at (object,
-     offset), no resident page sits on a free frame, and no frame backs
-     two pages (aliasing also covers unbound slots parked on audited
-     queues);
+     offset) and each page holds its frame;
    - every live task's pmap: translations target allocated frames and
-     agree with the resident page at that address. *)
+     agree with the resident page at that address.
+   A page that does not hold its frame reports [free-frame-on-queue] or
+   [resident-free-frame] when the frame is in the pool, and
+   [frame-aliasing] when it is held by another page (or by none).  A
+   clean sweep allocates no per-page memory: text is formatted only for
+   a violation. *)
 let sweep t =
   let k = t.kernel in
   let out = ref [] in
-  let add check detail = out := { check; detail } :: !out in
+  let add check detail =
+    let v = { check; detail } in
+    if Option.is_none t.first_violation then t.first_violation <- Some v;
+    out := v :: !out
+  in
+  let aliasing page ~where =
+    add "frame-aliasing"
+      (Printf.sprintf "frame %d backs %s but is %s" (Frame.index (Vm_page.frame page)) where
+         (Frame.describe_holder (Frame.holder (Vm_page.frame page))))
+  in
   let tbl = Kernel.frame_table k in
   if not (Frame.Table.check_conservation tbl) then
     add "frame-conservation" "frame table free list is inconsistent";
   (* queues *)
-  let queues = Pageout.queues (Kernel.pageout k) @ t.extra_queues in
-  let seen : (int, string) Hashtbl.t = Hashtbl.create 512 in
-  let claim ~frame ~owner =
-    let ix = Frame.index frame in
-    match Hashtbl.find_opt seen ix with
-    | Some other ->
-        add "frame-aliasing"
-          (Printf.sprintf "frame %d backs both %s and %s" ix other owner)
-    | None -> Hashtbl.replace seen ix owner
-  in
-  List.iter
-    (fun q ->
-      if not (Page_queue.check_invariants q) then
-        add "queue-invariants" (Printf.sprintf "queue %s links broken" (Page_queue.name q));
-      Page_queue.iter
-        (fun page ->
-          (match Vm_page.on_queue page with
-          | Some id when id = Page_queue.id q -> ()
-          | Some _ | None ->
-              add "queue-membership"
-                (Printf.sprintf "page on queue %s whose on_queue disagrees"
-                   (Page_queue.name q)));
+  let audit_queue q =
+    if not (Page_queue.check_invariants q) then
+      add "queue-invariants" (Printf.sprintf "queue %s links broken" (Page_queue.name q));
+    Page_queue.iter
+      (fun page ->
+        (match Vm_page.on_queue page with
+        | Some id when id = Page_queue.id q -> ()
+        | Some _ | None ->
+            add "queue-membership"
+              (Printf.sprintf "page on queue %s whose on_queue disagrees" (Page_queue.name q)));
+        if not (Vm_page.holds_frame page) then
           if Frame.is_free (Vm_page.frame page) then
             add "free-frame-on-queue"
               (Printf.sprintf "queue %s holds a page whose frame %d is in the free pool"
                  (Page_queue.name q)
-                 (Frame.index (Vm_page.frame page)));
-          (* unbound slots claim their frame here; bound pages are
-             claimed below through their object's resident table *)
-          if not (Vm_page.is_bound page) then
-            claim ~frame:(Vm_page.frame page)
-              ~owner:(Printf.sprintf "a free slot on queue %s" (Page_queue.name q)))
-        q)
-    queues;
+                 (Frame.index (Vm_page.frame page)))
+          else if not (Vm_page.is_bound page) then
+            (* a bound page is checked below, through its object *)
+            aliasing page
+              ~where:(Printf.sprintf "page %d on queue %s" (Vm_page.id page) (Page_queue.name q)))
+      q
+  in
+  List.iter audit_queue (Pageout.queues (Kernel.pageout k));
+  List.iter audit_queue t.extra_queues;
   (* objects *)
   Kernel.iter_objects k (fun obj ->
       Vm_object.iter_resident
@@ -117,13 +130,16 @@ let sweep t =
               add "binding"
                 (Printf.sprintf "resident page of %s offset %d has a foreign binding"
                    (Vm_object.name obj) offset));
-          if Frame.is_free (Vm_page.frame page) then
-            add "resident-free-frame"
-              (Printf.sprintf "%s offset %d is resident on free frame %d"
-                 (Vm_object.name obj) offset
-                 (Frame.index (Vm_page.frame page)));
-          claim ~frame:(Vm_page.frame page)
-            ~owner:(Printf.sprintf "%s offset %d" (Vm_object.name obj) offset))
+          if not (Vm_page.holds_frame page) then
+            if Frame.is_free (Vm_page.frame page) then
+              add "resident-free-frame"
+                (Printf.sprintf "%s offset %d is resident on free frame %d"
+                   (Vm_object.name obj) offset
+                   (Frame.index (Vm_page.frame page)))
+            else
+              aliasing page
+                ~where:(Printf.sprintf "%s offset %d (page %d)" (Vm_object.name obj) offset
+                          (Vm_page.id page)))
         obj);
   (* pmaps *)
   List.iter
@@ -134,19 +150,19 @@ let sweep t =
               add "pmap-free-frame"
                 (Printf.sprintf "%s maps vpn %d to free frame %d" (Task.name task) vpn
                    (Frame.index frame));
-            match Vm_map.find (Task.vm_map task) ~vpn with
-            | None ->
+            match region_at vpn (Vm_map.regions (Task.vm_map task)) with
+            | exception Not_found ->
                 add "pmap-unmapped-vpn"
                   (Printf.sprintf "%s maps vpn %d outside every region" (Task.name task)
                      vpn)
-            | Some region -> (
+            | region -> (
                 let offset = Vm_map.offset_of_vpn region vpn in
-                match Vm_object.find_resident region.Vm_map.obj ~offset with
-                | None ->
+                match Vm_object.resident region.Vm_map.obj ~offset with
+                | exception Not_found ->
                     add "pmap-stale"
                       (Printf.sprintf "%s vpn %d translated but no page is resident"
                          (Task.name task) vpn)
-                | Some page ->
+                | page ->
                     if Frame.index (Vm_page.frame page) <> Frame.index frame then
                       add "pmap-wrong-frame"
                         (Printf.sprintf "%s vpn %d maps frame %d but the page is on %d"
@@ -190,3 +206,4 @@ let stop t =
 
 let sweeps t = t.sweeps
 let violations_found t = t.violations_found
+let first_violation t = t.first_violation

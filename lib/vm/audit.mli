@@ -4,7 +4,9 @@
     re-derives the structural invariants the rest of the VM relies on —
     frame conservation, queue membership, object/page binding agreement,
     frame aliasing, and pmap consistency — and reports (or raises on)
-    any violation.  HiPEC container queues are registered dynamically so
+    any violation.  Aliasing is read off each frame's recorded holder
+    ({!Hipec_machine.Frame.holder}) as the sweep visits the page, so a
+    clean sweep allocates nothing per page.  HiPEC container queues are registered dynamically so
     a policy's private lists are audited exactly like the kernel's own
     queues. *)
 
@@ -53,3 +55,7 @@ val stop : t -> unit
 
 val sweeps : t -> int
 val violations_found : t -> int
+
+val first_violation : t -> violation option
+(** The first violation any sweep found, kept for reporting the cause
+    rather than just a count. *)

@@ -229,9 +229,8 @@ let release_region_pages t task region =
     List.iter
       (fun page ->
         Pageout.forget t.pageout page;
-        Vm_page.set_wired page false;
         Vm_object.disconnect obj page;
-        Frame.Table.free t.frame_table (Vm_page.frame page))
+        Vm_page.release_frame t.frame_table page)
       !doomed
   end;
   Vm_object.detach_copy obj;

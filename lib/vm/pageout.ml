@@ -85,7 +85,6 @@ let launder t ctx page =
         Vm_object.assign_swap obj ~offset ~block:b;
         b
   in
-  let frame = Vm_page.frame page in
   (* Pageout closes the reclaim-scan work that selected this page: Span
      attributes the interval ending here as [Reclaim] *)
   Hipec_trace.Trace.pageout ~obj:(Vm_object.id obj) ~offset ~block;
@@ -107,15 +106,12 @@ let launder t ctx page =
   in
   Io_retry.submit_write ~policy:ctx.io_policy ctx.io_stats ctx.disk ~remap ~block
     ~nblocks:Vm_object.blocks_per_page (fun _engine _result ->
-      Frame.set_modified frame false;
-      Frame.Table.free ctx.frame_table frame;
+      Vm_page.release_frame ctx.frame_table page;
       t.laundry <- t.laundry - 1)
 
 let evict_clean ctx page =
-  let obj = object_of ctx page in
-  let frame = Vm_page.frame page in
-  Vm_object.disconnect obj page;
-  Frame.Table.free ctx.frame_table frame
+  Vm_object.disconnect (object_of ctx page) page;
+  Vm_page.release_frame ctx.frame_table page
 
 (* One reclaim attempt from the head of the inactive queue.  Returns
    [`Progress] when a page moved (evicted or reactivated), [`Empty] when

@@ -39,6 +39,7 @@ let name t = t.name
 let size_pages t = t.size_pages
 let backing t = t.backing
 let find_resident t ~offset = Hashtbl.find_opt t.resident offset
+let resident t ~offset = Hashtbl.find t.resident offset
 let resident_count t = Hashtbl.length t.resident
 let iter_resident f t = Hashtbl.iter (fun offset page -> f ~offset page) t.resident
 

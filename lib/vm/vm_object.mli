@@ -27,6 +27,10 @@ val backing : t -> backing
 (** {1 Resident pages} *)
 
 val find_resident : t -> offset:int -> Vm_page.t option
+
+val resident : t -> offset:int -> Vm_page.t
+(** Like {!find_resident} without allocating; raises [Not_found]. *)
+
 val resident_count : t -> int
 val iter_resident : (offset:int -> Vm_page.t -> unit) -> t -> unit
 

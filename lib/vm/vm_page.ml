@@ -66,6 +66,7 @@ let next_id = ref 0
 let create ~frame =
   incr next_id;
   let id = !next_id in
+  Frame.claim frame ~holder:id;
   let rec page =
     {
       id;
@@ -121,6 +122,33 @@ let set_wired t b =
   Frame.set_wired t.frame b
 
 let last_access t = t.last_access
+
+let holds_frame t = Frame.holder t.frame = t.id
+
+(* The one way a page gives its frame back: the page must still hold the
+   frame, and must be unbound and off every queue, so no object, pmap or
+   queue can reach the frame once it is in the pool. *)
+let releasable t =
+  if not (holds_frame t) then
+    Error
+      (Printf.sprintf "page %d does not hold frame %d (it is %s)" t.id
+         (Frame.index t.frame)
+         (Frame.describe_holder (Frame.holder t.frame)))
+  else if t.binding <> None then
+    Error (Printf.sprintf "page %d on frame %d is still bound" t.id (Frame.index t.frame))
+  else if t.queue != detached then
+    Error
+      (Printf.sprintf "page %d on frame %d is still on queue %s" t.id
+         (Frame.index t.frame) t.queue.qname)
+  else Ok ()
+
+let release_frame tbl t =
+  match releasable t with
+  | Error msg -> invalid_arg ("Vm_page.release_frame: " ^ msg)
+  | Ok () ->
+      set_wired t false;
+      Frame.set_modified t.frame false;
+      Frame.Table.free tbl t.frame
 
 (* ------------------------------------------------------------------ *)
 (* Recency list                                                        *)
@@ -245,11 +273,12 @@ let unlink q p =
 let checking = empty_queue ~qid:(-1) ~qname:"" ~some_qid:None
 
 (* Each walk is bounded by the length, so a corrupted cycle reports
-   false instead of looping.  The queue-order walk marks its members,
-   the recency walk must meet exactly the marked pages (and restores
-   them), and a last queue-order pass clears any mark the recency walk
-   missed.  A queue whose index is not built yet links no member into
-   a recency list. *)
+   false instead of looping, and passes [p.self] rather than a fresh
+   [Some p], so it allocates nothing per page.  The queue-order walk
+   marks its members, the recency walk must meet exactly the marked
+   pages (and restores them), and a last queue-order pass clears any
+   mark the recency walk missed.  A queue whose index is not built yet
+   links no member into a recency list. *)
 let check_links q =
   let ok = ref true in
   let walk first ~succ ~pred ~ordered ~last ~visit =
@@ -268,7 +297,7 @@ let check_links q =
           | Some a, Some b when a == b -> ()
           | _ -> ok := false);
           (match prev with Some b when not (ordered b p) -> ok := false | _ -> ());
-          go (steps + 1) (Some p) (succ p)
+          go (steps + 1) p.self (succ p)
     in
     go 0 None first
   in

@@ -12,12 +12,29 @@ open Hipec_machine
 type t
 
 val create : frame:Frame.t -> t
-(** A fresh unbound page slot holding [frame]. *)
+(** A fresh unbound page slot holding [frame].  The page claims the
+    frame ({!Frame.claim}): raises [Invalid_argument] unless [frame] is
+    allocated and held by no page. *)
 
 val id : t -> int
 (** Unique for the lifetime of the process. *)
 
 val frame : t -> Frame.t
+
+val holds_frame : t -> bool
+(** The page is still its frame's holder (false once the frame went
+    back to the pool, even if it has since been handed to another page). *)
+
+val releasable : t -> (unit, string) result
+(** [Ok ()] when {!release_frame} would succeed; otherwise why not,
+    naming the frame and its holder. *)
+
+val release_frame : Frame.Table.t -> t -> unit
+(** Give the page's frame back to the pool: clears the wired and
+    modified bits and frees the frame.  The page must hold the frame and
+    be unbound and off every queue; otherwise raises [Invalid_argument]
+    with the {!releasable} reason.  Every path that frees a page's frame
+    goes through here. *)
 
 (** {1 Binding to an object offset} *)
 

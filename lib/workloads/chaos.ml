@@ -55,6 +55,7 @@ type result = {
   latency_spikes : int;
   audit_sweeps : int;
   audit_violations : int;
+  first_violation : string option;
   kstat : string;
 }
 
@@ -173,6 +174,8 @@ let run ?(faults = true) config =
     latency_spikes = Disk.latency_spikes disk;
     audit_sweeps = Audit.sweeps auditor;
     audit_violations = Audit.violations_found auditor;
+    first_violation =
+      Option.map (Format.asprintf "%a" Audit.pp_violation) (Audit.first_violation auditor);
     kstat = Kstat.to_string kernel;
   }
 
@@ -188,8 +191,10 @@ let pp_result fmt r =
      demotions        %d%s@,\
      paging I/O       %d errors, %d retries, %d giveups, %d swap remaps@,\
      fault injection  %d transients, %d bad-block hits, %d latency spikes@,\
-     auditor          %d sweeps, %d violations@]"
+     auditor          %d sweeps, %d violations%a@]"
     Sim_time.pp r.elapsed r.task_kills r.demotions
     (match r.demotion_reason with None -> "" | Some m -> " (" ^ m ^ ")")
     r.io_errors r.io_retries r.io_giveups r.swap_remaps r.faults_injected
     r.bad_block_hits r.latency_spikes r.audit_sweeps r.audit_violations
+    (fun fmt -> Option.iter (Format.fprintf fmt "@,first violation  %s"))
+    r.first_violation

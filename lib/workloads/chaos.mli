@@ -53,6 +53,8 @@ type result = {
   latency_spikes : int;
   audit_sweeps : int;
   audit_violations : int;
+  first_violation : string option;
+      (** the first violation the auditor found, as [check: detail] *)
   kstat : string;  (** the full kernel counter report, for determinism checks *)
 }
 

@@ -126,6 +126,7 @@ type result = {
   final_level : string;
   audit_sweeps : int;
   audit_violations : int;
+  first_violation : string option;
   conservation_ok : bool;
   digest : string;
   kstat : string;
@@ -388,6 +389,8 @@ let run config =
     final_level = Pressure.level_name (Kernel.pressure_level kernel);
     audit_sweeps = Audit.sweeps auditor;
     audit_violations = Audit.violations_found auditor;
+    first_violation =
+      Option.map (Format.asprintf "%a" Audit.pp_violation) (Audit.first_violation auditor);
     conservation_ok = Frame.Table.check_conservation (Kernel.frame_table kernel);
     digest;
     kstat = Kstat.to_string kernel;
@@ -419,11 +422,13 @@ let pp_result fmt r =
      emergency seizure  %d events, %d frames@,\
      admissions         %d queued, %d rejected@,\
      pressure           %d changes, peak %s, final %s@,\
-     auditor            %d sweeps, %d violations@,\
+     auditor            %d sweeps, %d violations@,%a\
      conservation       %s@,\
      digest             %s@]"
     r.task_kills r.demotions r.throttles_entered r.throttles_exited
     r.emergency_seizures r.emergency_frames r.admissions_queued r.admissions_rejected
     r.pressure_changes r.peak_level r.final_level r.audit_sweeps r.audit_violations
+    (fun fmt -> Option.iter (Format.fprintf fmt "first violation    %s@,"))
+    r.first_violation
     (if r.conservation_ok then "ok" else "VIOLATED")
     r.digest

@@ -108,6 +108,8 @@ type result = {
   final_level : string;
   audit_sweeps : int;
   audit_violations : int;
+  first_violation : string option;
+      (** the first violation the auditor found, as [check: detail] *)
   conservation_ok : bool;  (** frame-table conservation at the end *)
   digest : string;  (** trace digest — the determinism witness *)
   kstat : string;

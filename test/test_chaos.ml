@@ -147,8 +147,9 @@ let test_audit_clean_kernel () =
   Alcotest.(check int) "one sweep recorded" 1 (Audit.sweeps auditor);
   Alcotest.(check int) "no violations recorded" 0 (Audit.violations_found auditor)
 
-(* Plant a deliberately corrupt structure: a registered queue holding a
-   page whose frame has been returned to the free pool. *)
+(* Plant deliberately corrupt structures: a registered queue holding a
+   page whose frame has been returned to the free pool, then the same
+   frame handed to a second page while the first stays queued. *)
 let test_audit_detects_free_frame_on_queue () =
   let k = Kernel.create ~config:{ Kernel.default_config with total_frames = 64 } () in
   let auditor = Audit.create ~raise_on_violation:false k in
@@ -169,8 +170,39 @@ let test_audit_detects_free_frame_on_queue () =
   (match Audit.sweep strict with
   | exception Audit.Violation (_ :: _) -> ()
   | _ -> Alcotest.fail "strict auditor should raise");
+  Alcotest.(check (option string)) "first violation kept" (Some "free-frame-on-queue")
+    (Option.map (fun v -> v.Audit.check) (Audit.first_violation auditor));
+  (* two pages on one frame: the stale one no longer holds it *)
+  let heir = Vm_page.create ~frame:(Option.get (Frame.Table.alloc tbl)) in
+  Alcotest.(check bool) "the same frame re-granted" true (Vm_page.frame heir == frame);
+  Page_queue.enqueue_tail rogue heir;
+  let violations = List.map (fun v -> v.Audit.check) (Audit.sweep auditor) in
+  Alcotest.(check (list string)) "frame-aliasing flagged" [ "frame-aliasing" ] violations;
+  Alcotest.(check (option string)) "first violation unchanged" (Some "free-frame-on-queue")
+    (Option.map (fun v -> v.Audit.check) (Audit.first_violation auditor));
   (* clean up so the queue cannot leak into later checks *)
   Audit.unregister_queue auditor rogue
+
+(* A clean sweep formats nothing and allocates nothing per page: its
+   minor-heap allocation is the same at 64 and at 1024 resident pages. *)
+let test_audit_sweep_allocation_flat () =
+  let sweep_words npages =
+    let k = Kernel.create ~config:{ Kernel.default_config with total_frames = 2048 } () in
+    let task = Kernel.create_task k () in
+    let region = Kernel.vm_allocate k task ~npages in
+    Kernel.touch_region k task region ~write:true;
+    Kernel.drain_io k;
+    let auditor = Audit.create k in
+    ignore (Audit.sweep auditor);
+    let before = Gc.minor_words () in
+    let violations = Audit.sweep auditor in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "clean" 0 (List.length violations);
+    words
+  in
+  let small = sweep_words 64 and large = sweep_words 1024 in
+  if Float.abs (large -. small) > 16. then
+    Alcotest.failf "sweep allocates %.0f words at 64 pages but %.0f at 1024" small large
 
 (* ------------------------------------------------------------------ *)
 (* Chaos scenario                                                      *)
@@ -311,6 +343,8 @@ let () =
           Alcotest.test_case "clean kernel" `Quick test_audit_clean_kernel;
           Alcotest.test_case "detects planted corruption" `Quick
             test_audit_detects_free_frame_on_queue;
+          Alcotest.test_case "clean sweep allocation is flat" `Quick
+            test_audit_sweep_allocation_flat;
         ] );
       ( "scenario",
         [ Alcotest.test_case "tiny chaos run healthy" `Quick test_chaos_tiny_healthy ] );

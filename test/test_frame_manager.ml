@@ -19,7 +19,17 @@
 
    - A PageFault program returning a slot it still kept on a
      user-declared queue raised [Invalid_argument] out of the access
-     path.  The policy must be demoted cleanly instead. *)
+     path.  The policy must be demoted cleanly instead.
+
+   - A page register still naming a slot the policy had released is a
+     stale reference: the frame went back to the pool and may since
+     back another tenant's page.  Demotion's register scan used to free
+     that frame a second time, and a second [Release] of the register
+     freed it silently; past ~1.4k storm tenants this showed up as
+     frame aliasing and then as an uncaught "already free".  Demotion
+     must skip the stale slot, the second [Release] must fail and
+     demote the policy, and so must a PageFault handler returning the
+     slot it released. *)
 
 open Hipec_core
 open Hipec_vm
@@ -85,6 +95,11 @@ let make ?(x = 0) ?(r = 1) ?(min_frames = 8) ?(total_frames = 256) probe_code =
   | Error e -> failwith ("harness: " ^ e)
   | Ok (_region, container) -> { kernel; sys; container; x = rx; user_q }
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let run h = Frame_manager.run_event (Api.manager h.sys) h.container ~event:probe_event
 
 let fill_active h n =
@@ -137,20 +152,21 @@ let test_release_on_active =
 
 let test_release_on_user_queue = check_release_on uq_slot (fun h -> h.user_q)
 
+(* take a free slot into the page register and Release it from there *)
+let release_probe_off_queue =
+  asm
+    [
+      Op (Instr.Dequeue (Std.page_reg, Std.free_queue, Opcode.Queue_end.Head));
+      Op (Instr.Release Std.page_reg);
+      Jump_to "failed";
+      Op (Instr.Return Std.null);
+      Label "failed";
+      Op (Instr.Return Std.page_reg);
+    ]
+
 let test_release_off_queue () =
   (* a slot parked only in the page register: nothing to unlink *)
-  let h =
-    make
-      (asm
-         [
-           Op (Instr.Dequeue (Std.page_reg, Std.free_queue, Opcode.Queue_end.Head));
-           Op (Instr.Release Std.page_reg);
-           Jump_to "failed";
-           Op (Instr.Return Std.null);
-           Label "failed";
-           Op (Instr.Return Std.page_reg);
-         ])
-  in
+  let h = make release_probe_off_queue in
   let before = Container.frames_held h.container in
   (match run h with
   | Executor.Returned _ -> ()
@@ -213,6 +229,137 @@ let test_fault_returns_slot_on_user_queue () =
       Alcotest.(check bool) "user queue invariants" true (Page_queue.check_invariants user_q);
       Alcotest.(check (list (pair string string))) "audit checks clean" []
         (Frame_manager.audit_check (Api.manager sys) ());
+      Alcotest.(check bool) "frames conserved" true
+        (Frame.Table.check_conservation (Kernel.frame_table kernel))
+
+(* ------------------------------------------------------------------ *)
+(* A stale page register after Release                                 *)
+(* ------------------------------------------------------------------ *)
+
+let release_again_event = probe_event + 1
+
+(* Two tenants on one machine.  Tenant [a] releases a free slot but
+   keeps it in its page register; the freed frame, at the head of the
+   pool, is then granted to tenant [b].  Returns the machine, both
+   tenants and [b]'s page now holding that frame. *)
+let stale_register () =
+  let program =
+    Program.make
+      [
+        (Events.page_fault, [| Instr.Return Std.null |]);
+        (Events.reclaim_frame, [| Instr.Return Std.null |]);
+        (probe_event, release_probe_off_queue);
+        ( release_again_event,
+          asm
+            [
+              Op (Instr.Release Std.page_reg);
+              Jump_to "failed";
+              Op (Instr.Return Std.null);
+              Label "failed";
+              Op (Instr.Return Std.null);
+            ] );
+      ]
+  in
+  let config = { Kernel.default_config with Kernel.total_frames = 256; hipec_kernel = true } in
+  let kernel = Kernel.create ~config () in
+  let sys = Api.init ~start_checker:false kernel in
+  let admit policy =
+    let task = Kernel.create_task kernel () in
+    match Api.vm_allocate_hipec sys task ~npages:16 (Api.default_spec ~policy ~min_frames:8) with
+    | Error e -> Alcotest.fail ("setup: " ^ e)
+    | Ok (_, container) -> container
+  in
+  let a = admit program and b = admit (Policies.fifo ()) in
+  let manager = Api.manager sys in
+  (match Frame_manager.run_event manager a ~event:probe_event with
+  | Executor.Returned _ -> ()
+  | _ -> Alcotest.fail "release probe failed");
+  let stale =
+    match Operand.get (Container.operands a) Std.page_reg with
+    | Some (Operand.Page { contents = Some page }) -> page
+    | _ -> Alcotest.fail "page register empty after Release"
+  in
+  Alcotest.(check bool) "released slot no longer holds its frame" false
+    (Vm_page.holds_frame stale);
+  Alcotest.(check bool) "request granted" true (Frame_manager.request manager b 1);
+  let heir =
+    match
+      List.find_opt
+        (fun page -> Vm_page.frame page == Vm_page.frame stale)
+        (Page_queue.to_list (Container.free_queue b))
+    with
+    | Some page -> page
+    | None -> Alcotest.fail "the released frame did not go to the other tenant"
+  in
+  (kernel, sys, a, b, heir)
+
+let check_heir_intact kernel sys b heir =
+  Alcotest.(check bool) "other tenant's frame still allocated" false
+    (Frame.is_free (Vm_page.frame heir));
+  Alcotest.(check bool) "other tenant's page still holds it" true (Vm_page.holds_frame heir);
+  let auditor = Audit.create ~raise_on_violation:false kernel in
+  List.iter (Audit.register_queue auditor)
+    [ Container.free_queue b; Container.inactive_queue b; Container.active_queue b ];
+  Alcotest.(check (list string)) "audit sweep clean" []
+    (List.map (fun v -> v.Audit.check) (Audit.sweep auditor));
+  Alcotest.(check (list (pair string string))) "isolation checks clean" []
+    (Frame_manager.audit_check (Api.manager sys) ());
+  Alcotest.(check bool) "frames conserved" true
+    (Frame.Table.check_conservation (Kernel.frame_table kernel))
+
+let test_demote_skips_stale_register () =
+  let kernel, sys, a, b, heir = stale_register () in
+  Frame_manager.demote (Api.manager sys) a ~reason:"test";
+  Alcotest.(check bool) "policy demoted" true (Container.degraded a);
+  check_heir_intact kernel sys b heir
+
+let test_release_stale_register_fails () =
+  let kernel, sys, a, b, heir = stale_register () in
+  (match Frame_manager.run_event (Api.manager sys) a ~event:release_again_event with
+  | Executor.Runtime_error e ->
+      Alcotest.(check bool) ("error names the frame: " ^ e) true
+        (contains ~sub:(Printf.sprintf "frame %d " (Frame.index (Vm_page.frame heir))) e)
+  | Executor.Returned _ -> Alcotest.fail "second Release of a stale register succeeded"
+  | Executor.Timed_out -> Alcotest.fail "timed out"
+  | exception Invalid_argument e -> Alcotest.fail ("Release raised: " ^ e));
+  Alcotest.(check bool) "policy demoted" true (Container.degraded a);
+  check_heir_intact kernel sys b heir
+
+(* A PageFault handler that releases its slot and then returns it would
+   hand the kernel a page whose frame is back in the pool.  The fault
+   path refuses it: the policy is demoted and the fault served by the
+   default policy. *)
+let test_fault_returns_released_slot () =
+  let program =
+    Program.make
+      [
+        ( Events.page_fault,
+          asm
+            [
+              Op (Instr.Dequeue (Std.page_reg, Std.free_queue, Opcode.Queue_end.Head));
+              Op (Instr.Release Std.page_reg);
+              Jump_to "return";
+              Label "return";
+              Op (Instr.Return Std.page_reg);
+            ] );
+        (Events.reclaim_frame, [| Instr.Return Std.null |]);
+      ]
+  in
+  let config = { Kernel.default_config with Kernel.total_frames = 256; hipec_kernel = true } in
+  let kernel = Kernel.create ~config () in
+  let sys = Api.init ~start_checker:false kernel in
+  let task = Kernel.create_task kernel () in
+  match Api.vm_allocate_hipec sys task ~npages:8 (Api.default_spec ~policy:program ~min_frames:8) with
+  | Error e -> Alcotest.fail ("setup: " ^ e)
+  | Ok (region, container) ->
+      Kernel.touch_region kernel task region ~write:true;
+      Alcotest.(check bool) "task alive" true (Task.alive task);
+      Alcotest.(check (option string)) "demotion reason"
+        (Some "HiPEC policy error: PageFault policy returned a slot it had released")
+        (Container.degraded_reason container);
+      let auditor = Audit.create ~raise_on_violation:false kernel in
+      Alcotest.(check (list string)) "audit sweep clean" []
+        (List.map (fun v -> v.Audit.check) (Audit.sweep auditor));
       Alcotest.(check bool) "frames conserved" true
         (Frame.Table.check_conservation (Kernel.frame_table kernel))
 
@@ -587,11 +734,6 @@ let no_kernel_failure_prop =
           @ [ Op (Instr.Return Std.null) ])
       in
       let h = make ~total_frames:64 ~min_frames:4 code in
-      let contains ~sub s =
-        let n = String.length sub in
-        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
       let check_outcome = function
         | Executor.Runtime_error e when contains ~sub:"kernel check failed" e ->
             QCheck.Test.fail_reportf "kernel check leaked: %s" e
@@ -620,11 +762,17 @@ let () =
           Alcotest.test_case "slot on a user-declared queue" `Quick
             test_release_on_user_queue;
           Alcotest.test_case "slot parked off-queue" `Quick test_release_off_queue;
+          Alcotest.test_case "demotion skips a stale page register" `Quick
+            test_demote_skips_stale_register;
+          Alcotest.test_case "second Release of a stale register demotes" `Quick
+            test_release_stale_register_fails;
         ] );
       ( "fault",
         [
           Alcotest.test_case "returned slot on a user-declared queue" `Quick
             test_fault_returns_slot_on_user_queue;
+          Alcotest.test_case "returned slot it had released" `Quick
+            test_fault_returns_released_slot;
         ] );
       ( "grants",
         [

@@ -42,6 +42,53 @@ let test_page_dirty_tracks_frame () =
   Vm_page.clear_modified p;
   Alcotest.(check bool) "cleaned" false (Vm_page.dirty p)
 
+(* A page claims its frame at creation; a second page cannot. *)
+let test_page_create_claims_frame () =
+  let tbl = Frame.Table.create ~total:1 in
+  let f = Option.get (Frame.Table.alloc tbl) in
+  let p = Vm_page.create ~frame:f in
+  Alcotest.(check int) "page holds the frame" (Vm_page.id p) (Frame.holder f);
+  Alcotest.check_raises "held frame rejected"
+    (Invalid_argument
+       (Printf.sprintf "Frame.claim: frame 0 is held by page %d" (Vm_page.id p)))
+    (fun () -> ignore (Vm_page.create ~frame:f));
+  Vm_page.release_frame tbl p;
+  Alcotest.check_raises "free frame rejected" (Invalid_argument "Frame.claim: frame 0 is free")
+    (fun () -> ignore (Vm_page.create ~frame:f))
+
+(* Only the holder gives a frame back, and only once it is unbound and
+   off every queue; a stale page whose frame went to another page
+   raises, naming the frame and both pages. *)
+let test_page_release_checks_holder () =
+  let tbl = Frame.Table.create ~total:1 in
+  let stale = Vm_page.create ~frame:(Option.get (Frame.Table.alloc tbl)) in
+  Frame.set_modified (Vm_page.frame stale) true;
+  Vm_page.set_wired stale true;
+  Vm_page.release_frame tbl stale;
+  Alcotest.(check bool) "frame back in the pool" true (Frame.is_free (Vm_page.frame stale));
+  Alcotest.(check bool) "modify bit cleared" false (Frame.modified (Vm_page.frame stale));
+  Alcotest.(check bool) "wired bit cleared" false (Vm_page.wired stale);
+  let heir = Vm_page.create ~frame:(Option.get (Frame.Table.alloc tbl)) in
+  Alcotest.(check bool) "the same frame" true (Vm_page.frame heir == Vm_page.frame stale);
+  Alcotest.check_raises "stale release"
+    (Invalid_argument
+       (Printf.sprintf
+          "Vm_page.release_frame: page %d does not hold frame 0 (it is held by page %d)"
+          (Vm_page.id stale) (Vm_page.id heir)))
+    (fun () -> Vm_page.release_frame tbl stale);
+  Alcotest.(check bool) "heir still holds the frame" true (Vm_page.holds_frame heir);
+  Vm_page.bind heir ~object_id:1 ~offset:0;
+  Alcotest.(check bool) "bound page not releasable" true
+    (Result.is_error (Vm_page.releasable heir));
+  Vm_page.unbind heir;
+  let q = Page_queue.create "q" in
+  Page_queue.enqueue_tail q heir;
+  Alcotest.(check bool) "queued page not releasable" true
+    (Result.is_error (Vm_page.releasable heir));
+  ignore (Page_queue.dequeue_head q);
+  Vm_page.release_frame tbl heir;
+  Alcotest.(check bool) "conserved" true (Frame.Table.check_conservation tbl)
+
 (* ------------------------------------------------------------------ *)
 (* Page_queue                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -760,6 +807,9 @@ let () =
           Alcotest.test_case "bind/unbind" `Quick test_page_bind_unbind;
           Alcotest.test_case "mappings" `Quick test_page_mappings;
           Alcotest.test_case "dirty tracks frame" `Quick test_page_dirty_tracks_frame;
+          Alcotest.test_case "create claims the frame" `Quick test_page_create_claims_frame;
+          Alcotest.test_case "release checks the holder" `Quick
+            test_page_release_checks_holder;
         ] );
       ( "page_queue",
         [
