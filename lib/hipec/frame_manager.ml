@@ -826,9 +826,6 @@ let request t container n =
     end
   end
 
-let find_container_by_task t task =
-  List.filter (fun c -> Task.id (Container.task c) = Task.id task) t.containers
-
 let run_event t container ~event =
   let outcome = run_event_raw t container ~event in
   (match outcome with

@@ -83,8 +83,6 @@ val demote : t -> Container.t -> reason:string -> unit
     set to {!Container.state.Degraded} with [reason].  Idempotent: a
     second demotion is a no-op (first reason wins). *)
 
-val find_container_by_task : t -> Task.t -> Container.t list
-
 (** {1 Executor entry points} *)
 
 val run_event : t -> Container.t -> event:int -> Executor.outcome

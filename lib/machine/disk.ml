@@ -81,7 +81,7 @@ type t = {
   rng : Rng.t;
   mutable head_cylinder : int;
   mutable busy : bool;
-  mutable queue : request list;  (* reversed: newest first *)
+  queue : request Queue.t;  (* oldest first; excludes the request in service *)
   mutable reads : int;
   mutable writes : int;
   mutable sync_transfers : int;
@@ -113,7 +113,7 @@ let create ?(params = default_params) ?(faults = Faults.none) ~engine ~rng () =
       rng;
       head_cylinder = 0;
       busy = false;
-      queue = [];
+      queue = Queue.create ();
       reads = 0;
       writes = 0;
       sync_transfers = 0;
@@ -195,11 +195,13 @@ let spike_delay t =
   end
   else Sim_time.zero
 
+let queue_depth t = Queue.length t.queue + if t.busy then 1 else 0
+
 (* Controller introspection: current queue depth (including the request
    in service) as a gauge plus a sim-tick series. *)
 let note_queue_depth t =
   if Hipec_metrics.Metrics.on () then begin
-    let qd = List.length t.queue + if t.busy then 1 else 0 in
+    let qd = queue_depth t in
     Hipec_metrics.Metrics.gauge_set "machine.disk.queue_depth" qd;
     Hipec_metrics.Metrics.sample "machine.disk.queue_depth.ts" qd
   end
@@ -222,11 +224,8 @@ let rec start t req =
            Hipec_trace.Trace.disk_io ~block:req.block ~nblocks:req.nblocks
              ~write:req.is_write ~ok:(Result.is_ok result);
            req.on_complete engine result;
-           (match List.rev t.queue with
-           | [] -> t.busy <- false
-           | next :: rest ->
-               t.queue <- List.rev rest;
-               start t next);
+           if Queue.is_empty t.queue then t.busy <- false
+           else start t (Queue.take t.queue);
            note_queue_depth t))
   in
   match extent_error t ~block:req.block ~nblocks:req.nblocks with
@@ -240,7 +239,7 @@ let rec start t req =
       finish d (fault_outcome t ~is_write:req.is_write ~block:req.block ~nblocks:req.nblocks)
 
 let submit t req =
-  if t.busy then t.queue <- req :: t.queue else start t req;
+  if t.busy then Queue.add req t.queue else start t req;
   note_queue_depth t
 
 let submit_read t ~block ~nblocks on_complete =
@@ -275,7 +274,6 @@ let reads_completed t = t.reads
 let synchronous_transfers t = t.sync_transfers
 let writes_completed t = t.writes
 let busy_time t = t.busy_time
-let queue_depth t = List.length t.queue + if t.busy then 1 else 0
 let faults_injected t = t.faults_injected
 let bad_block_hits t = t.bad_block_hits
 let latency_spikes t = t.latency_spikes

@@ -9,7 +9,10 @@
     where seek is affine in cylinder distance, rotational latency is
     uniform in one revolution, and transfer is proportional to the
     request size.  Requests are served one at a time in arrival order;
-    latency includes time spent queued behind earlier requests.
+    latency includes time spent queued behind earlier requests.  The
+    queue is a FIFO: submitting, completing and {!queue_depth} cost
+    O(1) per request however deep the backlog (the pageout path can
+    queue thousands of asynchronous writes).
 
     The default parameters are calibrated so that a scattered 4 KB page
     read averages ~7.65 ms, matching the paper's Table 3 (see
@@ -126,7 +129,9 @@ val synchronous_transfers : t -> int
     synchronously (the fault path's pageins) rather than queued. *)
 
 val busy_time : t -> Sim_time.t
+
 val queue_depth : t -> int
+(** Requests waiting plus the one in service. *)
 
 val faults_injected : t -> int
 (** Transient errors delivered. *)

@@ -15,7 +15,8 @@ type t = {
   kernel : Kernel.t;
   period : Sim_time.t;
   raise_on_violation : bool;
-  mutable extra_queues : Page_queue.t list;
+  mutable extra_queues : Page_queue.t Queue.t;  (* in registration order *)
+  registered : (int, unit) Hashtbl.t;  (* ids of [extra_queues] *)
   mutable extra_checks : (string * (unit -> (string * string) list)) list;
   mutable running : bool;
   mutable pending : Engine.handle option;
@@ -29,7 +30,8 @@ let create ?(period = Sim_time.ms 500) ?(raise_on_violation = true) kernel =
     kernel;
     period;
     raise_on_violation;
-    extra_queues = [];
+    extra_queues = Queue.create ();
+    registered = Hashtbl.create 16;
     extra_checks = [];
     running = false;
     pending = None;
@@ -39,12 +41,20 @@ let create ?(period = Sim_time.ms 500) ?(raise_on_violation = true) kernel =
   }
 
 let register_queue t q =
-  if not (List.exists (fun q' -> Page_queue.id q' = Page_queue.id q) t.extra_queues) then
-    t.extra_queues <- t.extra_queues @ [ q ]
+  if not (Hashtbl.mem t.registered (Page_queue.id q)) then begin
+    Hashtbl.replace t.registered (Page_queue.id q) ();
+    Queue.add q t.extra_queues
+  end
 
 let unregister_queue t q =
-  t.extra_queues <-
-    List.filter (fun q' -> Page_queue.id q' <> Page_queue.id q) t.extra_queues
+  if Hashtbl.mem t.registered (Page_queue.id q) then begin
+    Hashtbl.remove t.registered (Page_queue.id q);
+    let kept = Queue.create () in
+    Queue.iter
+      (fun q' -> if Page_queue.id q' <> Page_queue.id q then Queue.add q' kept)
+      t.extra_queues;
+    t.extra_queues <- kept
+  end
 
 (* Layered invariants: the VM auditor cannot see HiPEC containers (the
    dependency points the other way), so the hipec layer registers a
@@ -119,7 +129,7 @@ let sweep t =
       q
   in
   List.iter audit_queue (Pageout.queues (Kernel.pageout k));
-  List.iter audit_queue t.extra_queues;
+  Queue.iter audit_queue t.extra_queues;
   (* objects *)
   Kernel.iter_objects k (fun obj ->
       Vm_object.iter_resident

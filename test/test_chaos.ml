@@ -204,6 +204,45 @@ let test_audit_sweep_allocation_flat () =
   if Float.abs (large -. small) > 16. then
     Alcotest.failf "sweep allocates %.0f words at 64 pages but %.0f at 1024" small large
 
+(* Registering a queue costs the same allocation however many are
+   already registered, and the sweep still visits registered queues in
+   registration order, also after one is unregistered and registered
+   again. *)
+let test_audit_register_queue_allocation_flat () =
+  let k = Kernel.create ~config:{ Kernel.default_config with total_frames = 64 } () in
+  let queues n = List.init n (fun i -> Page_queue.create (Printf.sprintf "q%d" i)) in
+  (* registering as many again as are already there amortises the
+     registry's growth the same way at both sizes *)
+  let words_per_call registered =
+    let auditor = Audit.create ~raise_on_violation:false k in
+    List.iter (Audit.register_queue auditor) (queues registered);
+    let more = queues registered in
+    let before = Gc.minor_words () in
+    List.iter (Audit.register_queue auditor) more;
+    let words = Gc.minor_words () -. before in
+    (words /. float_of_int registered, auditor)
+  in
+  let small, _ = words_per_call 64 in
+  let large, auditor = words_per_call 2048 in
+  if large -. small > 4. then
+    Alcotest.failf "register_queue allocates %.1f words at 64 queues but %.1f at 2048" small
+      large;
+  let tbl = Kernel.frame_table k in
+  let rogue name =
+    let q = Page_queue.create name in
+    let frame = List.hd (Frame.Table.alloc_many tbl 1) in
+    Page_queue.enqueue_tail q (Vm_page.create ~frame);
+    Frame.Table.free tbl frame;
+    q
+  in
+  let a = rogue "a" and b = rogue "b" and c = rogue "c" in
+  List.iter (Audit.register_queue auditor) [ a; b; c; a ];
+  Audit.unregister_queue auditor b;
+  Audit.register_queue auditor b;
+  let queue_of v = List.nth (String.split_on_char ' ' v.Audit.detail) 1 in
+  Alcotest.(check (list string)) "violations in registration order" [ "a"; "c"; "b" ]
+    (List.map queue_of (Audit.sweep auditor))
+
 (* ------------------------------------------------------------------ *)
 (* Chaos scenario                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -345,6 +384,8 @@ let () =
             test_audit_detects_free_frame_on_queue;
           Alcotest.test_case "clean sweep allocation is flat" `Quick
             test_audit_sweep_allocation_flat;
+          Alcotest.test_case "register_queue allocation is flat" `Quick
+            test_audit_register_queue_allocation_flat;
         ] );
       ( "scenario",
         [ Alcotest.test_case "tiny chaos run healthy" `Quick test_chaos_tiny_healthy ] );

@@ -142,6 +142,61 @@ let test_disk_fifo_order () =
   Alcotest.(check (list int)) "completion order" [ 1; 2; 3 ] (List.rev !order);
   Alcotest.(check int) "queue drained" 0 (Disk.queue_depth disk)
 
+(* A deep mixed queue drains strictly in arrival order, a request
+   submitted mid-drain joins the tail, and [queue_depth] counts the
+   waiting requests plus the one in service. *)
+let test_disk_fifo_deep_mixed () =
+  let engine, disk = make_disk () in
+  let n = 1_000 in
+  let order = ref [] and depths = ref [] in
+  let completed = ref 0 in
+  let rec on_complete i _ _ =
+    order := i :: !order;
+    incr completed;
+    depths := Disk.queue_depth disk :: !depths;
+    if i = n / 2 then
+      Disk.submit_read disk ~block:(n * 8) ~nblocks:8 (on_complete (n + 1))
+  in
+  for i = 1 to n do
+    let block = i * 37 mod 100_000 * 8 in
+    if i mod 3 = 0 then Disk.submit_write disk ~block ~nblocks:8 (on_complete i)
+    else Disk.submit_read disk ~block ~nblocks:8 (on_complete i)
+  done;
+  Alcotest.(check int) "all queued" n (Disk.queue_depth disk);
+  Engine.run engine;
+  Alcotest.(check (list int)) "arrival order" (List.init (n + 1) (fun i -> i + 1))
+    (List.rev !order);
+  (* the late submission lifts every depth after the middle by one *)
+  let expected =
+    List.init (n + 1) (fun k ->
+        let i = k + 1 in
+        if i <= n / 2 then n - i + 1 else n - i + 2)
+  in
+  Alcotest.(check (list int)) "depth during the drain" expected (List.rev !depths);
+  Alcotest.(check int) "queue drained" 0 (Disk.queue_depth disk);
+  Alcotest.(check int) "reads" (n + 1 - (n / 3)) (Disk.reads_completed disk);
+  Alcotest.(check int) "writes" (n / 3) (Disk.writes_completed disk)
+
+(* Completing a request costs the same allocation whatever the backlog
+   behind it: words per completion at 64 and at 1024 queued writes. *)
+let test_disk_completion_allocation_flat () =
+  let words_per_completion depth =
+    let engine, disk = make_disk () in
+    let on_complete _ _ = () in
+    for i = 0 to depth - 1 do
+      Disk.submit_write disk ~block:(i * 8) ~nblocks:8 on_complete
+    done;
+    let before = Gc.minor_words () in
+    Engine.run engine;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "drained" depth (Disk.writes_completed disk);
+    words /. float_of_int depth
+  in
+  let small = words_per_completion 64 and large = words_per_completion 1024 in
+  if large -. small > 4. then
+    Alcotest.failf "a completion allocates %.1f words at depth 64 but %.1f at 1024" small
+      large
+
 let test_disk_mean_page_read_latency () =
   (* Calibration guard: a scattered 4 KB read must average ~7.65 ms so
      that Table 3's with-I/O row reproduces (see DESIGN.md section 5). *)
@@ -480,6 +535,9 @@ let () =
         [
           Alcotest.test_case "read completes" `Quick test_disk_read_completes;
           Alcotest.test_case "fifo order" `Quick test_disk_fifo_order;
+          Alcotest.test_case "fifo order, deep mixed queue" `Quick test_disk_fifo_deep_mixed;
+          Alcotest.test_case "completion allocation is flat" `Quick
+            test_disk_completion_allocation_flat;
           Alcotest.test_case "mean page read latency" `Quick test_disk_mean_page_read_latency;
           Alcotest.test_case "sequential < random" `Quick test_disk_sequential_faster_than_random;
           Alcotest.test_case "extent checks" `Quick test_disk_extent_checks;
