@@ -33,13 +33,19 @@ metrics-bench:
 storm:
 	dune exec bin/hipec_cli.exe -- storm --smoke
 
-# the storm past the old ~1.3k-tenant breaking point, with the shipped
-# 500 ms auditor; each run must exit 0: no exception, no audit
-# violation, conservation ok, honest tenants alive
+# the storm at full scale and past the old ~1.3k-tenant breaking point,
+# with the shipped 500 ms auditor; each run must exit 0 (no exception,
+# no audit violation, conservation ok, honest tenants alive), and the
+# runs listed with a digest must print exactly that trace digest
 storm-sweep:
-	for n in 1400 1500 2000; do \
+	for run in 1000:84d7424c768b2f6e 1400: 1500: 2000:9a32e3181b2b31d8; do \
+	  n=$${run%%:*}; want=$${run#*:}; \
 	  echo "== storm --tenants=$$n"; \
-	  dune exec bin/hipec_cli.exe -- storm --tenants=$$n > /dev/null || exit 1; \
+	  out=$$(dune exec bin/hipec_cli.exe -- storm --tenants=$$n) || exit 1; \
+	  got=$$(printf '%s\n' "$$out" | awk '$$1 == "digest" { print $$2 }'); \
+	  if [ -n "$$want" ] && [ "$$got" != "$$want" ]; then \
+	    echo "storm --tenants=$$n: digest $$got, expected $$want"; exit 1; \
+	  fi; \
 	done
 
 # storm isolation metrics under both backends; fails on digest
@@ -100,10 +106,10 @@ fig6:
 # What CI runs: full build, the whole test suite (which includes the
 # oracle, golden, storm, span and adversary suites), the policy lint
 # gate, the chaos and storm acceptance checks at smoke scale, the
-# storm tenant sweep at 1.4k-2k tenants, the adversary regression
-# gate, the span cross-backend gate, the host-time benchmark smoke
-# run, the full-scale Figure 6 fault-count gate, and the backend
-# equivalence benches.
+# storm tenant sweep at 1k-2k tenants with its pinned digests, the
+# adversary regression gate, the span cross-backend gate, the
+# host-time benchmark smoke run, the full-scale Figure 6 fault-count
+# gate, and the backend equivalence benches.
 ci: all test lint oracle golden chaos storm storm-sweep adversary spans hostbench-smoke fig6 backend-bench metrics-bench storm-bench adversary-bench spans-bench
 
 bench:

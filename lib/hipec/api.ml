@@ -7,7 +7,8 @@ type t = {
   manager : Frame_manager.t;
   checker : Checker.t;
   buffers : (int, Vm_map.region) Hashtbl.t;  (* container id -> command buffer *)
-  analyses : (int, Analysis.t) Hashtbl.t;  (* container id -> install-time analysis *)
+  analyses : (int, Analysis.t Lazy.t) Hashtbl.t;
+      (* container id -> analysis of the operands as installed *)
 }
 
 let init ?burst_fraction ?max_steps ?backend ?checker_timeout ?checker_wakeup
@@ -153,6 +154,28 @@ let install_hook t container =
   Kernel.set_manager t.kernel (Container.obj container)
     { Kernel.on_fault; on_resolved; on_task_terminated }
 
+(* What the analysis reads of an operand array is fixed at install
+   (slot kinds, queue identities and names) except [Int] values, which
+   caller-owned [extra_operands] cells can change later.  Keeping those
+   values from install, and analysing a copy of the array that holds
+   them, keeps a deferred analysis equal to one run at install. *)
+let int_values operands =
+  let ints = ref [] in
+  for ix = Operand.size - 1 downto 0 do
+    match Operand.get operands ix with
+    | Some (Operand.Int r) -> ints := (ix, !r) :: !ints
+    | _ -> ()
+  done;
+  !ints
+
+let as_installed operands ints =
+  let ops = Operand.create () in
+  for ix = 0 to Operand.size - 1 do
+    Option.iter (Operand.set ops ix) (Operand.get operands ix)
+  done;
+  List.iter (fun (ix, v) -> Operand.set ops ix (Operand.Int (ref v))) ints;
+  ops
+
 let hipec_region_of_spec t task region spec =
   let fail msg =
     Vm_map.remove (Task.vm_map task) region;
@@ -178,11 +201,12 @@ let hipec_region_of_spec t task region spec =
               Executor.precompile (Frame_manager.executor t.manager) container;
               install_command_buffer t task container;
               install_hook t container;
-              (* install-time abstract interpretation: static fuel
-                 bounds for the per-tenant throttle and trap-class
-                 proofs *)
+              (* abstract interpretation of the program as installed:
+                 static fuel bounds for the per-tenant throttle and
+                 trap-class proofs, computed on first request *)
+              let ints = int_values operands in
               Hashtbl.replace t.analyses (Container.id container)
-                (Analysis.analyze ~ops:operands spec.policy);
+                (lazy (Analysis.analyze ~ops:(as_installed operands ints) spec.policy));
               Ok (region, container)))
 
 let vm_allocate_hipec t task ~npages spec =
@@ -227,7 +251,8 @@ let vm_deallocate_hipec t task container =
 (* Install-time analysis results                                       *)
 (* ------------------------------------------------------------------ *)
 
-let analysis t container = Hashtbl.find_opt t.analyses (Container.id container)
+let analysis t container =
+  Option.map Lazy.force (Hashtbl.find_opt t.analyses (Container.id container))
 
 let static_fuel t container ~event =
   Option.bind (analysis t container) (fun a -> Analysis.fuel a ~event)

@@ -98,14 +98,17 @@ val demotion_reason : t -> Container.t -> string option
 
 (** {1 Install-time analysis}
 
-    {!Analysis.analyze} runs once per accepted install (after the
-    security checker, before the first fault) and the results are kept
-    for the container's lifetime. *)
+    Each accepted install keeps what {!Analysis.analyze} needs: the
+    program and a copy of its operand array as installed, with every
+    [Int] cell's value copied.  The analysis runs on the first query
+    and the result is kept for the container's lifetime, so it equals
+    an analysis run at install even if a caller-owned extra operand has
+    changed since. *)
 
 val analysis : t -> Container.t -> Analysis.t option
 (** The abstract-interpretation results for this container's program,
-    computed against its actual operand array.  [None] after teardown
-    or for containers not installed through this [t]. *)
+    computed against its operand array as installed.  [None] after
+    teardown or for containers not installed through this [t]. *)
 
 val static_fuel : t -> Container.t -> event:int -> Analysis.fuel option
 (** Proven worst-case commands per entry of [event] (see

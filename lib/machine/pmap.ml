@@ -6,7 +6,10 @@ type entry = { frame : Frame.t; mutable prot : protection }
 
 type t = { entries : (int, entry) Hashtbl.t }
 
-let create () = { entries = Hashtbl.create 1024 }
+(* Small to start: every task has a pmap and most map few pages.  Only
+   [iter] (the auditor's sweep) sees the bucket order, so the size moves
+   no simulated result. *)
+let create () = { entries = Hashtbl.create 16 }
 
 let enter t ~vpn ~frame ~prot =
   Hipec_trace.Trace.map_op ~vpn ~enter:true;

@@ -12,10 +12,13 @@ end
 module Percentile = struct
   (* The one shared nearest-rank core.  Every percentile in the tree —
      [Summary.percentile], [Storm.percentile], the test references —
-     goes through here: sort a copy with polymorphic [compare], clamp
+     goes through here: sort a copy with the caller's comparison, clamp
      the caller's rank convention into [0, n-1], index.  The two public
-     entry points only differ in how they turn [p] into a rank. *)
-  let nearest_rank samples ~rank_of =
+     entry points only differ in how they turn [p] into a rank, and sort
+     with a typed comparison ([Float.compare], [Int.compare]) that
+     orders exactly as polymorphic [compare] does, nan included, without
+     a runtime call per comparison. *)
+  let nearest_rank ~compare samples ~rank_of =
     match Array.length samples with
     | 0 -> None
     | n ->
@@ -26,7 +29,7 @@ module Percentile = struct
   (* [p] in [0, 100]: rank = ceil(p/100 * n), 1-based, clamped. *)
   let exact samples p =
     match
-      nearest_rank samples ~rank_of:(fun n ->
+      nearest_rank ~compare:Float.compare samples ~rank_of:(fun n ->
           int_of_float (ceil (p /. 100. *. float_of_int n)) - 1)
     with
     | Some v -> v
@@ -35,7 +38,7 @@ module Percentile = struct
   (* [p] in [0, 1] over int samples: index = round(p * (n-1)). *)
   let of_ints samples p =
     match
-      nearest_rank samples ~rank_of:(fun n ->
+      nearest_rank ~compare:Int.compare samples ~rank_of:(fun n ->
           int_of_float ((p *. float_of_int (n - 1)) +. 0.5))
     with
     | Some v -> v

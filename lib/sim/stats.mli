@@ -5,9 +5,12 @@
     suite's rounded index) are thin wrappers over {!nearest_rank}, so
     their sort-and-index behavior cannot drift apart. *)
 module Percentile : sig
-  val nearest_rank : 'a array -> rank_of:(int -> int) -> 'a option
-  (** Sort a copy with polymorphic [compare] and return the element at
-      index [rank_of n] clamped into [\[0, n-1\]]; [None] when empty. *)
+  val nearest_rank :
+    compare:('a -> 'a -> int) -> 'a array -> rank_of:(int -> int) -> 'a option
+  (** Sort a copy with [compare] and return the element at index
+      [rank_of n] clamped into [\[0, n-1\]]; [None] when empty.  The
+      entry points below pass [Float.compare] and [Int.compare], which
+      order as polymorphic [compare] does, nan included. *)
 
   val exact : float array -> float -> float
   (** [p] in [0, 100]; rank = ceil(p/100 * n) clamped to [\[1, n\]],

@@ -61,23 +61,7 @@ let tag = function
 (* Binary codec: unsigned LEB128 varints, one tag byte per event       *)
 (* ------------------------------------------------------------------ *)
 
-let put_varint b n =
-  if n < 0 then invalid_arg "Event.encode: negative field";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
-
-let put_bool b v = Buffer.add_char b (if v then '\001' else '\000')
-let put_byte b v = Buffer.add_char b (Char.chr (v land 0xff))
-
-let put_string b s =
-  put_varint b (String.length s);
-  Buffer.add_string b s
+module E = Encoder
 
 let fault_kind_code = function
   | Soft -> 0
@@ -103,72 +87,72 @@ let outcome_of_code = function
   | n -> failwith (Printf.sprintf "Event.decode: bad outcome %d" n)
 
 let encode b ev =
-  put_byte b (tag ev.payload);
-  put_varint b (Sim_time.to_ns ev.time);
+  E.put_byte b (tag ev.payload);
+  E.put_varint b (ev.time :> int);
   match ev.payload with
   | Access { task; vpn; write } ->
-      put_varint b task;
-      put_varint b vpn;
-      put_bool b write
+      E.put_varint b task;
+      E.put_varint b vpn;
+      E.put_bool b write
   | Fault { task; vpn; kind; latency_ns } ->
-      put_varint b task;
-      put_varint b vpn;
-      put_byte b (fault_kind_code kind);
-      put_varint b latency_ns
+      E.put_varint b task;
+      E.put_varint b vpn;
+      E.put_byte b (fault_kind_code kind);
+      E.put_varint b latency_ns
   | Pagein { task; block } ->
-      put_varint b task;
-      put_varint b block
+      E.put_varint b task;
+      E.put_varint b block
   | Pageout { obj_id; offset; block } ->
-      put_varint b obj_id;
-      put_varint b offset;
-      put_varint b block
+      E.put_varint b obj_id;
+      E.put_varint b offset;
+      E.put_varint b block
   | Evict { source; obj_id; offset; dirty } ->
-      put_byte b (match source with Policy -> 0 | Daemon -> 1);
-      put_varint b obj_id;
-      put_varint b offset;
-      put_bool b dirty
+      E.put_byte b (match source with Policy -> 0 | Daemon -> 1);
+      E.put_varint b obj_id;
+      E.put_varint b offset;
+      E.put_bool b dirty
   | Grant { container; frames } ->
-      put_varint b container;
-      put_varint b frames
+      E.put_varint b container;
+      E.put_varint b frames
   | Reclaim { container; frames; forced } ->
-      put_varint b container;
-      put_varint b frames;
-      put_bool b forced
+      E.put_varint b container;
+      E.put_varint b frames;
+      E.put_bool b forced
   | Policy_run { container; event; outcome; commands } ->
-      put_varint b container;
-      put_varint b event;
-      put_byte b (outcome_code outcome);
-      put_varint b commands
+      E.put_varint b container;
+      E.put_varint b event;
+      E.put_byte b (outcome_code outcome);
+      E.put_varint b commands
   | Demote { container; reason } ->
-      put_varint b container;
-      put_string b reason
+      E.put_varint b container;
+      E.put_string b reason
   | Io_retry { block; write; attempt; gave_up } ->
-      put_varint b block;
-      put_bool b write;
-      put_varint b attempt;
-      put_bool b gave_up
+      E.put_varint b block;
+      E.put_bool b write;
+      E.put_varint b attempt;
+      E.put_bool b gave_up
   | Disk_io { block; nblocks; write; ok } ->
-      put_varint b block;
-      put_varint b nblocks;
-      put_bool b write;
-      put_bool b ok
+      E.put_varint b block;
+      E.put_varint b nblocks;
+      E.put_bool b write;
+      E.put_bool b ok
   | Map_op { vpn; enter } ->
-      put_varint b vpn;
-      put_bool b enter
+      E.put_varint b vpn;
+      E.put_bool b enter
   | Task_kill { task; reason } ->
-      put_varint b task;
-      put_string b reason
+      E.put_varint b task;
+      E.put_string b reason
   | Pressure_change { level; free } ->
-      put_byte b level;
-      put_varint b free
+      E.put_byte b level;
+      E.put_varint b free
   | Throttle { container; entered; fuel } ->
-      put_varint b container;
-      put_bool b entered;
-      put_varint b fuel
+      E.put_varint b container;
+      E.put_bool b entered;
+      E.put_varint b fuel
   | Seize { container; frames; level } ->
-      put_varint b container;
-      put_varint b frames;
-      put_byte b level
+      E.put_varint b container;
+      E.put_varint b frames;
+      E.put_byte b level
 
 let get_byte s pos =
   if !pos >= String.length s then failwith "Event.decode: truncated stream";

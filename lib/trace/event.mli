@@ -70,9 +70,11 @@ val pressure_level_name : int -> string
 
 (** {1 Binary codec} *)
 
-val encode : Buffer.t -> t -> unit
+val encode : Encoder.t -> t -> unit
 (** Appends the event (without its sequence number, which is implied by
-    stream position) to [b]. *)
+    stream position) to the writer.  This is the one encoding: the
+    collector's digest, its stored stream and {!Trace.Recorded.save}
+    all read the bytes it writes. *)
 
 val decode : string -> pos:int ref -> seq:int -> t
 (** Reads one event starting at [!pos], advancing [pos].

@@ -96,9 +96,9 @@ type builder = {
   mutable pending : Event.t list;  (* since the last closed window, newest first *)
   mutable spans_rev : t list;
   mutable nspans : int;
-  mutable digest : int64;
+  digest : Encoder.digest;
   mutable kill_count : int;
-  scratch : Buffer.t;
+  scratch : Encoder.t;
 }
 
 let create () =
@@ -106,31 +106,10 @@ let create () =
     pending = [];
     spans_rev = [];
     nspans = 0;
-    digest = 0xcbf29ce484222325L;  (* FNV-1a 64 offset basis *)
+    digest = Encoder.digest ();
     kill_count = 0;
-    scratch = Buffer.create 128;
+    scratch = Encoder.create 128;
   }
-
-let fnv_prime = 0x100000001b3L
-
-let digest_buffer h (b : Buffer.t) =
-  let h = ref h in
-  for i = 0 to Buffer.length b - 1 do
-    h :=
-      Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth b i)))) fnv_prime
-  done;
-  !h
-
-let put_varint b n =
-  if n < 0 then invalid_arg "Span: negative digest field";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
 
 let fault_kind_code = function
   | Event.Soft -> 0
@@ -192,22 +171,23 @@ let classify ~prev ~next =
   else Service
 
 let digest_span b sp =
-  Buffer.clear b.scratch;
-  put_varint b.scratch sp.task;
-  put_varint b.scratch sp.vpn;
-  Buffer.add_char b.scratch (Char.chr (fault_kind_code sp.fault_kind));
-  put_varint b.scratch sp.start_ns;
-  put_varint b.scratch sp.latency_ns;
-  put_varint b.scratch sp.policy_runs;
-  put_varint b.scratch sp.disk_reads;
-  put_varint b.scratch sp.retries;
-  put_varint b.scratch (Array.length sp.segments);
+  let e = b.scratch in
+  Encoder.clear e;
+  Encoder.put_varint e sp.task;
+  Encoder.put_varint e sp.vpn;
+  Encoder.put_byte e (fault_kind_code sp.fault_kind);
+  Encoder.put_varint e sp.start_ns;
+  Encoder.put_varint e sp.latency_ns;
+  Encoder.put_varint e sp.policy_runs;
+  Encoder.put_varint e sp.disk_reads;
+  Encoder.put_varint e sp.retries;
+  Encoder.put_varint e (Array.length sp.segments);
   Array.iter
     (fun s ->
-      Buffer.add_char b.scratch (Char.chr (segment_kind_index s.seg_kind));
-      put_varint b.scratch (seg_dur_ns s))
+      Encoder.put_byte e (segment_kind_index s.seg_kind);
+      Encoder.put_varint e (seg_dur_ns s))
     sp.segments;
-  b.digest <- digest_buffer b.digest b.scratch
+  Encoder.digest_add b.digest e
 
 let close b ev ~task ~vpn ~kind ~latency_ns =
   let stop = Sim_time.to_ns ev.Event.time in
@@ -314,7 +294,7 @@ let of_events events =
   b
 
 let spans b = Array.of_list (List.rev b.spans_rev)
-let digest b = b.digest
+let digest b = Encoder.digest_value b.digest
 let fault_count b = b.nspans
 let kills b = b.kill_count
 
@@ -527,7 +507,7 @@ let to_json ?(include_spans = true) ?only_task builder =
   Buffer.add_string b
     (Printf.sprintf
        "{\"digest\":\"%016Lx\",\"faults\":%d,\"kills\":%d,\"total_latency_ns\":%d,\"lat_p50_ns\":%d,\"lat_p90_ns\":%d,\"lat_p99_ns\":%d,\"rows\":["
-       builder.digest a.Agg.faults builder.kill_count a.Agg.total_latency_ns
+       (digest builder) a.Agg.faults builder.kill_count a.Agg.total_latency_ns
        a.Agg.lat_p50_ns a.Agg.lat_p90_ns a.Agg.lat_p99_ns);
   List.iteri
     (fun i r ->

@@ -6,21 +6,54 @@ let space_task = 0
 let space_obj = 1
 let space_container = 2
 
+(* Raw id -> dense id, by open addressing over one flat array of
+   (raw, dense) pairs, so a lookup usually reads one cache line.  Raw
+   ids come from counters, so their low bits spread them over the
+   slots.  No raw id is [min_int], which marks a free slot. *)
+type ids = { mutable cells : int array; mutable count : int }
+
+let free_slot = min_int
+let ids_create () = { cells = Array.make 128 free_slot; count = 0 }
+
+(* The pair index holding [raw], or the free one where it would go. *)
+let rec find_slot cells raw i =
+  let k = cells.(i) in
+  if k = raw || k = free_slot then i
+  else find_slot cells raw ((i + 2) land (Array.length cells - 1))
+
+let home cells raw = (2 * raw) land (Array.length cells - 1)
+
+(* Doubles at a quarter full (half the pair slots). *)
+let grow ids =
+  let old = ids.cells in
+  let cells = Array.make (2 * Array.length old) free_slot in
+  for i = 0 to (Array.length old / 2) - 1 do
+    let raw = old.(2 * i) in
+    if raw <> free_slot then begin
+      let j = find_slot cells raw (home cells raw) in
+      cells.(j) <- raw;
+      cells.(j + 1) <- old.((2 * i) + 1)
+    end
+  done;
+  ids.cells <- cells
+
+(* Fills ring slots no event has reached yet; its [seq] matches none. *)
+let no_event =
+  { Event.seq = -1; time = Sim_time.zero; payload = Event.Map_op { vpn = 0; enter = false } }
+
 type collector = {
   mutable seq : int;
   counts : int array;
   fault_latency : int array;  (* 16 x 1ms buckets *)
   mutable fault_latency_overflow : int;
-  ring : Event.t option array;
-  mutable digest : int64;
-  scratch : Buffer.t;
+  ring : Event.t array;
+  digest : Encoder.digest;
+  scratch : Encoder.t;  (* the current event's bytes *)
   store : Buffer.t option;
   mutable clock : unit -> Sim_time.t;
-  norm : (int * int, int) Hashtbl.t;
-  next_norm : int array;
+  norm : ids array;  (* one table per id space *)
   (* online span building and other live consumers hang here; [None]
-     costs one match per push and nothing at all while no collector is
-     installed *)
+     costs one match per push *)
   mutable consumer : (Event.t -> unit) option;
 }
 
@@ -36,13 +69,12 @@ let start ?(ring = 512) ?(store = false) ?clock () =
       counts = Array.make Event.num_categories 0;
       fault_latency = Array.make 16 0;
       fault_latency_overflow = 0;
-      ring = Array.make (max 1 ring) None;
-      digest = 0xcbf29ce484222325L;  (* FNV-1a 64 offset basis *)
-      scratch = Buffer.create 64;
+      ring = Array.make (max 1 ring) no_event;
+      digest = Encoder.digest ();
+      scratch = Encoder.create 64;
       store = (if store then Some (Buffer.create 4096) else None);
       clock = Option.value clock ~default:(fun () -> Sim_time.zero);
-      norm = Hashtbl.create 64;
-      next_norm = Array.make 3 0;
+      norm = Array.init 3 (fun _ -> ids_create ());
       consumer = None;
     }
   in
@@ -59,103 +91,129 @@ let stop () =
 let set_clock f = match !current with Some c -> c.clock <- f | None -> ()
 let set_consumer f = match !current with Some c -> c.consumer <- f | None -> ()
 
-let fnv_prime = 0x100000001b3L
-
-let digest_bytes h (b : Buffer.t) =
-  let h = ref h in
-  for i = 0 to Buffer.length b - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth b i))))
-        fnv_prime
-  done;
-  !h
-
 let push c payload =
   let ev = { Event.seq = c.seq; time = c.clock (); payload } in
   c.seq <- c.seq + 1;
-  c.counts.(Event.tag payload) <- c.counts.(Event.tag payload) + 1;
-  Buffer.clear c.scratch;
+  let tag = Event.tag payload in
+  c.counts.(tag) <- c.counts.(tag) + 1;
+  Encoder.clear c.scratch;
   Event.encode c.scratch ev;
-  c.digest <- digest_bytes c.digest c.scratch;
-  (match c.store with Some b -> Buffer.add_buffer b c.scratch | None -> ());
-  c.ring.(ev.Event.seq mod Array.length c.ring) <- Some ev;
+  Encoder.digest_add c.digest c.scratch;
+  (match c.store with Some b -> Encoder.add_to_buffer b c.scratch | None -> ());
+  c.ring.(ev.Event.seq mod Array.length c.ring) <- ev;
   match c.consumer with Some f -> f ev | None -> ()
 
 let norm c space raw =
-  match Hashtbl.find_opt c.norm (space, raw) with
-  | Some v -> v
-  | None ->
-      let v = c.next_norm.(space) in
-      c.next_norm.(space) <- v + 1;
-      Hashtbl.add c.norm (space, raw) v;
-      v
+  let ids = c.norm.(space) in
+  let cells = ids.cells in
+  let i = find_slot cells raw (home cells raw) in
+  if cells.(i) = raw then cells.(i + 1)
+  else begin
+    let dense = ids.count in
+    cells.(i) <- raw;
+    cells.(i + 1) <- dense;
+    ids.count <- dense + 1;
+    if 4 * ids.count > Array.length cells then grow ids;
+    dense
+  end
 
-let with_c f = match !current with Some c -> f c | None -> ()
+(* Every emitter matches [!current] itself rather than passing a closure
+   to a helper, so with no collector installed a call allocates
+   nothing. *)
 
 let access ~task ~vpn ~write =
-  with_c (fun c -> push c (Event.Access { task = norm c space_task task; vpn; write }))
+  match !current with
+  | None -> ()
+  | Some c -> push c (Event.Access { task = norm c space_task task; vpn; write })
 
 let fault ~task ~vpn ~kind ~latency_ns =
-  with_c (fun c ->
+  match !current with
+  | None -> ()
+  | Some c ->
       let bucket = latency_ns / 1_000_000 in
       if bucket < 16 then c.fault_latency.(bucket) <- c.fault_latency.(bucket) + 1
       else c.fault_latency_overflow <- c.fault_latency_overflow + 1;
-      push c (Event.Fault { task = norm c space_task task; vpn; kind; latency_ns }))
+      push c (Event.Fault { task = norm c space_task task; vpn; kind; latency_ns })
 
 let pagein ~task ~block =
-  with_c (fun c -> push c (Event.Pagein { task = norm c space_task task; block }))
+  match !current with
+  | None -> ()
+  | Some c -> push c (Event.Pagein { task = norm c space_task task; block })
 
 let pageout ~obj ~offset ~block =
-  with_c (fun c ->
-      push c (Event.Pageout { obj_id = norm c space_obj obj; offset; block }))
+  match !current with
+  | None -> ()
+  | Some c -> push c (Event.Pageout { obj_id = norm c space_obj obj; offset; block })
 
 let evict ~source ~obj ~offset ~dirty =
-  with_c (fun c ->
-      push c (Event.Evict { source; obj_id = norm c space_obj obj; offset; dirty }))
+  match !current with
+  | None -> ()
+  | Some c ->
+      push c (Event.Evict { source; obj_id = norm c space_obj obj; offset; dirty })
 
 let grant ~container ~frames =
-  with_c (fun c ->
-      push c (Event.Grant { container = norm c space_container container; frames }))
+  match !current with
+  | None -> ()
+  | Some c ->
+      push c (Event.Grant { container = norm c space_container container; frames })
 
 let reclaim ~container ~frames ~forced =
-  with_c (fun c ->
+  match !current with
+  | None -> ()
+  | Some c ->
       push c
-        (Event.Reclaim { container = norm c space_container container; frames; forced }))
+        (Event.Reclaim { container = norm c space_container container; frames; forced })
 
 let policy_run ~container ~event ~outcome ~commands =
-  with_c (fun c ->
+  match !current with
+  | None -> ()
+  | Some c ->
       push c
         (Event.Policy_run
-           { container = norm c space_container container; event; outcome; commands }))
+           { container = norm c space_container container; event; outcome; commands })
 
 let demote ~container ~reason =
-  with_c (fun c ->
-      push c (Event.Demote { container = norm c space_container container; reason }))
+  match !current with
+  | None -> ()
+  | Some c ->
+      push c (Event.Demote { container = norm c space_container container; reason })
 
 let io_retry ~block ~write ~attempt ~gave_up =
-  with_c (fun c -> push c (Event.Io_retry { block; write; attempt; gave_up }))
+  match !current with
+  | None -> ()
+  | Some c -> push c (Event.Io_retry { block; write; attempt; gave_up })
 
 let disk_io ~block ~nblocks ~write ~ok =
-  with_c (fun c -> push c (Event.Disk_io { block; nblocks; write; ok }))
+  match !current with
+  | None -> ()
+  | Some c -> push c (Event.Disk_io { block; nblocks; write; ok })
 
-let map_op ~vpn ~enter = with_c (fun c -> push c (Event.Map_op { vpn; enter }))
+let map_op ~vpn ~enter =
+  match !current with None -> () | Some c -> push c (Event.Map_op { vpn; enter })
 
 let kill ~task ~reason =
-  with_c (fun c -> push c (Event.Task_kill { task = norm c space_task task; reason }))
+  match !current with
+  | None -> ()
+  | Some c -> push c (Event.Task_kill { task = norm c space_task task; reason })
 
 let pressure ~level ~free =
-  with_c (fun c -> push c (Event.Pressure_change { level; free }))
+  match !current with
+  | None -> ()
+  | Some c -> push c (Event.Pressure_change { level; free })
 
 let throttle ~container ~entered ~fuel =
-  with_c (fun c ->
+  match !current with
+  | None -> ()
+  | Some c ->
       push c
-        (Event.Throttle { container = norm c space_container container; entered; fuel }))
+        (Event.Throttle { container = norm c space_container container; entered; fuel })
 
 let seize ~container ~frames ~level =
-  with_c (fun c ->
+  match !current with
+  | None -> ()
+  | Some c ->
       push c
-        (Event.Seize { container = norm c space_container container; frames; level }))
+        (Event.Seize { container = norm c space_container container; frames; level })
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
@@ -163,7 +221,7 @@ let seize ~container ~frames ~level =
 
 let events_seen c = c.seq
 let counts c = Array.copy c.counts
-let digest c = c.digest
+let digest c = Encoder.digest_value c.digest
 let digest_hex d = Printf.sprintf "%016Lx" d
 
 let recent c =
@@ -171,9 +229,8 @@ let recent c =
   let first = max 0 (c.seq - cap) in
   let out = ref [] in
   for s = c.seq - 1 downto first do
-    match c.ring.(s mod cap) with
-    | Some ev when ev.Event.seq = s -> out := ev :: !out
-    | Some _ | None -> ()
+    let ev = c.ring.(s mod cap) in
+    if ev.Event.seq = s then out := ev :: !out
   done;
   !out
 
@@ -205,7 +262,7 @@ let fault_latency_summary c =
     c.fault_latency_overflow
 
 let pp_summary fmt c =
-  Format.fprintf fmt "@[<v>trace: %d events, digest %s@," c.seq (digest_hex c.digest);
+  Format.fprintf fmt "@[<v>trace: %d events, digest %s@," c.seq (digest_hex (digest c));
   let counts = counts_summary c in
   Format.fprintf fmt "  counts: %s@," (if counts = "" then "(empty)" else counts);
   let total_faults = Array.fold_left ( + ) c.fault_latency_overflow c.fault_latency in
@@ -220,39 +277,30 @@ let pp_summary fmt c =
 module Recorded = struct
   type t = { meta : (string * string) list; events : Event.t array; digest : int64 }
 
-  let of_collector c ~meta = { meta; events = events c; digest = c.digest }
+  let of_collector c ~meta = { meta; events = events c; digest = digest c }
   let meta_find t key = List.assoc_opt key t.meta
 
   let magic = "HPTR1\n"
 
   let save t ~path =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b magic;
-    let put_varint n =
-      let rec go n =
-        if n < 0x80 then Buffer.add_char b (Char.chr n)
-        else begin
-          Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-          go (n lsr 7)
-        end
-      in
-      go n
-    in
-    let put_string s =
-      put_varint (String.length s);
-      Buffer.add_string b s
-    in
-    put_varint (List.length t.meta);
+    let e = Encoder.create 4096 in
+    Encoder.put_varint e (List.length t.meta);
     List.iter
       (fun (k, v) ->
-        put_string k;
-        put_string v)
+        Encoder.put_string e k;
+        Encoder.put_string e v)
       t.meta;
-    put_varint (Array.length t.events);
-    Array.iter (fun ev -> Event.encode b ev) t.events;
-    Buffer.add_int64_be b t.digest;
+    Encoder.put_varint e (Array.length t.events);
+    Array.iter (Event.encode e) t.events;
     let oc = open_out_bin path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc b)
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        output_string oc magic;
+        output_string oc (Encoder.contents e);
+        let d = Bytes.create 8 in
+        Bytes.set_int64_be d 0 t.digest;
+        output_bytes oc d)
 
   let load ~path =
     match
@@ -292,15 +340,13 @@ module Recorded = struct
           if body_end + 8 > String.length s then failwith "truncated digest";
           let stored = String.get_int64_be s body_end in
           (* recompute the streaming digest over the encoded bytes *)
-          let h = ref 0xcbf29ce484222325L in
-          for i = body_start to body_end - 1 do
-            h :=
-              Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
-          done;
-          if !h <> stored then
+          let d = Encoder.digest () in
+          Encoder.digest_add_string d s ~pos:body_start ~len:(body_end - body_start);
+          let h = Encoder.digest_value d in
+          if h <> stored then
             failwith
               (Printf.sprintf "digest mismatch: file says %s, events hash to %s"
-                 (digest_hex stored) (digest_hex !h));
+                 (digest_hex stored) (digest_hex h));
           Ok { meta; events; digest = stored }
         with
         | Failure e -> Error (path ^ ": " ^ e)

@@ -1,16 +1,18 @@
 (** The global trace sink.
 
     Instrumented code calls the per-category emit functions below on its
-    hot paths; when no collector is installed each call is a single
-    mutable-bool test, so tracing costs nothing when disabled.  Call
-    sites that must {e compute} an argument (a binding lookup, a stats
-    snapshot) guard on {!on} first.
+    hot paths; when no collector is installed each call is one match on
+    the global sink and allocates nothing.  Call sites that must
+    {e compute} an argument (a binding lookup, a stats snapshot) guard
+    on {!on} first.
 
     A collector stamps every event with the registered simulation clock,
     keeps per-category counters, a fault-latency histogram, a bounded
     ring of recent events, a streaming FNV-1a digest of the encoded
     event bytes, and (optionally) the full stream for {!Recorded}
-    serialization.  Task/object/container ids are normalized to dense
+    serialization.  Beyond the event record itself, recording an event
+    allocates nothing: it is encoded into one reusable {!Encoder.t}
+    that the digest and the store both read.  Task/object/container ids are normalized to dense
     first-seen order so digests are independent of global id counters
     left behind by earlier runs in the same process. *)
 

@@ -64,10 +64,11 @@ let build_trace cfg =
   | "random" -> Ok (Access_trace.uniform_random rng ~npages ~count ~write_ratio:0.3)
   | "zipf" -> Ok (Access_trace.zipf rng ~npages ~count ~theta:0.99 ~write_ratio:0.3)
   | "phased" ->
+      (* half the frames per phase, but never more pages than exist *)
       Ok
         (Access_trace.working_set_phases rng ~npages ~phases:6
            ~phase_len:(max 1 (count / 6))
-           ~ws_pages:(max 1 (cfg.frames / 2)))
+           ~ws_pages:(max 1 (min npages (cfg.frames / 2))))
   | p -> Error (Printf.sprintf "unknown pattern %S" p)
 
 (* Build the fixed machine a policy trace runs on.  Everything here must

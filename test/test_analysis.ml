@@ -622,6 +622,66 @@ let soundness_prop =
               check Analysis.Empty_page_register [ "empty page register"; "is empty" ]);
           true)
 
+(* [Api.analysis] runs on first request, after install.  A caller-owned
+   extra [Int] operand changed in between must not leak into it: the
+   result equals the analysis of the operands as installed. *)
+let test_deferred_analysis_sees_install_values () =
+  let k =
+    Kernel.create
+      ~config:{ Kernel.default_config with Kernel.total_frames = 256; hipec_kernel = true }
+      ()
+  in
+  let sys = Api.init ~start_checker:false k in
+  let task = Kernel.create_task k () in
+  let divisor = ref 4 in
+  let page_fault =
+    match
+      Program.Asm.assemble
+        (Program.Asm.Op (Instr.Arith (x_slot, d_slot, Opcode.Arith_op.Div)) :: tail_items)
+    with
+    | Ok code -> code
+    | Error e -> Alcotest.fail e
+  in
+  let program =
+    Program.make
+      [ (Events.page_fault, page_fault); (Events.reclaim_frame, [| Instr.Return Std.null |]) ]
+  in
+  let spec =
+    {
+      (Api.default_spec ~policy:program ~min_frames:4) with
+      Api.extra_operands =
+        [ (x_slot, Operand.Int (ref 100)); (d_slot, Operand.Int divisor) ];
+    }
+  in
+  match Api.vm_allocate_hipec sys task ~npages:12 spec with
+  | Error e -> Alcotest.fail e
+  | Ok (region, container) ->
+      let at_install = Analysis.analyze ~ops:(Container.operands container) program in
+      Alcotest.(check bool) "nonzero divisor proves the class absent" false
+        (List.mem Analysis.Div_by_zero (Analysis.possible_traps at_install));
+      divisor := 0;
+      for page = 0 to 11 do
+        Kernel.access_vpn k task ~vpn:(region.Vm_map.start_vpn + page) ~write:false
+      done;
+      Kernel.drain_io k;
+      Alcotest.(check bool) "the changed operand reaches the running policy" true
+        (Container.degraded_reason container <> None);
+      Alcotest.(check bool) "the live operands now analyse differently" true
+        (List.mem Analysis.Div_by_zero
+           (Analysis.possible_traps
+              (Analysis.analyze ~ops:(Container.operands container) program)));
+      let a =
+        match Api.analysis sys container with
+        | Some a -> a
+        | None -> Alcotest.fail "no analysis kept for the container"
+      in
+      Alcotest.(check bool) "fuel table" true
+        (Analysis.fuel_table a = Analysis.fuel_table at_install);
+      Alcotest.(check bool) "findings" true
+        (Analysis.findings a = Analysis.findings at_install);
+      Alcotest.(check bool) "traps" true
+        (Analysis.possible_traps a = Analysis.possible_traps at_install)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -654,5 +714,10 @@ let () =
           Alcotest.test_case "activation composition" `Quick
             test_fuel_activation_composition;
         ] );
-      ("soundness", [ QCheck_alcotest.to_alcotest soundness_prop ]);
+      ( "soundness",
+        [
+          QCheck_alcotest.to_alcotest soundness_prop;
+          Alcotest.test_case "deferred analysis sees install-time values" `Quick
+            test_deferred_analysis_sees_install_values;
+        ] );
     ]

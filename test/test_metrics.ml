@@ -114,6 +114,28 @@ let prop_percentile_vs_oracle =
       let est = St.Histogram.percentile h p in
       est >= exact && est <= Float.max 1. (2. *. exact) && est <= St.Histogram.max h)
 
+(* The percentile entry points sort with [Float.compare] and
+   [Int.compare]; the references sort with polymorphic [compare].  On
+   nan, infinities, signed zeros and the int extremes they must pick
+   the very same sample. *)
+let test_typed_sorts_order_like_compare () =
+  let floats = [| 3.; nan; -0.; -1.; infinity; nan; neg_infinity; 0.; 2.5 |] in
+  List.iter
+    (fun p ->
+      Alcotest.(check int64)
+        (Printf.sprintf "float p%g" p)
+        (Int64.bits_of_float (Test_support.percentile_exact floats p))
+        (Int64.bits_of_float (St.Percentile.exact floats p)))
+    [ 0.; 10.; 20.; 30.; 50.; 70.; 90.; 100. ];
+  let ints = [| 5; min_int; -3; max_int; 0; -3; 17 |] in
+  List.iter
+    (fun p ->
+      Alcotest.(check int)
+        (Printf.sprintf "int p%g" p)
+        (Test_support.percentile ints p)
+        (St.Percentile.of_ints ints p))
+    [ 0.; 0.2; 0.5; 0.8; 1.0 ]
+
 let test_percentile_handworked () =
   let h = St.Histogram.create_log "hw" in
   List.iter (fun v -> St.Histogram.add h v) [ 3.; 5.; 100.; 1000. ];
@@ -457,6 +479,8 @@ let () =
         ] );
       ( "percentiles",
         Alcotest.test_case "handworked" `Quick test_percentile_handworked
+        :: Alcotest.test_case "typed sorts order like compare" `Quick
+             test_typed_sorts_order_like_compare
         :: qc [ prop_percentile_vs_oracle ] );
       ( "boundaries",
         [
