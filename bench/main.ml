@@ -482,11 +482,6 @@ type backend_measure = {
 let commands_per_sec m =
   if m.wall_ns <= 0. then 0. else float_of_int m.commands /. (m.wall_ns /. 1e9)
 
-let with_backend backend f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend backend;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
 (* one spin-heavy run: cyclic scan over npages > frames, so every
    access faults and runs the arithmetic loop *)
 let drive_spin ~spin ~frames ~npages ~loops () =
@@ -524,7 +519,7 @@ let measure_spin backend ~quick =
   let spin = 100 in
   let frames = 128 and npages = 256 in
   let loops = if quick then 8 else 24 in
-  with_backend backend (fun () ->
+  Executor.with_backend backend (fun () ->
       (* timed, untraced: pure executor speed *)
       let t0 = Unix.gettimeofday () in
       let commands = drive_spin ~spin ~frames ~npages ~loops () in
@@ -549,7 +544,7 @@ let measure_scenario backend name =
     | Some s -> s
     | None -> failwith ("unknown scenario " ^ name)
   in
-  with_backend backend (fun () ->
+  Executor.with_backend backend (fun () ->
       let t0 = Unix.gettimeofday () in
       match Trace_run.record scenario with
       | Error e -> failwith (name ^ ": " ^ e)
@@ -595,7 +590,7 @@ type exec_measure = {
 }
 
 let exec_once backend drive =
-  with_backend backend (fun () ->
+  Executor.with_backend backend (fun () ->
       let reg = Mp.install () in
       drive ();
       ignore (Mp.uninstall ());
@@ -869,11 +864,6 @@ let metrics_bench ~quick:_ () =
 
 let storm_bench ~quick () =
   header "Storm: multi-tenant overload protection and isolation (BENCH_5.json)";
-  let with_backend b f =
-    let saved = Executor.default_backend () in
-    Executor.set_default_backend b;
-    Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-  in
   (* digest checks only make sense when each run owns its collector; an
      outer --trace collector makes the digests cumulative *)
   let own_digests = not (Hipec_trace.Trace.on ()) in
@@ -890,12 +880,12 @@ let storm_bench ~quick () =
           let r = f () in
           (r, (Unix.gettimeofday () -. t0) *. 1e9)
         in
-        let r1, wall_ns = timed (fun () -> with_backend Executor.Interp (fun () -> Storm.run config)) in
-        let r2 = with_backend Executor.Interp (fun () -> Storm.run config) in
-        let rc = with_backend Executor.Compiled (fun () -> Storm.run config) in
+        let run_on b config = Executor.with_backend b (fun () -> Storm.run config) in
+        let r1, wall_ns = timed (fun () -> run_on Executor.Interp config) in
+        let r2 = run_on Executor.Interp config in
+        let rc = run_on Executor.Compiled config in
         let baseline =
-          with_backend Executor.Interp (fun () ->
-              Storm.run { config with Storm.greedy_every = 0; erring_every = 0 })
+          run_on Executor.Interp { config with Storm.greedy_every = 0; erring_every = 0 }
         in
         let digest_stable = (not own_digests) || r1.Storm.digest = r2.Storm.digest in
         let backend_match = (not own_digests) || r1.Storm.digest = rc.Storm.digest in
@@ -1125,7 +1115,7 @@ let spans_bench ~quick () =
         let span_digest = Sp.digest b in
         (* the cross-backend witness: same spans, bit for bit *)
         let _, _, _, bc =
-          with_backend Executor.Compiled (fun () -> once ~with_spans:true ())
+          Executor.with_backend Executor.Compiled (fun () -> once ~with_spans:true ())
         in
         let backend_match = Int64.equal span_digest (Sp.digest (Option.get bc)) in
         let overhead = if w_off > 0. then (w_on -. w_off) /. w_off *. 100. else 0. in
@@ -1317,28 +1307,6 @@ let all_benches =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  (* --backend interp|compiled (or --backend=X): set the process-wide
-     default execution backend before any bench installs a policy. *)
-  let args =
-    let rec strip acc = function
-      | [] -> List.rev acc
-      | [ "--backend" ] ->
-          prerr_endline "--backend requires an argument (interp|compiled)";
-          exit 2
-      | "--backend" :: v :: rest -> set v (List.rev_append acc rest)
-      | a :: rest when String.length a > 10 && String.sub a 0 10 = "--backend=" ->
-          set (String.sub a 10 (String.length a - 10)) (List.rev_append acc rest)
-      | a :: rest -> strip (a :: acc) rest
-    and set v rest =
-      (match Executor.backend_of_string v with
-      | Some b -> Executor.set_default_backend b
-      | None ->
-          Printf.eprintf "unknown backend %S (interp|compiled)\n" v;
-          exit 2);
-      rest
-    in
-    strip [] args
-  in
   let quick = List.mem "--quick" args || List.mem "--smoke" args in
   let trace = List.mem "--trace" args in
   (* --metrics: run the percentile-table bench (BENCH_4.json) after the

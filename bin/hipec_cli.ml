@@ -19,26 +19,10 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* --backend: select the policy-execution engine for commands that run
-   policies.  Evaluating the term sets the process-wide default, which
-   Frame_manager picks up at container install time. *)
-let backend_term =
-  let backend_conv =
-    Arg.conv
-      ( (fun s ->
-          match Executor.backend_of_string s with
-          | Some b -> Ok b
-          | None -> Error (`Msg (Printf.sprintf "unknown backend %S (interp|compiled)" s))),
-        fun fmt b -> Format.pp_print_string fmt (Executor.backend_name b) )
-  in
-  let doc =
-    "Policy execution engine: $(b,interp) decodes each command word on every \
-     dispatch; $(b,compiled) translates accepted programs to closures once at \
-     install time.  Defaults to $(b,HIPEC_BACKEND) or interp."
-  in
-  Term.(
-    const (fun b -> Option.iter Executor.set_default_backend b)
-    $ Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~docv:"BACKEND" ~doc))
+(* Reject a numeric option outside its range: one line on stderr, exit 2. *)
+let out_of_range msg =
+  prerr_endline msg;
+  exit 2
 
 (* ------------------------------------------------------------------ *)
 (* translate                                                           *)
@@ -313,10 +297,8 @@ let advise_cmd =
   let frames = Arg.(value & opt int 64 & info [ "frames" ] ~docv:"N" ~doc:"Frame budget.") in
   let count = Arg.(value & opt int 4096 & info [ "count" ] ~docv:"N" ~doc:"Accesses.") in
   let run pattern npages frames count =
-    if npages < 1 || frames < 1 || count < 1 then begin
-      Printf.eprintf "--pages, --frames and --count must be >= 1\n";
-      exit 2
-    end;
+    if npages < 1 || frames < 1 || count < 1 then
+      out_of_range "--pages, --frames and --count must be >= 1";
     let rng = Hipec_sim.Rng.create ~seed:23 in
     let trace =
       match pattern with
@@ -386,7 +368,9 @@ let join_cmd =
   let scans =
     Arg.(value & opt int 64 & info [ "scans" ] ~docv:"N" ~doc:"Outer-table scans (Loop).")
   in
-  let run () outer memory policy scans =
+  let run outer memory policy scans =
+    if outer < 1 || memory < 1 || scans < 1 then
+      out_of_range "--outer, --memory and --scans must be >= 1";
     let c =
       {
         Join.default_config with
@@ -407,7 +391,7 @@ let join_cmd =
   in
   Cmd.v
     (Cmd.info "run-join" ~doc:"Run the nested-loop join of the paper's section 5.3.")
-    Term.(const run $ backend_term $ outer $ memory $ policy $ scans)
+    Term.(const run $ outer $ memory $ policy $ scans)
 
 (* ------------------------------------------------------------------ *)
 (* run-aim                                                             *)
@@ -432,7 +416,9 @@ let aim_cmd =
     Arg.(value & opt int 60 & info [ "seconds" ] ~docv:"S" ~doc:"Simulated duration.")
   in
   let hipec = Arg.(value & flag & info [ "hipec" ] ~doc:"Run on the HiPEC kernel.") in
-  let run () users mix seconds hipec =
+  let run users mix seconds hipec =
+    if users < 0 then out_of_range "--users must be >= 0";
+    if seconds < 1 then out_of_range "--seconds must be >= 1";
     let cfg =
       { Aim.default_config with Aim.users; mix; duration = T.sec seconds;
         hipec_kernel = hipec }
@@ -449,7 +435,7 @@ let aim_cmd =
   in
   Cmd.v
     (Cmd.info "run-aim" ~doc:"Run the AIM-style throughput benchmark of section 5.2.")
-    Term.(const run $ backend_term $ users $ mix $ seconds $ hipec)
+    Term.(const run $ users $ mix $ seconds $ hipec)
 
 (* ------------------------------------------------------------------ *)
 (* table3 / table4                                                     *)
@@ -460,6 +446,7 @@ let table3_cmd =
     Arg.(value & opt int 10_240 & info [ "pages" ] ~docv:"N" ~doc:"Pages to fault (10240 = 40 MB).")
   in
   let run pages =
+    if pages < 1 then out_of_range "--pages must be >= 1";
     List.iter
       (fun with_disk_io ->
         let mach = Driver.table3_run ~pages Driver.Mach ~with_disk_io in
@@ -504,11 +491,9 @@ let trace_run_cmd =
         & info [ "policy" ] ~docv:"FILE" ~doc:"Pseudo-code policy (default: built-in MRU).")
   in
   let count = Arg.(value & opt int 4096 & info [ "count" ] ~docv:"N" ~doc:"Accesses.") in
-  let run () pattern npages frames policy_file count =
-    if npages < 1 || frames < 1 || count < 1 then begin
-      Printf.eprintf "--pages, --frames and --count must be >= 1\n";
-      exit 2
-    end;
+  let run pattern npages frames policy_file count =
+    if npages < 1 || frames < 1 || count < 1 then
+      out_of_range "--pages, --frames and --count must be >= 1";
     let rng = Hipec_sim.Rng.create ~seed:17 in
     let trace =
       match pattern with
@@ -553,7 +538,7 @@ let trace_run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Replay a synthetic access trace under a HiPEC policy.")
-    Term.(const run $ backend_term $ pattern $ npages $ frames $ policy_file $ count)
+    Term.(const run $ pattern $ npages $ frames $ policy_file $ count)
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -632,13 +617,31 @@ let trace_record_cmd =
     Arg.(value & opt (some string) None
         & info [ "json" ] ~docv:"FILE" ~doc:"Also export the stream as JSON.")
   in
-  let run () scenario output json =
+  (* the one backend flag: CI records a scenario on each backend and
+     diffs the two recordings *)
+  let backend =
+    let backend_conv =
+      Arg.conv
+        ( (fun s ->
+            match Executor.backend_of_string s with
+            | Some b -> Ok b
+            | None -> Error (`Msg (Printf.sprintf "unknown backend %S (interp|compiled)" s))),
+          fun fmt b -> Format.pp_print_string fmt (Executor.backend_name b) )
+    in
+    Arg.(value & opt backend_conv Executor.Interp
+        & info [ "backend" ] ~docv:"BACKEND"
+            ~doc:
+              "Policy execution engine: $(b,interp) decodes each command word on every \
+               dispatch; $(b,compiled) translates accepted programs to closures once \
+               at install time.")
+  in
+  let run backend scenario output json =
     match scenario with
     | Error e ->
         Printf.eprintf "%s\n" e;
         2
     | Ok scenario -> (
-        match Trace_run.record scenario with
+        match Executor.with_backend backend (fun () -> Trace_run.record scenario) with
         | Error e ->
             Printf.eprintf "record failed: %s\n" e;
             1
@@ -654,13 +657,13 @@ let trace_record_cmd =
   Cmd.v
     (Cmd.info "record"
        ~doc:"Run a scenario under the trace collector and serialize the event stream.")
-    Term.(const run $ backend_term $ scenario_args $ output $ json)
+    Term.(const run $ backend $ scenario_args $ output $ json)
 
 let trace_replay_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"A .trace recording.")
   in
-  let run () file =
+  let run file =
     match load_recorded file with
     | None -> 1
     | Some r -> (
@@ -687,7 +690,7 @@ let trace_replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Re-execute a recording deterministically and diff the event digest.")
-    Term.(const run $ backend_term $ file)
+    Term.(const run $ file)
 
 let trace_diff_cmd =
   let file n doc = Arg.(required & pos n (some file) None & info [] ~docv:"FILE" ~doc) in
@@ -757,12 +760,15 @@ let scenario_name = function
 let backend_totals reg b =
   Mx.Registry.profile_totals reg ~backend:(Executor.backend_name b)
 
-(* With both backends profiled, their per-opcode simulated attributions
-   must be cell-for-cell identical: the boundary timers sit at the same
+(* [stat] runs its scenario once on each backend, in this order. *)
+let stat_backends = [ Executor.Interp; Executor.Compiled ]
+
+(* The two backends' per-opcode simulated attributions must be
+   cell-for-cell identical: the boundary timers sit at the same
    simulated instants in the interpreter and the compiled prologue.
-   [None] when fewer than two backends ran. *)
-let sim_totals_agree reg backends =
-  match List.map (backend_totals reg) backends with
+   [None] when the scenario ran no policy. *)
+let sim_totals_agree reg =
+  match List.map (backend_totals reg) stat_backends with
   | [ Some (ca, oa, _); Some (cb, ob, _) ] ->
       let agree = ref (oa.Mx.Profile.sim_ns = ob.Mx.Profile.sim_ns) in
       Array.iteri
@@ -775,22 +781,22 @@ let sim_totals_agree reg backends =
       Some !agree
   | _ -> None
 
-(* Fuel attribution must be backend-independent: with both backends run,
-   the hipec.fuel.<backend>.commands counters must agree exactly (the
-   ledger charges Container.commands_interpreted deltas, which both
-   backends increment identically).  [None] unless both counters exist. *)
-let fuel_totals_agree reg backends =
+(* Fuel attribution must be backend-independent: the
+   hipec.fuel.<backend>.commands counters must agree exactly (the ledger
+   charges Container.commands_interpreted deltas, which both backends
+   increment identically).  [None] unless both counters exist. *)
+let fuel_totals_agree reg =
   match
     List.map
       (fun b ->
         Mx.Registry.counter_value reg
           ("hipec.fuel." ^ Executor.backend_name b ^ ".commands"))
-      backends
+      stat_backends
   with
   | [ Some a; Some b ] -> Some (a = b)
   | _ -> None
 
-let print_stat_tables reg backends =
+let print_stat_tables reg =
   print_endline "metrics";
   List.iter
     (fun (name, v) -> Printf.printf "  %-34s %s\n" name v)
@@ -819,7 +825,7 @@ let print_stat_tables reg backends =
               "(run setup)" ""
               (overhead.Mx.Profile.sim_ns / runs)
               (overhead.Mx.Profile.wall_ns / runs))
-    backends
+    stat_backends
 
 let print_stat_watch reg =
   List.iter
@@ -838,30 +844,6 @@ let print_stat_watch reg =
     (Mx.Registry.series_list reg)
 
 let stat_cmd =
-  let backends =
-    let backend_set =
-      Arg.conv
-        ( (function
-          | "interp" -> Ok [ Executor.Interp ]
-          | "compiled" -> Ok [ Executor.Compiled ]
-          | "both" -> Ok [ Executor.Interp; Executor.Compiled ]
-          | s ->
-              Error (`Msg (Printf.sprintf "unknown backend %S (interp|compiled|both)" s))),
-          fun fmt bs ->
-            Format.pp_print_string fmt
-              (match bs with
-              | [ Executor.Interp ] -> "interp"
-              | [ Executor.Compiled ] -> "compiled"
-              | _ -> "both") )
-    in
-    Arg.(value & opt backend_set [ Executor.Interp; Executor.Compiled ]
-        & info [ "backend" ] ~docv:"B"
-            ~doc:
-              "Policy execution engines to run and profile: \
-               $(b,interp)|$(b,compiled)|$(b,both).  With $(b,both) the per-opcode \
-               simulated-cycle attributions must agree cell for cell; a mismatch \
-               exits nonzero.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the metrics snapshot as JSON.")
   in
@@ -887,10 +869,10 @@ let stat_cmd =
             ~doc:
               "Also reconstruct fault-lifecycle spans during each run (installs the \
                trace sink alongside the metrics registry) and print the critical-path \
-               attribution table.  With $(b,both) backends the span digests must \
-               agree; a mismatch exits nonzero.")
+               attribution table.  The two backends' span digests must agree; a \
+               mismatch exits nonzero.")
   in
-  let run scenario backends json prom watch tick with_spans =
+  let run scenario json prom watch tick with_spans =
     match scenario with
     | Error e ->
         Printf.eprintf "%s\n" e;
@@ -904,21 +886,18 @@ let stat_cmd =
           (* One registry across all runs: counters and histograms
              aggregate over every backend's run, while opcode profiles
              stay separate (keyed by backend). *)
-          let saved = Executor.default_backend () in
           let reg = Mx.install ~tick_ns:(tick * 1_000_000) () in
           let span_builders = ref [] in
           let outcome =
             Fun.protect
-              ~finally:(fun () ->
-                ignore (Mx.uninstall ());
-                Executor.set_default_backend saved)
+              ~finally:(fun () -> ignore (Mx.uninstall ()))
               (fun () ->
                 List.fold_left
                   (fun acc b ->
                     match acc with
                     | Error _ as e -> e
                     | Ok () ->
-                        Executor.set_default_backend b;
+                        Executor.with_backend b @@ fun () ->
                         if with_spans then begin
                           let sb = Sp.create () in
                           let _collector = Tr.start () in
@@ -932,15 +911,15 @@ let stat_cmd =
                           r
                         end
                         else Trace_run.run_scenario scenario)
-                  (Ok ()) backends)
+                  (Ok ()) stat_backends)
           in
           match outcome with
           | Error e ->
               Printf.eprintf "scenario failed: %s\n" e;
               1
           | Ok () ->
-              let agree = sim_totals_agree reg backends in
-              let fuel_agree = fuel_totals_agree reg backends in
+              let agree = sim_totals_agree reg in
+              let fuel_agree = fuel_totals_agree reg in
               let span_rows = List.rev !span_builders in
               let spans_agree =
                 match span_rows with
@@ -969,7 +948,7 @@ let stat_cmd =
               else if prom then print_string (Mx.Registry.to_prom ~opcode_name:opcode_label reg)
               else begin
                 Printf.printf "scenario %s\n\n" (scenario_name scenario);
-                print_stat_tables reg backends;
+                print_stat_tables reg;
                 (match span_rows with
                 | (b0, sb) :: _ ->
                     Printf.printf "\nspan attribution (%s backend, digest %s)\n"
@@ -1012,8 +991,10 @@ let stat_cmd =
        ~doc:
          "Run a scenario under the metrics registry and print the snapshot: counters, \
           gauges, latency histogram percentiles, sim-tick time series and the \
-          per-opcode executor profile for each backend.")
-    Term.(const run $ scenario_args $ backends $ json $ prom $ watch $ tick $ spans_flag)
+          per-opcode executor profile for each backend.  The scenario runs on both \
+          backends, whose per-opcode simulated cycles and fuel attribution must agree; \
+          a mismatch exits nonzero.")
+    Term.(const run $ scenario_args $ json $ prom $ watch $ tick $ spans_flag)
 
 (* ------------------------------------------------------------------ *)
 (* spans                                                               *)
@@ -1093,11 +1074,7 @@ let spans_cmd =
         (* run the scenario on both backends: the span digests must be
            bit-identical, exactly as the trace digests are *)
         let build backend =
-          let saved = Executor.default_backend () in
-          Executor.set_default_backend backend;
-          Fun.protect
-            ~finally:(fun () -> Executor.set_default_backend saved)
-            (fun () ->
+          Executor.with_backend backend (fun () ->
               Result.map
                 (fun r -> Sp.of_events r.Tr.Recorded.events)
                 (Trace_run.record scenario))
@@ -1214,6 +1191,9 @@ let storm_cmd =
             ~doc:"Per-tenant command budget per fuel window (0 disables the ledger).")
   in
   let run smoke seed tenants no_overload baseline fuel_quota =
+    (match tenants with
+    | Some n when n < 0 -> out_of_range "--tenants must be >= 0"
+    | _ -> ());
     let base = if smoke then Storm.smoke else Storm.full in
     let config =
       {
@@ -1436,24 +1416,19 @@ let adversary_replay_cmd =
   in
   let run files =
     let replay_on backend path r =
-      let saved = Executor.default_backend () in
-      Executor.set_default_backend backend;
-      Fun.protect
-        ~finally:(fun () -> Executor.set_default_backend saved)
-        (fun () ->
-          match Trace_run.replay r with
-          | Error e ->
-              Printf.eprintf "%s [%s]: replay failed: %s\n" path
-                (Executor.backend_name backend) e;
-              false
-          | Ok o ->
-              if Trace_run.matches o then true
-              else begin
-                Printf.eprintf "%s [%s]: digest mismatch\n" path
-                  (Executor.backend_name backend);
-                Option.iter print_divergence o.Trace_run.divergence;
-                false
-              end)
+      match Executor.with_backend backend (fun () -> Trace_run.replay r) with
+      | Error e ->
+          Printf.eprintf "%s [%s]: replay failed: %s\n" path
+            (Executor.backend_name backend) e;
+          false
+      | Ok o ->
+          if Trace_run.matches o then true
+          else begin
+            Printf.eprintf "%s [%s]: digest mismatch\n" path
+              (Executor.backend_name backend);
+            Option.iter print_divergence o.Trace_run.divergence;
+            false
+          end
     in
     let rows =
       List.map

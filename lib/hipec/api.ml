@@ -11,9 +11,9 @@ type t = {
       (* container id -> analysis of the operands as installed *)
 }
 
-let init ?burst_fraction ?max_steps ?backend ?checker_timeout ?checker_wakeup
+let init ?burst_fraction ?max_steps ?checker_timeout ?checker_wakeup
     ?(start_checker = true) kernel =
-  let manager = Frame_manager.create ~kernel ?burst_fraction ?max_steps ?backend () in
+  let manager = Frame_manager.create ~kernel ?burst_fraction ?max_steps () in
   let checker =
     Checker.create ?timeout:checker_timeout ?initial_wakeup:checker_wakeup ~kernel ~manager
       ()

@@ -16,16 +16,15 @@ type t
 val init :
   ?burst_fraction:float ->
   ?max_steps:int ->
-  ?backend:Executor.backend ->
   ?checker_timeout:Sim_time.t ->
   ?checker_wakeup:Sim_time.t ->
   ?start_checker:bool ->
   Kernel.t ->
   t
 (** Extend [kernel] with HiPEC.  [start_checker] (default true) arms the
-    periodic security-checker thread.  [backend] (default
-    {!Executor.default_backend}) selects the policy execution engine;
-    under {!Executor.Compiled} each accepted program is translated to
+    periodic security-checker thread.  Policies run on
+    {!Executor.default_backend}[ ()] as it stands at this call; under
+    {!Executor.Compiled} each accepted program is translated to
     threaded closures once, at install time. *)
 
 val kernel : t -> Kernel.t

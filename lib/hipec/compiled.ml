@@ -50,7 +50,10 @@ let undefined_event_code : code array =
 type 'a getter = G of (unit -> 'a) | Gerr of string
 type 'a setter = S of ('a -> unit) | Serr of string
 
-let compile ~engine ~costs ~max_steps ~max_activation_depth ~services ~counter container =
+let max_activation_depth = 16
+let depth_msg = Printf.sprintf "activation depth exceeds %d" max_activation_depth
+
+let compile ~engine ~costs ~max_steps ~services ~counter container =
   let ops = Container.operands container in
   let free_q = Container.free_queue container in
   let fetch_cost = costs.Costs.hipec_fetch_decode in
@@ -122,9 +125,6 @@ let compile ~engine ~costs ~max_steps ~max_activation_depth ~services ~counter c
      depth check, one bounds check and one indexed load — no hashing,
      no string formatting. *)
   let handlers = Array.copy undefined_event_code in
-  let depth_msg =
-    Printf.sprintf "activation depth exceeds %d" max_activation_depth
-  in
   let entry event rt =
     if rt.depth > max_activation_depth then Err depth_msg
     else if event land -256 <> 0 then

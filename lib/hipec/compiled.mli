@@ -52,6 +52,13 @@ type services = {
     {!Executor.outcome}. *)
 type exec = Value of Operand.value option | Err of string | Tout
 
+val max_activation_depth : int
+(** How deeply [Activate] may nest event handlers (16), in either
+    backend. *)
+
+val depth_msg : string
+(** The error both backends return past {!max_activation_depth}. *)
+
 type t
 (** A container's program, compiled against its operand array.  Invalid
     after any further {!Operand.set} on the array (the install path
@@ -61,7 +68,6 @@ val compile :
   engine:Engine.t ->
   costs:Costs.t ->
   max_steps:int ->
-  max_activation_depth:int ->
   services:services ->
   counter:int ref ->
   Container.t ->

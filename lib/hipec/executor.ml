@@ -23,19 +23,19 @@ let backend_of_string s =
   | _ -> None
 
 (* Process default, so workloads that build their own kernels pick up a
-   CLI/bench/environment selection without threading configuration. *)
-let default =
-  ref
-    (match Option.bind (Sys.getenv_opt "HIPEC_BACKEND") backend_of_string with
-    | Some b -> b
-    | None -> Interp)
+   selection without threading configuration. *)
+let default = ref Interp
 
 let default_backend () = !default
 let set_default_backend b = default := b
 
+let with_backend b f =
+  let saved = !default in
+  default := b;
+  Fun.protect ~finally:(fun () -> default := saved) f
+
 type t = {
   max_steps : int;
-  max_activation_depth : int;
   engine : Engine.t;
   costs : Costs.t;
   services : services;
@@ -47,16 +47,13 @@ type t = {
          container repeatedly, so the common lookup is pointer-equal *)
 }
 
-let create ?(max_steps = 100_000) ?(max_activation_depth = 16) ?backend ~engine ~costs
-    ~services () =
-  let backend = match backend with Some b -> b | None -> !default in
+let create ?(max_steps = 100_000) ~engine ~costs ~services () =
   {
     max_steps;
-    max_activation_depth;
     engine;
     costs;
     services;
-    backend;
+    backend = !default;
     counter = ref 0;
     compiled = Hashtbl.create 8;
     last_compiled = None;
@@ -78,7 +75,6 @@ let compiled_for t container =
             let c =
               Compiled.compile ~engine:t.engine ~costs:t.costs
                 ~max_steps:t.max_steps
-                ~max_activation_depth:t.max_activation_depth
                 ~services:t.services ~counter:t.counter container
             in
             Hashtbl.replace t.compiled key c;
@@ -164,8 +160,7 @@ let run_interp t container ~event ~prof =
   in
 
   let rec exec_event event depth =
-    if depth > t.max_activation_depth then
-      Err (Printf.sprintf "activation depth exceeds %d" t.max_activation_depth)
+    if depth > Compiled.max_activation_depth then Err Compiled.depth_msg
     else
       match Program.code (Container.program container) ~event with
       | None -> Err (Printf.sprintf "undefined event %s" (Events.name event))

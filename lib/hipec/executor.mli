@@ -65,25 +65,29 @@ val backend_of_string : string -> backend option
 (** ["interp"] / ["compiled"] (and common aliases). *)
 
 val default_backend : unit -> backend
+(** The process-wide backend that {!create} picks up: {!Interp} at
+    start-up.  Workloads build their own kernels, so this is how a
+    caller runs one on the other backend. *)
+
 val set_default_backend : backend -> unit
-(** Process-wide default for executors created without an explicit
-    [?backend] — how the CLI/bench [--backend] flag reaches workloads
-    that build their own kernels.  Initialized from the [HIPEC_BACKEND]
-    environment variable ("compiled" selects the compiled backend);
-    otherwise {!Interp}. *)
+(** Set the default for the rest of the process; {!with_backend} scopes
+    it instead. *)
+
+val with_backend : backend -> (unit -> 'a) -> 'a
+(** [with_backend b f] runs [f] with {!default_backend} set to [b] and
+    restores the previous default when [f] returns or raises. *)
 
 type t
 
 val create :
   ?max_steps:int ->
-  ?max_activation_depth:int ->
-  ?backend:backend ->
   engine:Engine.t ->
   costs:Costs.t ->
   services:services ->
   unit ->
   t
-(** Defaults: 100_000 steps, depth 16, {!default_backend}[ ()]. *)
+(** Defaults: 100_000 steps, on {!default_backend}[ ()].  Both backends
+    bound [Activate] nesting at {!Compiled.max_activation_depth}. *)
 
 val backend : t -> backend
 

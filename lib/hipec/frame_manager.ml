@@ -944,7 +944,7 @@ let page_fault t container ~fault_va =
 (* Creation: wire the executor's services to this manager              *)
 (* ------------------------------------------------------------------ *)
 
-let create ~kernel ?(burst_fraction = 0.5) ?max_steps ?backend () =
+let create ~kernel ?(burst_fraction = 0.5) ?max_steps () =
   if burst_fraction < 0. || burst_fraction > 1. then
     invalid_arg "Frame_manager.create: burst_fraction outside [0,1]";
   let t =
@@ -1016,6 +1016,6 @@ let create ~kernel ?(burst_fraction = 0.5) ?max_steps ?backend () =
   in
   t.executor <-
     Some
-      (Executor.create ?max_steps ?backend ~engine:(Kernel.engine kernel)
+      (Executor.create ?max_steps ~engine:(Kernel.engine kernel)
          ~costs:(Kernel.costs kernel) ~services ());
   t

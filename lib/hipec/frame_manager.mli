@@ -17,14 +17,12 @@ val create :
   kernel:Kernel.t ->
   ?burst_fraction:float ->
   ?max_steps:int ->
-  ?backend:Executor.backend ->
   unit ->
   t
 (** [burst_fraction] (default 0.5) of the currently free frames becomes
     [partition_burst], as in the paper ("50% of the available free page
     frames after the system starts up").  [max_steps] bounds policy
-    executions and [backend] selects interpretation or compiled
-    execution (see {!Executor.create}). *)
+    executions; the executor runs on {!Executor.default_backend}. *)
 
 val kernel : t -> Kernel.t
 val executor : t -> Executor.t

@@ -226,17 +226,12 @@ type executor_run = { x_faults : int; x_digest : int64; x_events : int }
 let npages_of w =
   1 + Array.fold_left (fun m (a : Oracle.access) -> max m a.Oracle.page) 0 w.w_accesses
 
-let with_backend backend f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend backend;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
 (* Replay [accesses] against a real kernel under [policy]/[frames] with
    a storing collector installed; the digest covers the entire event
    stream (faults, pageins, policy runs, evictions), so two backends
    agreeing here agree on every observable step. *)
 let run_executor ~backend ~policy ~frames ~npages accesses =
-  with_backend backend (fun () ->
+  Executor.with_backend backend (fun () ->
       let c = Trace.start ~store:true () in
       let finish () = ignore (Trace.stop ()) in
       match

@@ -9,63 +9,13 @@ let policy_name = function
 
 let all_policies = [ Fifo; Lru; Mru; Clock; Opt ]
 
-(* ------------------------------------------------------------------ *)
-(* Online policies over a simple resident-set model                    *)
-(* ------------------------------------------------------------------ *)
-
-(* State per resident page: the policy-specific rank used to pick a
-   victim (max rank evicted for MRU, min for the others). *)
-type cache = {
-  frames : int;
-  resident : (int, int ref) Hashtbl.t;  (* page -> rank cell *)
-  mutable tick : int;
-}
-
-let make_cache frames = { frames; resident = Hashtbl.create 64; tick = 0 }
-
-let evict_by cache ~largest =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun page rank ->
-      match !victim with
-      | None -> victim := Some (page, !rank)
-      | Some (_, best) ->
-          if (largest && !rank > best) || ((not largest) && !rank < best) then
-            victim := Some (page, !rank))
-    cache.resident;
-  match !victim with
-  | Some (page, _) -> Hashtbl.remove cache.resident page
-  | None -> invalid_arg "Policy_sim: evict from empty cache"
-
-let simulate_ranked ~frames ~on_hit ~evict_largest trace =
-  let cache = make_cache frames in
-  let faults = ref 0 in
-  Array.iter
-    (fun { Access_trace.page; _ } ->
-      cache.tick <- cache.tick + 1;
-      match Hashtbl.find_opt cache.resident page with
-      | Some rank -> on_hit cache rank
-      | None ->
-          incr faults;
-          if Hashtbl.length cache.resident >= cache.frames then
-            evict_by cache ~largest:evict_largest;
-          Hashtbl.replace cache.resident page (ref cache.tick))
-    trace;
-  !faults
-
-let fifo ~frames trace =
-  (* rank = arrival tick, never updated; evict smallest *)
-  simulate_ranked ~frames ~on_hit:(fun _ _ -> ()) ~evict_largest:false trace
-
-let lru ~frames trace =
-  simulate_ranked ~frames
-    ~on_hit:(fun cache rank -> rank := cache.tick)
-    ~evict_largest:false trace
-
-let mru ~frames trace =
-  simulate_ranked ~frames
-    ~on_hit:(fun cache rank -> rank := cache.tick)
-    ~evict_largest:true trace
+(* FIFO, LRU and MRU are the differential suite's pure oracles.  CLOCK
+   below is the textbook ring, which the live policy only approximates,
+   and OPT has no oracle. *)
+let oracle run ~frames trace =
+  let module O = Hipec_trace.Oracle in
+  (run ~frames (Array.map (fun { Access_trace.page; write } -> { O.page; write }) trace))
+    .O.faults
 
 (* CLOCK / second chance: a circular scan over resident pages with a
    reference bit set on every hit. *)
@@ -151,9 +101,9 @@ let opt ~frames trace =
 let faults policy ~frames trace =
   if frames <= 0 then invalid_arg "Policy_sim.faults: frames <= 0";
   match policy with
-  | Fifo -> fifo ~frames trace
-  | Lru -> lru ~frames trace
-  | Mru -> mru ~frames trace
+  | Fifo -> oracle Hipec_trace.Oracle.fifo ~frames trace
+  | Lru -> oracle Hipec_trace.Oracle.lru ~frames trace
+  | Mru -> oracle Hipec_trace.Oracle.mru ~frames trace
   | Clock -> clock ~frames trace
   | Opt -> opt ~frames trace
 

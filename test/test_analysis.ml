@@ -577,10 +577,8 @@ let soundness_prop =
           (* (b) every event of these loop-free programs gets a static
              bound, and one measured entry never exceeds it *)
           let ex =
-            Executor.create ~backend:Executor.Interp ~engine:(Kernel.engine k)
-              ~costs:(Kernel.costs k)
-              ~services:(stub_services container)
-              ()
+            Executor.create ~engine:(Kernel.engine k) ~costs:(Kernel.costs k)
+              ~services:(stub_services container) ()
           in
           List.iter
             (fun (ev, f) ->

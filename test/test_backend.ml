@@ -19,11 +19,6 @@ open Hipec_trace
 module Trace_run = Hipec_workloads.Trace_run
 module Std = Operand.Std
 
-let with_backend backend f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend backend;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
 let count_faults events =
   Array.fold_left
     (fun acc ev ->
@@ -56,7 +51,7 @@ let read_golden () =
   go []
 
 let record_with backend scenario =
-  with_backend backend (fun () ->
+  Executor.with_backend backend (fun () ->
       match Trace_run.record scenario with Error e -> Alcotest.fail e | Ok r -> r)
 
 let check_golden_equivalence (name, digest, _events) () =
@@ -306,7 +301,7 @@ type observation =
   | Ran of { digest : string; events : int; faults : int; demoted : string option }
 
 let run_case backend desc =
-  with_backend backend @@ fun () ->
+  Executor.with_backend backend @@ fun () ->
   let c = Trace.start ~store:true () in
   let tear_down () = ignore (Trace.stop ()) in
   match
@@ -491,6 +486,44 @@ let attribution_prop =
       | Ran _, _, _ -> QCheck.Test.fail_reportf "a backend left no profile");
       true)
 
+(* ------------------------------------------------------------------ *)
+(* The process-wide switch                                             *)
+(* ------------------------------------------------------------------ *)
+
+let check_default msg expected =
+  Alcotest.(check string) msg (Executor.backend_name expected)
+    (Executor.backend_name (Executor.default_backend ()))
+
+let test_with_backend_restores () =
+  check_default "start-up default" Executor.Interp;
+  Executor.with_backend Executor.Compiled (fun () ->
+      check_default "inside" Executor.Compiled;
+      Executor.with_backend Executor.Interp (fun () ->
+          check_default "nested" Executor.Interp);
+      check_default "after the nested call" Executor.Compiled);
+  check_default "after return" Executor.Interp;
+  (match Executor.with_backend Executor.Compiled (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "the body did not raise"
+  | exception Failure _ -> ());
+  check_default "after raise" Executor.Interp
+
+(* Api.init reads the switch when it builds its executor, and the
+   executor keeps that backend after the switch is restored. *)
+let test_api_init_follows_switch () =
+  let executor_of_new_system () =
+    let config = { Kernel.default_config with Kernel.hipec_kernel = true } in
+    let sys = Api.init ~start_checker:false (Kernel.create ~config ()) in
+    Frame_manager.executor (Api.manager sys)
+  in
+  let check msg expected ex =
+    Alcotest.(check string) msg (Executor.backend_name expected)
+      (Executor.backend_name (Executor.backend ex))
+  in
+  let inside = Executor.with_backend Executor.Compiled executor_of_new_system in
+  check "built inside with_backend" Executor.Compiled inside;
+  check "built after it" Executor.Interp (executor_of_new_system ());
+  check "the first keeps its backend" Executor.Compiled inside
+
 let () =
   (* "trace:" lines pin checked-in recordings, not regenerable
      scenarios; test_golden.ml replays those on both backends *)
@@ -503,6 +536,13 @@ let () =
   if goldens = [] then failwith (golden_file ^ " lists no scenarios");
   Alcotest.run "backend"
     [
+      ( "switch",
+        [
+          Alcotest.test_case "with_backend restores and nests" `Quick
+            test_with_backend_restores;
+          Alcotest.test_case "Api.init follows the switch" `Quick
+            test_api_init_follows_switch;
+        ] );
       ( "golden equivalence",
         List.map
           (fun ((name, _, _) as g) ->

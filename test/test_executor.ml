@@ -626,11 +626,6 @@ let suites =
       ] );
   ]
 
-let with_backend backend f () =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend backend;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
 let () =
   Alcotest.run "executor"
     (List.concat_map
@@ -639,7 +634,8 @@ let () =
            (fun (group, cases) ->
              ( Printf.sprintf "%s(%s)" group (Executor.backend_name backend),
                List.map
-                 (fun (name, f) -> Alcotest.test_case name `Quick (with_backend backend f))
+                 (fun (name, f) ->
+                   Alcotest.test_case name `Quick (fun () -> Executor.with_backend backend f))
                  cases ))
            suites)
        [ Executor.Interp; Executor.Compiled ])

@@ -65,11 +65,6 @@ let hipec_faults (r : Trace.Recorded.t) =
       | _ -> n)
     0 r.Trace.Recorded.events
 
-let with_backend b f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend b;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
 let check_trace (name, digest, events) () =
   let r = load_trace name in
   Alcotest.(check string)
@@ -80,7 +75,7 @@ let check_trace (name, digest, events) () =
     (Array.length r.Trace.Recorded.events);
   List.iter
     (fun backend ->
-      with_backend backend (fun () ->
+      Executor.with_backend backend (fun () ->
           match Trace_run.replay r with
           | Error e -> Alcotest.failf "%s [%s]: %s" name (Executor.backend_name backend) e
           | Ok o ->

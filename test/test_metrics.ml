@@ -244,11 +244,6 @@ let test_profiler_attribution () =
   Alcotest.(check int) "sim total telescopes" 100 (Mx.Profile.sim_total p);
   Alcotest.(check int) "runs" 1 (Mx.Profile.runs p)
 
-let with_backend b f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend b;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
 (* Run [name] under both executors into one registry; their per-opcode
    simulated attributions must agree cell for cell (the boundary timers
    sit at identical simulated instants in both prologues). *)
@@ -264,7 +259,7 @@ let check_backends_agree name () =
     (fun () ->
       List.iter
         (fun b ->
-          with_backend b (fun () ->
+          Executor.with_backend b (fun () ->
               match Trace_run.run_scenario scenario with
               | Ok () -> ()
               | Error e -> Alcotest.failf "%s: %s" name e))

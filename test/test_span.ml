@@ -27,11 +27,6 @@ let record_online sc =
   | Error e -> Alcotest.fail e
   | Ok () -> (b, Trace.Recorded.of_collector c ~meta:[])
 
-let with_backend b f =
-  let saved = Executor.default_backend () in
-  Executor.set_default_backend b;
-  Fun.protect ~finally:(fun () -> Executor.set_default_backend saved) f
-
 let fault_events (r : Trace.Recorded.t) =
   Array.fold_left
     (fun n ev ->
@@ -166,7 +161,7 @@ let prop_online_offline =
 (* --- cross-backend digest identity ---------------------------------- *)
 
 let span_digest_on backend sc =
-  with_backend backend (fun () ->
+  Executor.with_backend backend (fun () ->
       let r = record_ok sc in
       Span.digest (Span.of_events r.Trace.Recorded.events))
 
