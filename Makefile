@@ -1,4 +1,4 @@
-.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench metrics-bench storm storm-sweep storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke fig6 ci
+.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench backend-check metrics-bench storm storm-sweep storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke fig6 ci
 
 all:
 	dune build @all
@@ -23,6 +23,23 @@ golden:
 # BENCH_7.json
 backend-bench:
 	dune exec bench/main.exe -- backend --quick
+
+# interp vs compiled without timing gates.  The join-small and
+# aim-small recordings must diff equal (the *-interp.trace and
+# *-compiled.trace files stay behind for inspection), and `hipec stat`
+# fails unless both executors attribute the same per-opcode simulated
+# cycles (join-small) and charge the same per-tenant fuel (storm-smoke)
+backend-check:
+	for s in join-small aim-small; do \
+	  dune exec bin/hipec_cli.exe -- trace record \
+	    --scenario $$s --backend interp -o $$s-interp.trace || exit 1; \
+	  dune exec bin/hipec_cli.exe -- trace record \
+	    --scenario $$s --backend compiled -o $$s-compiled.trace || exit 1; \
+	  dune exec bin/hipec_cli.exe -- trace diff \
+	    $$s-interp.trace $$s-compiled.trace || exit 1; \
+	done
+	dune exec bin/hipec_cli.exe -- stat --json --scenario join-small
+	dune exec bin/hipec_cli.exe -- stat --json --scenario storm-smoke
 
 # per-scenario latency percentile tables; rewrites BENCH_4.json
 metrics-bench:
@@ -109,8 +126,9 @@ fig6:
 # storm tenant sweep at 1k-2k tenants with its pinned digests, the
 # adversary regression gate, the span cross-backend gate, the
 # host-time benchmark smoke run, the full-scale Figure 6 fault-count
-# gate, and the backend equivalence benches.
-ci: all test lint oracle golden chaos storm storm-sweep adversary spans hostbench-smoke fig6 backend-bench metrics-bench storm-bench adversary-bench spans-bench
+# gate, the interp-vs-compiled trace and stat cross-checks, and the
+# backend equivalence benches.
+ci: all test lint oracle golden chaos storm storm-sweep adversary spans hostbench-smoke fig6 backend-bench backend-check metrics-bench storm-bench adversary-bench spans-bench
 
 bench:
 	dune exec bench/main.exe

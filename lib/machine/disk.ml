@@ -164,22 +164,21 @@ let service_time t ~block ~nblocks =
 (* One fault-model roll for a transfer over [block, block+nblocks).
    Permanently bad blocks always fail; otherwise a transient error fires
    with the configured per-request probability. *)
+let rec first_bad t b ~stop =
+  if b >= stop then -1 else if Hashtbl.mem t.bad b then b else first_bad t (b + 1) ~stop
+
 let fault_outcome t ~is_write ~block ~nblocks =
-  let rec first_bad b =
-    if b >= block + nblocks then None
-    else if Hashtbl.mem t.bad b then Some b
-    else first_bad (b + 1)
-  in
-  if Hashtbl.length t.bad > 0 && first_bad block <> None then begin
+  let bad = if Hashtbl.length t.bad > 0 then first_bad t block ~stop:(block + nblocks) else -1 in
+  if bad >= 0 then begin
     t.bad_block_hits <- t.bad_block_hits + 1;
-    Error (Bad_block { block = Option.get (first_bad block) })
+    Error (Bad_block { block = bad })
   end
   else begin
     let rate =
       if is_write then t.faults.Faults.transient_write_rate
       else t.faults.Faults.transient_read_rate
     in
-    if rate > 0. && Rng.float t.fault_rng 1.0 < rate then begin
+    if rate > 0. && Rng.chance t.fault_rng rate then begin
       t.faults_injected <- t.faults_injected + 1;
       Error (Transient { write = is_write; block })
     end
@@ -188,7 +187,7 @@ let fault_outcome t ~is_write ~block ~nblocks =
 
 let spike_delay t =
   let f = t.faults in
-  if f.Faults.latency_spike_rate > 0. && Rng.float t.fault_rng 1.0 < f.Faults.latency_spike_rate
+  if f.Faults.latency_spike_rate > 0. && Rng.chance t.fault_rng f.Faults.latency_spike_rate
   then begin
     t.latency_spikes <- t.latency_spikes + 1;
     f.Faults.latency_spike
@@ -248,23 +247,24 @@ let submit_read t ~block ~nblocks on_complete =
 let submit_write t ~block ~nblocks on_complete =
   submit t { block; nblocks; is_write = true; on_complete }
 
-(* The fault path's synchronous transfers: the caller charges the
-   returned duration and inspects the outcome. *)
-let sync_transfer t ~is_write ~block ~nblocks =
-  let d, result =
-    match extent_error t ~block ~nblocks with
-    | Some err -> (t.params.controller_overhead, Error err)
-    | None ->
-        let d = service_time_unchecked t ~block ~nblocks in
-        let d = Sim_time.add d (spike_delay t) in
-        (d, fault_outcome t ~is_write ~block ~nblocks)
-  in
-  (* a sync transfer's Disk_io precedes the caller charging [d]: Span
+(* The fault path's synchronous transfers: the duration goes to the
+   caller's [charge] and the outcome is returned, with no tuple. *)
+let sync_done ~charge ~is_write ~block ~nblocks d result =
+  (* a sync transfer's Disk_io precedes the charge of [d]: Span
      attributes the interval starting at a read as [Disk_read] *)
   Hipec_trace.Trace.disk_io ~block ~nblocks ~write:is_write ~ok:(Result.is_ok result);
   if Hipec_metrics.Metrics.on () then
     Hipec_metrics.Metrics.observe "machine.disk.transfer_ns" (Sim_time.to_ns d);
-  (d, result)
+  charge d;
+  result
+
+let sync_transfer t ~charge ~is_write ~block ~nblocks =
+  match extent_error t ~block ~nblocks with
+  | Some err -> sync_done ~charge ~is_write ~block ~nblocks t.params.controller_overhead (Error err)
+  | None ->
+      let d = service_time_unchecked t ~block ~nblocks in
+      let d = Sim_time.add d (spike_delay t) in
+      sync_done ~charge ~is_write ~block ~nblocks d (fault_outcome t ~is_write ~block ~nblocks)
 
 let sequential_transfer_time t ~nblocks =
   if nblocks <= 0 then invalid_arg "Disk: nblocks <= 0";

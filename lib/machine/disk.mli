@@ -99,10 +99,16 @@ val submit_write :
 (** {1 Synchronous interface} *)
 
 val sync_transfer :
-  t -> is_write:bool -> block:int -> nblocks:int -> Sim_time.t * (unit, io_error) result
+  t ->
+  charge:(Sim_time.t -> unit) ->
+  is_write:bool ->
+  block:int ->
+  nblocks:int ->
+  (unit, io_error) result
 (** One transfer charged synchronously on the fault path: moves the
-    head, draws rotational latency (and any fault), and returns the
-    duration the caller must charge together with the outcome.  Counted
+    head, draws rotational latency (and any fault), passes the duration
+    to [charge] (after the transfer's [Disk_io] trace event) and returns
+    the outcome.  Allocates nothing when the transfer succeeds.  Counted
     in {!synchronous_transfers}. *)
 
 val service_time : t -> block:int -> nblocks:int -> Sim_time.t

@@ -42,19 +42,23 @@ let cancel t handle =
 let pending t = t.live
 let has_events t = t.live + t.live_daemon > 0
 
+(* Pop the earliest event and run it unless it was cancelled.  Reads the
+   time and the payload separately so that nothing is allocated. *)
 let fire_next t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, { fire; token }) ->
-      if token.cancelled then false
-      else begin
-        if token.daemon then t.live_daemon <- t.live_daemon - 1 else t.live <- t.live - 1;
-        (* an [advance] inside a previous event may have pushed the clock
-           past this event's timestamp; the clock never moves backward *)
-        if Sim_time.(time > t.clock) then t.clock <- time;
-        fire t;
-        true
-      end
+  if Event_queue.is_empty t.queue then false
+  else begin
+    let time = Event_queue.min_time t.queue in
+    let { fire; token } = Event_queue.take t.queue in
+    if token.cancelled then false
+    else begin
+      if token.daemon then t.live_daemon <- t.live_daemon - 1 else t.live <- t.live - 1;
+      (* an [advance] inside a previous event may have pushed the clock
+         past this event's timestamp; the clock never moves backward *)
+      if Sim_time.(time > t.clock) then t.clock <- time;
+      fire t;
+      true
+    end
+  end
 
 (* Run the earliest event; with [daemons_too=false] stop once no live
    non-daemon event remains. *)
@@ -67,23 +71,29 @@ let rec step_gen t ~daemons_too =
 let step t = step_gen t ~daemons_too:false
 let step_any t = step_gen t ~daemons_too:true
 
+(* The run loops are top-level so that a call builds no closure:
+   [Kernel.charge] calls [run_until] on every synchronous cost. *)
+let rec run_loop t = if (not t.stopping) && step t then run_loop t
+
 let run t =
   t.stopping <- false;
-  let rec loop () = if (not t.stopping) && step t then loop () in
-  loop ()
+  run_loop t
+
+(* fires the earliest event (skipping it when cancelled) while it is
+   due by [limit] *)
+let rec run_until_loop t limit =
+  if
+    (not t.stopping)
+    && (not (Event_queue.is_empty t.queue))
+    && Sim_time.(Event_queue.min_time t.queue <= limit)
+  then begin
+    ignore (fire_next t);
+    run_until_loop t limit
+  end
 
 let run_until t limit =
   t.stopping <- false;
-  let rec loop () =
-    if not t.stopping then
-      match Event_queue.peek t.queue with
-      | Some (time, _) when Sim_time.(time <= limit) ->
-          (* pops exactly the peeked event (skipping it when cancelled) *)
-          ignore (fire_next t);
-          loop ()
-      | Some _ | None -> ()
-  in
-  loop ();
+  run_until_loop t limit;
   if Sim_time.(t.clock < limit) then t.clock <- limit
 
 let stop t = t.stopping <- true

@@ -21,34 +21,29 @@ let grow t =
   Array.blit t.heap 0 fresh 0 t.size;
   t.heap <- fresh
 
-let sift_up t i0 =
-  let rec loop i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if entry_before t.heap.(i) t.heap.(parent) then begin
-        let tmp = t.heap.(i) in
-        t.heap.(i) <- t.heap.(parent);
-        t.heap.(parent) <- tmp;
-        loop parent
-      end
-    end
-  in
-  loop i0
-
-let sift_down t i0 =
-  let rec loop i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && entry_before t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < t.size && entry_before t.heap.(r) t.heap.(!smallest) then smallest := r;
-    if !smallest <> i then begin
+(* Top-level loops: a local [let rec] would build a closure per call. *)
+let rec sift_up t i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if entry_before t.heap.(i) t.heap.(parent) then begin
       let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(!smallest);
-      t.heap.(!smallest) <- tmp;
-      loop !smallest
+      t.heap.(i) <- t.heap.(parent);
+      t.heap.(parent) <- tmp;
+      sift_up t parent
     end
-  in
-  loop i0
+  end
+
+let rec sift_down t i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let smallest = ref i in
+  if l < t.size && entry_before t.heap.(l) t.heap.(!smallest) then smallest := l;
+  if r < t.size && entry_before t.heap.(r) t.heap.(!smallest) then smallest := r;
+  if !smallest <> i then begin
+    let tmp = t.heap.(i) in
+    t.heap.(i) <- t.heap.(!smallest);
+    t.heap.(!smallest) <- tmp;
+    sift_down t !smallest
+  end
 
 let add t ~time payload =
   let entry = { time; seq = t.next_seq; payload } in
@@ -59,23 +54,19 @@ let add t ~time payload =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t =
-  if t.size = 0 then None
-  else
-    let e = t.heap.(0) in
-    Some (e.time, e.payload)
+let min_time t =
+  if t.size = 0 then invalid_arg "Event_queue.min_time: empty";
+  t.heap.(0).time
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let e = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    Some (e.time, e.payload)
-  end
+let take t =
+  if t.size = 0 then invalid_arg "Event_queue.take: empty";
+  let e = t.heap.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.heap.(0) <- t.heap.(t.size);
+    sift_down t 0
+  end;
+  e.payload
 
 let clear t =
   t.heap <- [||];

@@ -13,10 +13,13 @@ val is_empty : 'a t -> bool
 val add : 'a t -> time:Sim_time.t -> 'a -> unit
 (** Insert an event payload at [time].  O(log n). *)
 
-val peek : 'a t -> (Sim_time.t * 'a) option
-(** Earliest event without removing it. *)
+val min_time : 'a t -> Sim_time.t
+(** Time of the earliest event.  Allocates nothing.  Raises
+    [Invalid_argument] on an empty queue. *)
 
-val pop : 'a t -> (Sim_time.t * 'a) option
-(** Remove and return the earliest event.  O(log n). *)
+val take : 'a t -> 'a
+(** Remove the earliest event and return its payload; read its time
+    with {!min_time} first.  O(log n), allocates nothing.  Raises
+    [Invalid_argument] on an empty queue. *)
 
 val clear : 'a t -> unit

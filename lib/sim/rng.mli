@@ -28,6 +28,10 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p], the same draw, without
+    allocating. *)
+
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 

@@ -71,35 +71,35 @@ let submit_write ?(policy = default_policy) stats disk ~remap ~block ~nblocks on
   in
   attempt ~block ~tries:0
 
-let sync_read ?(policy = default_policy) stats ~charge disk ~block ~nblocks =
-  let rec attempt tries =
-    let d, result = Disk.sync_transfer disk ~is_write:false ~block ~nblocks in
-    charge d;
-    match result with
-    | Ok () -> Ok ()
-    | Error err ->
-        stats.io_errors <- stats.io_errors + 1;
-        if (match err with Disk.Transient _ -> true | _ -> false) && tries < policy.limit
-        then begin
-          stats.io_retries <- stats.io_retries + 1;
-          (* a not-given-up Io_retry precedes its backoff charge: Span
-             attributes the interval starting here as [Backoff] *)
-          Hipec_trace.Trace.io_retry ~block ~write:false ~attempt:(tries + 1)
-            ~gave_up:false;
-          let delay = backoff policy ~attempt:(tries + 1) in
-          if Hipec_metrics.Metrics.on () then begin
-            Hipec_metrics.Metrics.observe "vm.io_retry.attempt" (tries + 1);
-            Hipec_metrics.Metrics.observe "vm.io_retry.backoff_ns" (Sim_time.to_ns delay)
-          end;
-          charge delay;
-          attempt (tries + 1)
-        end
-        else begin
-          stats.io_giveups <- stats.io_giveups + 1;
-          Hipec_trace.Trace.io_retry ~block ~write:false ~attempt:tries ~gave_up:true;
-          if Hipec_metrics.Metrics.on () then
-            Hipec_metrics.Metrics.incr "vm.io_retry.giveups";
-          Error err
-        end
-  in
-  attempt 0
+(* Top-level with every argument explicit, and [policy] required, so a
+   pagein builds neither a closure nor a [Some policy]. *)
+let rec sync_attempt policy stats ~charge disk ~block ~nblocks tries =
+  match Disk.sync_transfer disk ~charge ~is_write:false ~block ~nblocks with
+  | Ok () -> Ok ()
+  | Error err ->
+      stats.io_errors <- stats.io_errors + 1;
+      if (match err with Disk.Transient _ -> true | _ -> false) && tries < policy.limit
+      then begin
+        stats.io_retries <- stats.io_retries + 1;
+        (* a not-given-up Io_retry precedes its backoff charge: Span
+           attributes the interval starting here as [Backoff] *)
+        Hipec_trace.Trace.io_retry ~block ~write:false ~attempt:(tries + 1)
+          ~gave_up:false;
+        let delay = backoff policy ~attempt:(tries + 1) in
+        if Hipec_metrics.Metrics.on () then begin
+          Hipec_metrics.Metrics.observe "vm.io_retry.attempt" (tries + 1);
+          Hipec_metrics.Metrics.observe "vm.io_retry.backoff_ns" (Sim_time.to_ns delay)
+        end;
+        charge delay;
+        sync_attempt policy stats ~charge disk ~block ~nblocks (tries + 1)
+      end
+      else begin
+        stats.io_giveups <- stats.io_giveups + 1;
+        Hipec_trace.Trace.io_retry ~block ~write:false ~attempt:tries ~gave_up:true;
+        if Hipec_metrics.Metrics.on () then
+          Hipec_metrics.Metrics.incr "vm.io_retry.giveups";
+        Error err
+      end
+
+let sync_read ~policy stats ~charge disk ~block ~nblocks =
+  sync_attempt policy stats ~charge disk ~block ~nblocks 0

@@ -48,7 +48,7 @@ val submit_write :
     swap remap); returning [None] abandons the write. *)
 
 val sync_read :
-  ?policy:policy ->
+  policy:policy ->
   stats ->
   charge:(Sim_time.t -> unit) ->
   Disk.t ->

@@ -67,7 +67,7 @@ type t = {
   mutable task_list : Task.t list;
   objects : (int, Vm_object.t) Hashtbl.t;
   managers : (int, manager) Hashtbl.t;
-  mutable next_disk_block : int;
+  next_disk_block : int ref;
   stats : stats;
   (* reverse map for the access hot path: which resident page a frame
      currently backs; refreshed whenever a translation is installed, so
@@ -77,10 +77,26 @@ type t = {
   mutable access_recorder : (Task.t -> vpn:int -> write:bool -> unit) option;
   io_policy : Io_retry.policy;
   io_stats : Io_retry.stats;
+  (* built once: the fault path hands these to pageout and to the
+     synchronous pagein without allocating *)
+  pageout_ctx : Pageout.ctx;
+  charge_fn : Sim_time.t -> unit;
   (* overload protection: absent unless [enable_pressure] engages it, so
      a plain kernel behaves — and traces — exactly as before *)
   mutable pressure : Pressure.t option;
 }
+
+let charge_engine engine d =
+  Engine.advance engine d;
+  (* deliver completions (disk interrupts, timers) that have come due *)
+  Engine.run_until engine (Engine.now engine)
+
+let alloc_extent disk next_block ~npages =
+  let nblocks = npages * Vm_object.blocks_per_page in
+  let base = !next_block in
+  if base + nblocks > Disk.capacity_blocks disk then failwith "Kernel: disk full";
+  next_block := base + nblocks;
+  base
 
 let create ?(config = default_config) () =
   let engine = Engine.create () in
@@ -93,23 +109,38 @@ let create ?(config = default_config) () =
     Disk.create ?params:config.disk_params ?faults:config.disk_faults ~engine
       ~rng:(Rng.split rng) ()
   in
+  let frame_table = Frame.Table.create ~total:config.total_frames in
+  let objects = Hashtbl.create 64 and next_disk_block = ref 0 in
+  let io_stats = Io_retry.create_stats () in
   {
     engine;
     costs = config.costs;
     disk;
-    frame_table = Frame.Table.create ~total:config.total_frames;
+    frame_table;
     pageout = Pageout.create ~total_frames:config.total_frames;
     rng;
     hipec_kernel = config.hipec_kernel;
     readahead = config.readahead;
     task_list = [];
-    objects = Hashtbl.create 64;
+    objects;
     managers = Hashtbl.create 16;
-    next_disk_block = 0;
+    next_disk_block;
     page_by_frame = Array.make config.total_frames None;
     access_recorder = None;
     io_policy = config.io_retry;
-    io_stats = Io_retry.create_stats ();
+    io_stats;
+    pageout_ctx =
+      {
+        Pageout.frame_table;
+        disk;
+        engine;
+        costs = config.costs;
+        resolve_object = Hashtbl.find objects;
+        alloc_swap = (fun () -> alloc_extent disk next_disk_block ~npages:1);
+        io_policy = config.io_retry;
+        io_stats;
+      };
+    charge_fn = charge_engine engine;
     pressure = None;
     stats =
       {
@@ -134,34 +165,15 @@ let rng t = t.rng
 let is_hipec_kernel t = t.hipec_kernel
 let now t = Engine.now t.engine
 
-let charge t d =
-  Engine.advance t.engine d;
-  (* deliver completions (disk interrupts, timers) that have come due *)
-  Engine.run_until t.engine (Engine.now t.engine)
+let charge t d = charge_engine t.engine d
 
 let drain_io t = Engine.run t.engine
 
 let resolve_object t oid = Hashtbl.find t.objects oid
 let register_object t obj = Hashtbl.replace t.objects (Vm_object.id obj) obj
 
-let alloc_disk_extent t ~npages =
-  let nblocks = npages * Vm_object.blocks_per_page in
-  let base = t.next_disk_block in
-  if base + nblocks > Disk.capacity_blocks t.disk then failwith "Kernel: disk full";
-  t.next_disk_block <- base + nblocks;
-  base
-
-let pageout_ctx t : Pageout.ctx =
-  {
-    Pageout.frame_table = t.frame_table;
-    disk = t.disk;
-    engine = t.engine;
-    costs = t.costs;
-    resolve_object = (fun oid -> resolve_object t oid);
-    alloc_swap = (fun () -> alloc_disk_extent t ~npages:1);
-    io_policy = t.io_policy;
-    io_stats = t.io_stats;
-  }
+let alloc_disk_extent t ~npages = alloc_extent t.disk t.next_disk_block ~npages
+let pageout_ctx t = t.pageout_ctx
 
 let stats t = t.stats
 let io_stats t = t.io_stats
@@ -323,9 +335,8 @@ let kill_and_raise t task reason =
    can read around) terminate the task. *)
 let pagein t task ~block =
   match
-    Io_retry.sync_read ~policy:t.io_policy t.io_stats
-      ~charge:(fun d -> charge t d)
-      t.disk ~block ~nblocks:Vm_object.blocks_per_page
+    Io_retry.sync_read ~policy:t.io_policy t.io_stats ~charge:t.charge_fn t.disk ~block
+      ~nblocks:Vm_object.blocks_per_page
   with
   | Ok () -> Tr.pagein ~task:(Task.id task) ~block
   | Error err ->
@@ -366,30 +377,30 @@ let install_page t task region ~obj ~offset ~vpn slot =
   Pmap.enter (Task.pmap task) ~vpn ~frame:(Vm_page.frame slot) ~prot;
   Vm_page.add_mapping slot (Task.pmap task) ~vpn;
   Vm_page.touch slot (now t);
-  t.page_by_frame.(Frame.index (Vm_page.frame slot)) <- Some slot;
+  t.page_by_frame.(Frame.index (Vm_page.frame slot)) <- Vm_page.some slot;
   if region.Vm_map.wired then Vm_page.set_wired slot true;
   slot
+
+let rec take_frame t task attempts =
+  match Frame.Table.alloc t.frame_table with
+  | Some frame -> frame
+  | None ->
+      if Pageout.laundry_count t.pageout > 0 then begin
+        (* block until a writeback completes and retry *)
+        if not (Engine.step t.engine) then
+          kill_and_raise t task "out of memory: laundry stuck";
+        take_frame t task attempts
+      end
+      else if attempts > 0 && Pageout.reclaim_one t.pageout t.pageout_ctx then
+        take_frame t task (attempts - 1)
+      else kill_and_raise t task "out of memory"
 
 (* Allocate a frame from the default pool, running the pageout daemon
    when the pool is low and waiting on laundry writebacks if it runs
    completely dry. *)
 let default_pool_frame t task =
-  let ctx = pageout_ctx t in
-  if Pageout.needs_balance t.pageout t.frame_table then Pageout.balance t.pageout ctx;
-  let rec take attempts =
-    match Frame.Table.alloc t.frame_table with
-    | Some frame -> frame
-    | None ->
-        if Pageout.laundry_count t.pageout > 0 then begin
-          (* block until a writeback completes and retry *)
-          if not (Engine.step t.engine) then
-            kill_and_raise t task "out of memory: laundry stuck";
-          take attempts
-        end
-        else if attempts > 0 && Pageout.reclaim_one t.pageout ctx then take (attempts - 1)
-        else kill_and_raise t task "out of memory"
-  in
-  take 8
+  if Pageout.needs_balance t.pageout t.frame_table then Pageout.balance t.pageout t.pageout_ctx;
+  take_frame t task 8
 
 (* Clustered pagein: after a default-pool file fault, pull the next
    [readahead] contiguous backed pages in with the same transfer (only
@@ -458,7 +469,7 @@ let fault t task region ~vpn ~write =
       Pmap.enter (Task.pmap task) ~vpn ~frame:(Vm_page.frame page) ~prot:region.Vm_map.prot;
       Vm_page.add_mapping page (Task.pmap task) ~vpn;
       Vm_page.touch page (now t);
-      t.page_by_frame.(Frame.index (Vm_page.frame page)) <- Some page;
+      t.page_by_frame.(Frame.index (Vm_page.frame page)) <- Vm_page.some page;
       Frame.set_referenced (Vm_page.frame page) true;
       if write then Frame.set_modified (Vm_page.frame page) true;
       emit Hipec_trace.Event.Soft
@@ -548,18 +559,8 @@ let resolve_cow_write t task region ~vpn =
 
 let set_access_recorder t tap = t.access_recorder <- tap
 
-let access_vpn t task ~vpn ~write =
-  if not (Task.alive task) then
-    invalid_arg (Printf.sprintf "Kernel.access: task %s is dead" (Task.name task));
-  (match t.access_recorder with Some tap -> tap task ~vpn ~write | None -> ());
-  Tr.access ~task:(Task.id task) ~vpn ~write;
-  let t0 = Engine.now t.engine in
-  Fun.protect
-    ~finally:(fun () ->
-      (* the reference plus whatever fault service it triggered is this
-         task's CPU time *)
-      Task.charge_cpu task (Sim_time.sub (Engine.now t.engine) t0))
-  @@ fun () ->
+(* One reference, with whatever fault service it triggers. *)
+let reference t task ~vpn ~write =
   charge t t.costs.Costs.mem_access;
   match Pmap.access (Task.pmap task) ~vpn ~write with
   | Pmap.Hit frame -> (
@@ -589,6 +590,20 @@ let access_vpn t task ~vpn ~write =
              seizure may have refilled) the free pool; a no-op unless a
              pressure controller is engaged *)
           check_pressure t)
+
+let access_vpn t task ~vpn ~write =
+  if not (Task.alive task) then
+    invalid_arg (Printf.sprintf "Kernel.access: task %s is dead" (Task.name task));
+  (match t.access_recorder with Some tap -> tap task ~vpn ~write | None -> ());
+  Tr.access ~task:(Task.id task) ~vpn ~write;
+  let t0 = Engine.now t.engine in
+  (* the reference plus whatever fault service it triggered is this
+     task's CPU time, also when it raises (the task was killed) *)
+  match reference t task ~vpn ~write with
+  | () -> Task.charge_cpu task (Sim_time.sub (Engine.now t.engine) t0)
+  | exception e ->
+      Task.charge_cpu task (Sim_time.sub (Engine.now t.engine) t0);
+      raise e
 
 let access t task ~va ~write = access_vpn t task ~vpn:(Pmap.vpn_of_va va) ~write
 

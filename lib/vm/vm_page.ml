@@ -88,6 +88,7 @@ let create ~frame =
 
 let id t = t.id
 let frame t = t.frame
+let some t = t.self
 let binding t = t.binding
 
 let bind t ~object_id ~offset =

@@ -21,6 +21,9 @@ val id : t -> int
 
 val frame : t -> Frame.t
 
+val some : t -> t option
+(** [Some t], preallocated: storing it allocates nothing. *)
+
 val holds_frame : t -> bool
 (** The page is still its frame's holder (false once the frame went
     back to the pool, even if it has since been handed to another page). *)

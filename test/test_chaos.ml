@@ -105,7 +105,10 @@ let test_sync_read_transient_retries () =
   let charge d = charged := T.add !charged d in
   let ok = ref 0 and failed = ref 0 in
   for i = 0 to 39 do
-    match Io_retry.sync_read stats ~charge disk ~block:(i * 64) ~nblocks:8 with
+    match
+      Io_retry.sync_read ~policy:Io_retry.default_policy stats ~charge disk ~block:(i * 64)
+        ~nblocks:8
+    with
     | Ok () -> incr ok
     | Error _ -> incr failed
   done;
@@ -121,7 +124,7 @@ let test_sync_read_bad_block_gives_up_immediately () =
   let stats = Io_retry.create_stats () in
   let charged = ref T.zero in
   (match
-     Io_retry.sync_read stats
+     Io_retry.sync_read ~policy:Io_retry.default_policy stats
        ~charge:(fun d -> charged := T.add !charged d)
        disk ~block:40 ~nblocks:8
    with

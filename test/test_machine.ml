@@ -273,8 +273,7 @@ let test_disk_out_of_range_is_error_not_raise () =
   | Some (Error e) -> Alcotest.fail ("wrong error: " ^ Disk.io_error_to_string e)
   | None -> Alcotest.fail "completion never delivered");
   Alcotest.(check int) "not counted as a completed read" 0 (Disk.reads_completed disk);
-  let _, sync = Disk.sync_transfer disk ~is_write:false ~block:(-1) ~nblocks:1 in
-  match sync with
+  match Disk.sync_transfer disk ~charge:ignore ~is_write:false ~block:(-1) ~nblocks:1 with
   | Error (Disk.Out_of_range _) -> ()
   | _ -> Alcotest.fail "sync out-of-range not reported"
 

@@ -85,6 +85,110 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
+(* The splitmix64 stream itself, pinned by literal values: a change to
+   the state representation or the mixing must reproduce every draw. *)
+let take8 f = List.init 8 (fun _ -> f ())
+
+let pinned_streams =
+  [
+    ( 1,
+      [ 0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L; 0xf440fe3b62c79d2cL;
+        0x33ba2f29e7c168bbL; 0x98843f48a94b7866L; 0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL ],
+      [ 162; 791; 623; 292; 515; 782; 240; 294 ],
+      [ 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2; 0x1.e881fc76c58f3p-1;
+        0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1; 0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3 ] );
+    ( 42,
+      [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L; 0xc4b6b24ef01890eL;
+        0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ],
+      [ 473; 191; 141; 366; 847; 115; 585; 986 ],
+      [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3; 0x1.896d649de031p-5;
+        0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3; 0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3 ] );
+    ( max_int,
+      [ 0x2de2ce032c245fa7L; 0xaf69910c113799acL; 0xc214c2e0626ff3efL; 0xc97122dc5d94e291L;
+        0xb3ca3b68611d8652L; 0x854a3ddf1ed989e5L; 0xc37310faf1ac664fL; 0x8fec49f93dfda4dL ],
+      [ 407; 436; 951; 473; 698; 661; 103; 437 ],
+      [ 0x1.6f1670196122cp-3; 0x1.5ed32218226f3p-1; 0x1.842985c0c4dfep-1; 0x1.92e245b8bb29cp-1;
+        0x1.679476d0c23bp-1; 0x1.0a947bbe3db31p-1; 0x1.86e621f5e358cp-1; 0x1.1fd893f27bfbp-5 ] );
+  ]
+
+let test_rng_pinned_stream () =
+  List.iter
+    (fun (seed, bits, ints, floats) ->
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      let r = Rng.create ~seed in
+      Alcotest.(check (list int64)) (name "bits64") bits (take8 (fun () -> Rng.bits64 r));
+      let r = Rng.create ~seed in
+      Alcotest.(check (list int)) (name "int 1000") ints (take8 (fun () -> Rng.int r 1000));
+      let r = Rng.create ~seed in
+      Alcotest.(check (list (float 0.))) (name "float 1.0") floats
+        (take8 (fun () -> Rng.float r 1.0)))
+    pinned_streams
+
+let test_rng_pinned_split_copy () =
+  let r = Rng.create ~seed:1 in
+  let child = Rng.split r in
+  Alcotest.(check (list int64)) "split child"
+    [ 0xf0e0e7be2fcf87edL; 0xca7e1c9ef3f43d32L; 0x477203fc7af79e35L; 0x1bb4d534b5bbc443L;
+      0x1cb4822bf3c03b88L; 0x67171526d1674f9cL; 0xaa4d8b94d3d2f62cL; 0xdb6527529b9f36d1L ]
+    (take8 (fun () -> Rng.bits64 child));
+  (* the split consumed the parent's first draw *)
+  Alcotest.(check (list int64)) "split parent"
+    [ 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L; 0xf440fe3b62c79d2cL; 0x33ba2f29e7c168bbL;
+      0x98843f48a94b7866L; 0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL; 0x509a840d44beedbdL ]
+    (take8 (fun () -> Rng.bits64 r));
+  let r = Rng.create ~seed:42 in
+  for _ = 1 to 3 do
+    ignore (Rng.bits64 r)
+  done;
+  let c = Rng.copy r in
+  let after_three =
+    [ 0xc4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L;
+      0x272404a0a3926552L; 0xc2bc249e28760ccdL; 0x3e69c285108dbb77L; 0xc3b2b51fc61ec914L ]
+  in
+  Alcotest.(check (list int64)) "copy" after_three (take8 (fun () -> Rng.bits64 c));
+  Alcotest.(check (list int64)) "copied original" after_three (take8 (fun () -> Rng.bits64 r))
+
+(* Integer and boolean draws allocate nothing: the state is unboxed. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create ~seed:5 in
+  let sink = ref 0 in
+  let draws () =
+    for _ = 1 to 10_000 do
+      sink := !sink + Rng.int r 1000;
+      if Rng.bool r then incr sink
+    done
+  in
+  draws ();
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let a = Gc.minor_words () in
+  draws ();
+  let b = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" overhead (b -. a);
+  Alcotest.(check bool) "drew" true (!sink > 0)
+
+(* [chance p] is the [float 1.0 < p] draw, without the float box. *)
+let test_rng_chance () =
+  let a = Rng.create ~seed:9 and b = Rng.create ~seed:9 in
+  for i = 1 to 1_000 do
+    let p = float_of_int (i mod 11) /. 10. in
+    Alcotest.(check bool) "same draw" (Rng.float a 1.0 < p) (Rng.chance b p)
+  done;
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let overhead = w1 -. w0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if Rng.chance b 0.25 then incr hits
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" overhead (w1 -. w0);
+  Alcotest.(check bool) "about a quarter" true (!hits > 2_000 && !hits < 3_000)
+
 (* ------------------------------------------------------------------ *)
 (* Event_queue                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -94,10 +198,9 @@ let test_eq_ordering () =
   Eq.add q ~time:(T.us 3) "c";
   Eq.add q ~time:(T.us 1) "a";
   Eq.add q ~time:(T.us 2) "b";
-  let pop () = match Eq.pop q with Some (_, x) -> x | None -> Alcotest.fail "empty" in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "b" (pop ());
-  Alcotest.(check string) "third" "c" (pop ());
+  Alcotest.(check string) "first" "a" (Eq.take q);
+  Alcotest.(check string) "second" "b" (Eq.take q);
+  Alcotest.(check string) "third" "c" (Eq.take q);
   Alcotest.(check bool) "drained" true (Eq.is_empty q)
 
 let test_eq_fifo_ties () =
@@ -106,9 +209,7 @@ let test_eq_fifo_ties () =
     Eq.add q ~time:(T.us 5) i
   done;
   for i = 0 to 9 do
-    match Eq.pop q with
-    | Some (_, x) -> Alcotest.(check int) "tie order" i x
-    | None -> Alcotest.fail "unexpected empty"
+    Alcotest.(check int) "tie order" i (Eq.take q)
   done
 
 let test_eq_random_sorted () =
@@ -118,21 +219,26 @@ let test_eq_random_sorted () =
   Array.iter (fun t -> Eq.add q ~time:(T.ns t) t) times;
   Alcotest.(check int) "length" 500 (Eq.length q);
   let last = ref (-1) in
-  let rec drain () =
-    match Eq.pop q with
-    | None -> ()
-    | Some (t, _) ->
-        Alcotest.(check bool) "monotone" true (T.to_ns t >= !last);
-        last := T.to_ns t;
-        drain ()
-  in
-  drain ()
+  while not (Eq.is_empty q) do
+    let t = Eq.min_time q in
+    Alcotest.(check int) "payload is its time" (T.to_ns t) (Eq.take q);
+    Alcotest.(check bool) "monotone" true (T.to_ns t >= !last);
+    last := T.to_ns t
+  done
 
-let test_eq_peek_does_not_remove () =
+let test_eq_min_time_does_not_remove () =
   let q = Eq.create () in
+  Eq.add q ~time:(T.us 2) 2;
   Eq.add q ~time:(T.us 1) 1;
-  (match Eq.peek q with Some (_, 1) -> () | _ -> Alcotest.fail "peek");
-  Alcotest.(check int) "still there" 1 (Eq.length q)
+  Alcotest.(check int) "earliest time" 1_000 (T.to_ns (Eq.min_time q));
+  Alcotest.(check int) "still there" 2 (Eq.length q);
+  ignore (Eq.take q);
+  Alcotest.(check int) "next earliest" 2_000 (T.to_ns (Eq.min_time q));
+  ignore (Eq.take q);
+  Alcotest.check_raises "empty" (Invalid_argument "Event_queue.min_time: empty") (fun () ->
+      ignore (Eq.min_time q));
+  Alcotest.check_raises "empty take" (Invalid_argument "Event_queue.take: empty") (fun () ->
+      ignore (Eq.take q))
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -254,7 +360,11 @@ let prop_event_queue_sorted =
       let q = Eq.create () in
       List.iter (fun t -> Eq.add q ~time:(T.ns t) t) times;
       let rec drain acc =
-        match Eq.pop q with None -> List.rev acc | Some (t, _) -> drain (T.to_ns t :: acc)
+        if Eq.is_empty q then List.rev acc
+        else
+          let t = Eq.min_time q in
+          ignore (Eq.take q);
+          drain (T.to_ns t :: acc)
       in
       let popped = drain [] in
       popped = List.sort compare times)
@@ -295,13 +405,17 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
+          Alcotest.test_case "pinned split and copy" `Quick test_rng_pinned_split_copy;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
+          Alcotest.test_case "chance" `Quick test_rng_chance;
         ] );
       ( "event_queue",
         [
           Alcotest.test_case "ordering" `Quick test_eq_ordering;
           Alcotest.test_case "fifo ties" `Quick test_eq_fifo_ties;
           Alcotest.test_case "random sorted" `Quick test_eq_random_sorted;
-          Alcotest.test_case "peek" `Quick test_eq_peek_does_not_remove;
+          Alcotest.test_case "min_time" `Quick test_eq_min_time_does_not_remove;
         ] );
       ( "engine",
         [

@@ -508,6 +508,121 @@ let test_kernel_task_cpu_accounting () =
   (* all the time of a single-task run is that task's CPU time *)
   Alcotest.(check int) "cpu time = elapsed" elapsed (T.to_ns (Task.cpu_time task))
 
+(* A reference that kills its task still charges the task for the
+   reference and every cost charged before the raise. *)
+let test_kernel_task_cpu_accounting_on_raise () =
+  let costs = Hipec_machine.Costs.default in
+  let ns = T.to_ns in
+  let expect_kill name k task ~vpn ~write ~reason ~charged =
+    let cpu0 = Task.cpu_time task and t0 = Kernel.now k in
+    (try
+       Kernel.access_vpn k task ~vpn ~write;
+       Alcotest.fail (name ^ ": expected termination")
+     with Kernel.Task_terminated (_, r) -> Alcotest.(check string) (name ^ " reason") reason r);
+    let elapsed = ns (T.sub (Kernel.now k) t0) in
+    Alcotest.(check int) (name ^ ": charged before the raise") charged elapsed;
+    Alcotest.(check int) (name ^ ": cpu time includes it") (ns cpu0 + elapsed)
+      (ns (Task.cpu_time task))
+  in
+  (* segmentation fault: the reference itself *)
+  let k = small_kernel () in
+  let task = Kernel.create_task k () in
+  expect_kill "segfault" k task ~vpn:0 ~write:false ~reason:"segmentation fault at vpn 0"
+    ~charged:(ns costs.Hipec_machine.Costs.mem_access);
+  (* write to a read-only mapping *)
+  let k = small_kernel () in
+  let task = Kernel.create_task k () in
+  let obj = Vm_object.create ~size_pages:1 ~backing:Vm_object.Zero_fill () in
+  let region = Kernel.vm_map_object k task ~obj ~obj_offset:0 ~npages:1 ~prot:Pmap.Read_only in
+  Kernel.touch_region k task region ~write:false;
+  expect_kill "protection violation" k task ~vpn:region.Vm_map.start_vpn ~write:true
+    ~reason:"protection violation" ~charged:(ns costs.Hipec_machine.Costs.mem_access);
+  (* write to a command buffer *)
+  let k = small_kernel () in
+  let task = Kernel.create_task k () in
+  let region = Kernel.vm_allocate k task ~npages:1 in
+  Kernel.touch_region k task region ~write:false;
+  region.Vm_map.command_buffer <- true;
+  Kernel.protect_region k task region ~prot:Pmap.Read_only;
+  expect_kill "command buffer" k task ~vpn:region.Vm_map.start_vpn ~write:true
+    ~reason:"attempt to modify a HiPEC command buffer"
+    ~charged:(ns costs.Hipec_machine.Costs.mem_access);
+  (* a manager denial: the fault trap and service charged before it *)
+  let k = small_kernel ~hipec:true () in
+  let task = Kernel.create_task k () in
+  let obj = Vm_object.create ~size_pages:1 ~backing:Vm_object.Zero_fill () in
+  let region = Kernel.vm_map_object k task ~obj ~obj_offset:0 ~npages:1 ~prot:Pmap.Read_write in
+  Kernel.set_manager k obj
+    {
+      Kernel.on_fault = (fun ~task:_ ~obj:_ ~offset:_ ~write:_ -> Kernel.Deny "policy error");
+      on_resolved = (fun ~task:_ ~page:_ -> ());
+      on_task_terminated = (fun ~task:_ -> ());
+    };
+  expect_kill "manager deny" k task ~vpn:region.Vm_map.start_vpn ~write:false
+    ~reason:"policy error"
+    ~charged:
+      Hipec_machine.Costs.(
+        ns costs.mem_access + ns costs.fault_trap + ns costs.hipec_region_check
+        + ns costs.fault_service)
+
+(* Minor words allocated by [f ()], less the cost of reading the
+   counter itself. *)
+let minor_words_of f =
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let a = Gc.minor_words () in
+  f ();
+  let b = Gc.minor_words () in
+  b -. a -. overhead
+
+(* Charging a cost with nothing due allocates nothing, also when the
+   engine has a later event to look at. *)
+let test_kernel_charge_allocates_nothing () =
+  let k = small_kernel () in
+  let fired = ref false in
+  ignore (Hipec_sim.Engine.schedule (Kernel.engine k) ~after:(T.sec 1) (fun _ -> fired := true));
+  let charges () =
+    for _ = 1 to 10_000 do
+      Kernel.charge k (T.ns 10)
+    done
+  in
+  charges ();
+  Alcotest.(check (float 0.)) "minor words" 0. (minor_words_of charges);
+  Alcotest.(check bool) "nothing fired" false !fired
+
+(* A resident hit allocates nothing beyond the pmap lookup itself. *)
+let test_kernel_hit_allocates_no_more_than_pmap () =
+  let k = small_kernel () in
+  let task = Kernel.create_task k () in
+  let region = Kernel.vm_allocate k task ~npages:1 in
+  Kernel.touch_region k task region ~write:false;
+  let vpn = region.Vm_map.start_vpn in
+  let pmap = Task.pmap task in
+  let hits = ref 0 in
+  let lookups () =
+    for _ = 1 to 10_000 do
+      match Pmap.access pmap ~vpn ~write:false with Pmap.Hit _ -> incr hits | _ -> ()
+    done
+  in
+  let accesses () =
+    for _ = 1 to 10_000 do
+      Kernel.access_vpn k task ~vpn ~write:false
+    done
+  in
+  lookups ();
+  accesses ();
+  let pmap_words = minor_words_of lookups in
+  let access_words = minor_words_of accesses in
+  Alcotest.(check bool)
+    (Printf.sprintf "access_vpn %.0f words <= Pmap.access %.0f words" access_words pmap_words)
+    true
+    (access_words <= pmap_words);
+  Alcotest.(check int) "one fault" 1 (Task.faults task);
+  Alcotest.(check int) "all hits" 20_000 !hits
+
 let test_kernel_null_ops_cost () =
   let k = small_kernel () in
   let t0 = Kernel.now k in
@@ -857,6 +972,12 @@ let () =
           Alcotest.test_case "manager deny kills" `Quick test_kernel_manager_deny_kills;
           Alcotest.test_case "null ops cost" `Quick test_kernel_null_ops_cost;
           Alcotest.test_case "task cpu accounting" `Quick test_kernel_task_cpu_accounting;
+          Alcotest.test_case "task cpu accounting when a reference raises" `Quick
+            test_kernel_task_cpu_accounting_on_raise;
+          Alcotest.test_case "charge allocates nothing" `Quick
+            test_kernel_charge_allocates_nothing;
+          Alcotest.test_case "resident hit allocates no more than the pmap" `Quick
+            test_kernel_hit_allocates_no_more_than_pmap;
         ] );
       ( "cow",
         [
