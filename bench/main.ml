@@ -572,13 +572,47 @@ let json_of_measure m =
      \"events\": %d, \"digest\": \"%s\" }"
     m.wall_ns m.commands (commands_per_sec m) m.faults m.events m.digest
 
+(* Paired timing, the estimator every timed gate uses.  The two sides
+   run [pairs] times in one process in the order A B, B A, A B, ... so
+   drift in the host lands on both alike, each run after a [Gc.compact]
+   so neither pays for the other's garbage.  A gate reads the median of
+   the per-pair ratios and prints their interquartile range. *)
+let interleave ~pairs run_a run_b =
+  let once f =
+    Gc.compact ();
+    f ()
+  in
+  List.init pairs (fun i ->
+      if i mod 2 = 0 then
+        let a = once run_a in
+        let b = once run_b in
+        (a, b)
+      else
+        let b = once run_b in
+        let a = once run_a in
+        (a, b))
+
+(* Median and interquartile range, by linear interpolation between
+   order statistics. *)
+let median_iqr xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  let q p =
+    let x = p *. float_of_int (n - 1) in
+    let i = int_of_float x in
+    if i >= n - 1 then a.(n - 1) else a.(i) +. ((x -. float_of_int i) *. (a.(i + 1) -. a.(i)))
+  in
+  (q 0.5, q 0.75 -. q 0.25)
+
+let gate_pairs ~quick = if quick then 7 else 11
+
 (* Executor-attributed measurement.  Whole-scenario wall conflates the
    executor with minidb and the disk simulation — on join-small the
    executor is a sliver of the run, so the whole-wall ratio is mostly
    noise.  The per-opcode profiler (PR 4) attributes wall time to the
    executor itself; both backends pay the same boundary-timer overhead,
-   so the ratio is apples-to-apples at the layer the backends differ.
-   Best-of-N repeats de-noise cold starts. *)
+   so the ratio is apples-to-apples at the layer the backends differ. *)
 module Mp = Hipec_metrics.Metrics
 
 type exec_measure = {
@@ -632,21 +666,25 @@ let finish_exec (wall, sim, runs, cells, overhead) =
   in
   { exec_wall_ns = wall; exec_sim_ns = sim; exec_runs = runs; per_opcode }
 
-(* Interleave the backends run-for-run so allocator/GC drift lands on
-   both alike, then keep each backend's fastest repeat. *)
-let measure_exec_pair ~repeats drive =
-  let wall_of (w, _, _, _, _) = w in
-  let best_i = ref None and best_c = ref None in
-  let keep best m =
-    match !best with
-    | Some b when wall_of b <= wall_of m -> ()
-    | _ -> best := Some m
+(* The executor-attributed wall of each backend, in interleaved pairs;
+   per backend, the run with the median wall is the one reported. *)
+let measure_exec_pairs ~pairs drive =
+  let runs =
+    interleave ~pairs
+      (fun () -> exec_once Executor.Interp drive)
+      (fun () -> exec_once Executor.Compiled drive)
   in
-  for _ = 1 to repeats do
-    keep best_i (exec_once Executor.Interp drive);
-    keep best_c (exec_once Executor.Compiled drive)
-  done;
-  (finish_exec (Option.get !best_i), finish_exec (Option.get !best_c))
+  let wall_of (w, _, _, _, _) = w in
+  let median_run side =
+    let sorted = List.sort (fun a b -> compare (wall_of a) (wall_of b)) (List.map side runs) in
+    finish_exec (List.nth sorted (List.length sorted / 2))
+  in
+  let ratios =
+    List.map
+      (fun (i, c) -> float_of_int (wall_of i) /. float_of_int (max 1 (wall_of c)))
+      runs
+  in
+  (median_run fst, median_run snd, median_iqr ratios)
 
 let json_of_exec e =
   let rows =
@@ -666,7 +704,7 @@ let json_of_exec e =
 
 let backend_bench ~quick () =
   header "Backend: interpreter vs compile-once executor (BENCH_7.json)";
-  let repeats = if quick then 2 else 3 in
+  let pairs = gate_pairs ~quick in
   let spin_drive () =
     ignore (drive_spin ~spin:100 ~frames:128 ~npages:256 ~loops:(if quick then 8 else 24) ())
   in
@@ -687,6 +725,8 @@ let backend_bench ~quick () =
       ("aim-small", (fun b -> measure_scenario b "aim-small"), scenario_drive "aim-small");
     ]
   in
+  Printf.printf
+    "  (speedups: median of %d interleaved interp/compiled pairs, IQR below)\n" pairs;
   Printf.printf "  %-12s %-9s %12s %14s %13s %8s  %s\n" "scenario" "backend" "wall (ms)"
     "commands/sec" "exec (ms)" "faults" "digest";
   let rows =
@@ -694,7 +734,21 @@ let backend_bench ~quick () =
       (fun (name, measure, drive) ->
         let mi = measure Executor.Interp in
         let mc = measure Executor.Compiled in
-        let ei, ec = measure_exec_pair ~repeats drive in
+        let ei, ec, (exec_speedup, exec_iqr) = measure_exec_pairs ~pairs drive in
+        (* whole-run wall in interleaved pairs: the backends run the same
+           commands, so the wall ratio is the commands/sec speedup *)
+        let wall_on backend () =
+          Executor.with_backend backend (fun () ->
+              let t0 = Unix.gettimeofday () in
+              drive ();
+              Unix.gettimeofday () -. t0)
+        in
+        let speedup, speedup_iqr =
+          median_iqr
+            (List.map
+               (fun (wi, wc) -> wi /. Float.max wc 1e-9)
+               (interleave ~pairs (wall_on Executor.Interp) (wall_on Executor.Compiled)))
+        in
         List.iter
           (fun (bname, m, e) ->
             Printf.printf "  %-12s %-9s %12.2f %14.0f %13.2f %8d  %s\n" name bname
@@ -702,19 +756,12 @@ let backend_bench ~quick () =
               (float_of_int e.exec_wall_ns /. 1e6)
               m.faults m.digest)
           [ ("interp", mi, ei); ("compiled", mc, ec) ];
-        let speedup =
-          if commands_per_sec mi > 0. then commands_per_sec mc /. commands_per_sec mi
-          else 0.
-        in
-        let exec_speedup =
-          if ec.exec_wall_ns > 0 then
-            float_of_int ei.exec_wall_ns /. float_of_int ec.exec_wall_ns
-          else 0.
-        in
         let digest_match = mi.digest = mc.digest && mi.events = mc.events in
         Printf.printf "  %-12s %-9s %12s %13.2fx %12.2fx %8s  digest %s\n" "" "speedup"
           "" speedup exec_speedup ""
           (if digest_match then "MATCH" else "MISMATCH");
+        Printf.printf "  %-12s %-9s %12s %13.2f  %12.2f  %8s\n" "" "IQR" "" speedup_iqr
+          exec_iqr "";
         if not digest_match then
           failwith (Printf.sprintf "backend digests diverged on %s" name);
         (name, mi, mc, speedup, digest_match, ei, ec, exec_speedup))
@@ -723,7 +770,7 @@ let backend_bench ~quick () =
   (* Per-opcode attribution: where the executor wall went, per backend. *)
   List.iter
     (fun (name, _, _, _, _, ei, ec, _) ->
-      Printf.printf "\n  %s per-opcode executor wall (best of %d):\n" name repeats;
+      Printf.printf "\n  %s per-opcode executor wall (median of %d runs):\n" name pairs;
       Printf.printf "    %-12s %10s %12s %12s %12s\n" "opcode" "count" "interp(us)"
         "compiled(us)" "sim(us)";
       let wall_of e n =
@@ -1078,8 +1125,9 @@ module Sp = Hipec_trace.Span
    alike, and each variant keeps its fastest repeat. *)
 let spans_bench ~quick () =
   header "Spans: fault-lifecycle reconstruction overhead (BENCH_8.json)";
-  let repeats = if quick then 3 else 5 in
+  let pairs = gate_pairs ~quick in
   let scenarios = [ "policy"; "chaos-smoke"; "storm-smoke" ] in
+  Printf.printf "  (medians of %d interleaved trace-only / +spans pairs)\n" pairs;
   Printf.printf "  %-12s %12s %12s %10s %8s  %s\n" "scenario" "trace (ms)" "+spans (ms)"
     "overhead" "faults" "span digest";
   let rows =
@@ -1101,38 +1149,57 @@ let spans_bench ~quick () =
           (match result with Ok () -> () | Error e -> failwith (name ^ ": " ^ e));
           (wall, Tr.digest_hex (Tr.digest c), Tr.events_seen c, b)
         in
-        let best_off = ref None and best_on = ref None in
-        let keep r ((w, _, _, _) as m) =
-          match !r with Some (bw, _, _, _) when bw <= w -> () | _ -> r := Some m
+        let runs = interleave ~pairs (once ~with_spans:false) (once ~with_spans:true) in
+        let wall (w, _, _, _) = w in
+        let w_off, _ = median_iqr (List.map (fun (off, _) -> wall off) runs) in
+        let w_on, _ = median_iqr (List.map (fun (_, on) -> wall on) runs) in
+        let overhead, _ =
+          median_iqr
+            (List.map (fun (off, on) -> (wall on -. wall off) /. wall off *. 100.) runs)
         in
-        for _ = 1 to repeats do
-          keep best_off (once ~with_spans:false ());
-          keep best_on (once ~with_spans:true ())
-        done;
-        let w_off, d_off, ev_off, _ = Option.get !best_off in
-        let w_on, d_on, ev_on, b = Option.get !best_on in
-        let b = Option.get b in
+        (* the span consumer must not perturb the traced stream, in any
+           pair *)
+        let stream_identical =
+          List.for_all
+            (fun ((_, d_off, ev_off, _), (_, d_on, ev_on, _)) -> d_off = d_on && ev_off = ev_on)
+            runs
+        in
+        let b =
+          match runs with
+          | (_, (_, _, _, Some b)) :: _ -> b
+          | _ -> failwith "spans bench: no span builder"
+        in
         let span_digest = Sp.digest b in
         (* the cross-backend witness: same spans, bit for bit *)
         let _, _, _, bc =
           Executor.with_backend Executor.Compiled (fun () -> once ~with_spans:true ())
         in
         let backend_match = Int64.equal span_digest (Sp.digest (Option.get bc)) in
-        let overhead = if w_off > 0. then (w_on -. w_off) /. w_off *. 100. else 0. in
         let agg = Sp.Agg.compute (Sp.spans b) in
         Printf.printf "  %-12s %12.2f %12.2f %9.2f%% %8d  %016Lx %s\n" name
           (w_off /. 1e6) (w_on /. 1e6) overhead (Sp.fault_count b) span_digest
           (if backend_match then "MATCH" else "MISMATCH");
-        (name, w_off, w_on, overhead, d_off = d_on && ev_off = ev_on, backend_match,
-         span_digest, agg, Sp.fault_count b))
+        ( (name, w_off, w_on, overhead, stream_identical, backend_match, span_digest, agg,
+           Sp.fault_count b),
+          List.map (fun (off, on) -> (wall off, wall on)) runs ))
       scenarios
+  in
+  (* whole-run overhead per pair: pair k's trace-only walls summed over
+     the scenarios against its with-spans walls *)
+  let per_pair = List.map snd rows in
+  let rows = List.map fst rows in
+  let whole =
+    List.init pairs (fun k ->
+        let off = List.fold_left (fun acc walls -> acc +. fst (List.nth walls k)) 0. per_pair in
+        let on = List.fold_left (fun acc walls -> acc +. snd (List.nth walls k)) 0. per_pair in
+        (off, on))
+  in
+  let total_overhead, total_iqr =
+    median_iqr (List.map (fun (off, on) -> (on -. off) /. off *. 100.) whole)
   in
   let sum f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
   let total_off = sum (fun (_, w, _, _, _, _, _, _, _) -> w) in
   let total_on = sum (fun (_, _, w, _, _, _, _, _, _) -> w) in
-  let total_overhead =
-    if total_off > 0. then (total_on -. total_off) /. total_off *. 100. else 0.
-  in
   let path = "BENCH_8.json" in
   let oc = open_out path in
   Fun.protect
@@ -1169,8 +1236,9 @@ let spans_bench ~quick () =
       Printf.fprintf oc
         "  ],\n\
         \  \"whole_run_trace_only_ns\": %.0f, \"whole_run_with_spans_ns\": %.0f,\n\
-        \  \"whole_run_overhead_percent\": %.3f\n}\n"
-        total_off total_on total_overhead);
+        \  \"whole_run_overhead_percent\": %.3f, \"whole_run_overhead_iqr\": %.3f,\n\
+        \  \"pairs\": %d\n}\n"
+        total_off total_on total_overhead total_iqr pairs);
   Printf.printf "\n  wrote %s\n" path;
   (* The regression gate CI fails with.  Stream identity and backend
      agreement are per scenario; the 10% wall bound is over the whole
@@ -1188,8 +1256,9 @@ let spans_bench ~quick () =
         failures :=
           Printf.sprintf "%s: span digests diverged across backends" name :: !failures)
     rows;
-  Printf.printf "  whole-run overhead: %.2f%% (%.2f ms -> %.2f ms)\n" total_overhead
-    (total_off /. 1e6) (total_on /. 1e6);
+  Printf.printf
+    "  whole-run overhead: %.2f%% median of %d pairs, IQR %.2f (medians %.2f ms -> %.2f ms)\n"
+    total_overhead pairs total_iqr (total_off /. 1e6) (total_on /. 1e6);
   if total_overhead >= 10.0 then
     failures :=
       Printf.sprintf "online span building costs %.2f%% >= 10%% of the whole run"

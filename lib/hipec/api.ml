@@ -195,9 +195,10 @@ let hipec_region_of_spec t task region spec =
           match Frame_manager.admit t.manager container with
           | Error msg -> fail msg
           | Ok () ->
-              (* decode-once: under the compiled backend the accepted
-                 program is translated here, at install time, so no
-                 fault ever pays the decode cost *)
+              (* decode-once: under the compiled backend the container
+                 is bound here, at install time, to its program's
+                 closures (compiled now if no container installed the
+                 program before), so no fault ever pays the decode cost *)
               Executor.precompile (Frame_manager.executor t.manager) container;
               install_command_buffer t task container;
               install_hook t container;

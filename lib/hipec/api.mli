@@ -25,7 +25,8 @@ val init :
     periodic security-checker thread.  Policies run on
     {!Executor.default_backend}[ ()] as it stands at this call; under
     {!Executor.Compiled} each accepted program is translated to
-    threaded closures once, at install time. *)
+    threaded closures when it is first installed, and containers that
+    install the same program share them. *)
 
 val kernel : t -> Kernel.t
 val manager : t -> Frame_manager.t

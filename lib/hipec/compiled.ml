@@ -10,31 +10,188 @@ type services = {
   resolve_object : int -> Vm_object.t;
 }
 
-type exec = Value of Operand.value option | Err of string | Tout
+(* ------------------------------------------------------------------ *)
+(* Command semantics, shared by both backends                          *)
+(* ------------------------------------------------------------------ *)
 
-(* Mutable state of one top-level [run].  The step budget and the
-   activation depth are shared across nested [Activate] frames, exactly
-   like the interpreter's [steps] ref and [depth] argument.  [prof] is
-   the per-opcode profiler's boundary-timer state, polled by every step
-   prologue exactly as the interpreter polls it.  One [rt] lives in each
-   [t] and is reset per run — runs never nest on the same container (the
-   reclaim path's re-entry guard), so the scratch record is safe to
-   reuse and [run] allocates nothing. *)
+exception Policy_error of string
+exception Out_of_steps
+
+let fail msg = raise_notrace (Policy_error msg)
+
+let max_activation_depth = 16
+let depth_msg = Printf.sprintf "activation depth exceeds %d" max_activation_depth
+
+(* Typed operand access.  Each accessor takes the slot's index and its
+   content ([Operand.get]) and returns the bare value, or fails with the
+   operand diagnostic. *)
+
+let[@inline] int_of ix = function
+  | Some (Operand.Int r) -> !r
+  | Some (Operand.Count q) -> Page_queue.length q
+  | slot -> fail (Operand.type_error ix slot ~expected:Operand.Kint)
+
+let[@inline] set_int ix slot v =
+  match slot with
+  | Some (Operand.Int r) -> r := v
+  | _ -> fail (Operand.type_error ~write:true ix slot ~expected:Operand.Kint)
+
+let[@inline] bool_of ix = function
+  | Some (Operand.Bool r) -> !r
+  | slot -> fail (Operand.type_error ix slot ~expected:Operand.Kbool)
+
+let[@inline] set_bool ix slot v =
+  match slot with
+  | Some (Operand.Bool r) -> r := v
+  | _ -> fail (Operand.type_error ~write:true ix slot ~expected:Operand.Kbool)
+
+let[@inline] page_slot_of ix = function
+  | Some (Operand.Page r) -> r
+  | slot -> fail (Operand.type_error ix slot ~expected:Operand.Kpage)
+
+let page_of ix slot =
+  match !(page_slot_of ix slot) with
+  | Some page -> page
+  | None -> fail (Printf.sprintf "operand %d: empty page register" ix)
+
+let[@inline] queue_of ix = function
+  | Some (Operand.Queue q) -> q
+  | slot -> fail (Operand.type_error ix slot ~expected:Operand.Kqueue)
+
+let[@inline] arith op a b =
+  match op with
+  | Opcode.Arith_op.Add -> a + b
+  | Opcode.Arith_op.Sub -> a - b
+  | Opcode.Arith_op.Mul -> a * b
+  | Opcode.Arith_op.Div -> if b = 0 then fail "division by zero" else a / b
+  | Opcode.Arith_op.Rem -> if b = 0 then fail "remainder by zero" else a mod b
+  | Opcode.Arith_op.Inc -> a + 1
+  | Opcode.Arith_op.Dec -> a - 1
+
+(* [Flush], and the implicit launder when a dirty bound page moves to
+   the free queue: asynchronous writeback owned by the manager. *)
+let flush services container page =
+  if Vm_page.dirty page then
+    match services.flush_page container page with Ok () -> () | Error e -> fail e
+
+(* A bound page entering the free queue stops caching its object page:
+   launder if dirty, drop translations, unbind. *)
+let make_free_slot services container page =
+  match Vm_page.binding page with
+  | None -> ()
+  | Some (oid, offset) -> (
+      if Hipec_trace.Trace.on () then
+        Hipec_trace.Trace.evict ~source:Hipec_trace.Event.Policy ~obj:oid ~offset
+          ~dirty:(Vm_page.dirty page);
+      flush services container page;
+      match services.resolve_object oid with
+      | obj -> Vm_object.disconnect obj page
+      | exception Not_found -> fail (Printf.sprintf "unknown object %d" oid))
+
+let enqueue services container queue page whence =
+  if Page_queue.id queue = Page_queue.id (Container.free_queue container) then
+    make_free_slot services container page;
+  match whence with
+  | Opcode.Queue_end.Head -> Page_queue.enqueue_head queue page
+  | Opcode.Queue_end.Tail -> Page_queue.enqueue_tail queue page
+
+let dequeue queue slot whence =
+  let taken =
+    match whence with
+    | Opcode.Queue_end.Head -> Page_queue.dequeue_head queue
+    | Opcode.Queue_end.Tail -> Page_queue.dequeue_tail queue
+  in
+  match taken with
+  | None -> fail (Printf.sprintf "DeQueue from empty queue %s" (Page_queue.name queue))
+  | Some page -> slot := Vm_page.some page
+
+(* [Release]: a count gives back free slots, a page register one slot;
+   whether all of it went back. *)
+let release services container ix slot =
+  match slot with
+  | Some (Operand.Int _ | Operand.Count _) ->
+      let count = int_of ix slot in
+      services.release_count container ~count >= count
+  | Some (Operand.Page _) -> (
+      match services.release_page container (page_of ix slot) with
+      | Ok () -> true
+      | Error e -> fail e)
+  | Some v ->
+      fail
+        (Printf.sprintf "Release: operand %d is a %s" ix
+           (Operand.kind_name (Operand.kind_of_value v)))
+  | None -> fail (Printf.sprintf "Release: operand %d is empty" ix)
+
+let set_bit page action which =
+  let v = action = Opcode.Bit_action.Set_bit in
+  match which with
+  | Opcode.Bit_which.Reference -> Frame.set_referenced (Vm_page.frame page) v
+  | Opcode.Bit_which.Modify -> Frame.set_modified (Vm_page.frame page) v
+
+(* [Find]: load the resident page backing the virtual address [va] into
+   the page register [slot]; whether there was one. *)
+let find container slot va =
+  let vpn = Pmap.vpn_of_va va in
+  let region = Container.region container in
+  let found =
+    if vpn >= region.Vm_map.start_vpn && vpn < Vm_map.region_end_vpn region then
+      match
+        Vm_object.resident (Container.obj container)
+          ~offset:(Vm_map.offset_of_vpn region vpn)
+      with
+      | page -> Vm_page.some page
+      | exception Not_found -> None
+    else None
+  in
+  slot := found;
+  found != None
+
+(* [FIFO]/[LRU]/[MRU]: evict one page from [queue] chosen by [select]; it
+   becomes a free slot on the container's free queue and lands in the
+   page register, whose slot content is [reg]. *)
+let replace engine costs services container queue select reg =
+  Engine.advance engine costs.Costs.hipec_complex_command;
+  Engine.advance engine costs.Costs.queue_op;
+  match select queue with
+  | None -> false
+  | Some victim ->
+      Page_queue.remove queue victim;
+      make_free_slot services container victim;
+      Page_queue.enqueue_tail (Container.free_queue container) victim;
+      page_slot_of Operand.Std.page_reg reg := Vm_page.some victim;
+      true
+
+(* ------------------------------------------------------------------ *)
+(* The compiled backend                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* One container's binding to a shared program.  [cells] holds the
+   contents of the operand slots the program names, in the program's
+   dense cell order, so a command reads its operand with one indexed
+   load and no lookup; slots are immutable after install, which makes
+   the snapshot exact.  The step limit, the activation depth and the
+   profiler state are reset at each run's entry.  Runs never nest on the
+   same container (the reclaim path's re-entry guard), so one [rt] per
+   container is safe and a run allocates nothing. *)
 type rt = {
-  mutable steps : int;
+  container : Container.t;
+  cells : Operand.value option array;
+  handlers : code array;
+  mutable limit : int;
   mutable depth : int;
   mutable prof : Hipec_metrics.Metrics.Profile.run option;
 }
 
-type code = rt -> exec
+and code = rt -> Operand.value option
 
 type t = {
-  container : Container.t;
-  engine : Engine.t;
-  dispatch_cost : Sim_time.t;
-  entry : int -> code;
-  scratch : rt;
+  code : code array;  (* per event: entry to its closure array *)
+  slots : int array;  (* cell -> operand slot *)
 }
+
+type Container.code += Bound of rt
+
+let[@inline] at rt j = Array.unsafe_get rt.cells j
 
 (* Events are a byte in the [Activate] encoding, so 256 slots cover the
    whole dispatch space.  The undefined-event diagnostics (interpreter
@@ -42,478 +199,243 @@ type t = {
 let undefined_event_code : code array =
   Array.init 256 (fun ev ->
       let msg = Printf.sprintf "undefined event %s" (Events.name ev) in
-      fun _ -> Err msg)
+      fun _ -> fail msg)
 
-(* Compile-time operand resolution: either a direct accessor of the cell
-   the slot points at, or the exact diagnostic the interpreter would
-   produce on first touch. *)
-type 'a getter = G of (unit -> 'a) | Gerr of string
-type 'a setter = S of ('a -> unit) | Serr of string
+(* Dense event dispatch: one depth check, one bounds check and one
+   indexed load. *)
+let entry event rt =
+  if rt.depth > max_activation_depth then fail depth_msg
+  else if event land -256 <> 0 then
+    fail (Printf.sprintf "undefined event %s" (Events.name event))
+  else (Array.unsafe_get rt.handlers event) rt
 
-let max_activation_depth = 16
-let depth_msg = Printf.sprintf "activation depth exceeds %d" max_activation_depth
-
-let compile ~engine ~costs ~max_steps ~services ~counter container =
-  let ops = Container.operands container in
-  let free_q = Container.free_queue container in
+let compile ~engine ~costs ~services ~counter program =
   let fetch_cost = costs.Costs.hipec_fetch_decode in
   let queue_cost = costs.Costs.queue_op in
-  let complex_cost = costs.Costs.hipec_complex_command in
-
-  (* Runtime helpers, verbatim interpreter semantics. *)
-  let flush page =
-    if Vm_page.dirty page then services.flush_page container page else Ok ()
+  (* every operand slot the program names gets a dense cell index *)
+  let cells = Hashtbl.create 16 and slots = ref [] in
+  let cell ix =
+    match Hashtbl.find_opt cells ix with
+    | Some j -> j
+    | None ->
+        let j = Hashtbl.length cells in
+        Hashtbl.add cells ix j;
+        slots := ix :: !slots;
+        j
   in
-  (* A bound page entering the free queue stops caching its object page:
-     launder if dirty, drop translations, unbind. *)
-  let make_free_slot page =
-    if not (Vm_page.is_bound page) then Ok ()
-    else begin
-      (if Hipec_trace.Trace.on () then
-         match Vm_page.binding page with
-         | Some (oid, offset) ->
-             Hipec_trace.Trace.evict ~source:Hipec_trace.Event.Policy ~obj:oid
-               ~offset ~dirty:(Vm_page.dirty page)
-         | None -> ());
-      Result.bind (flush page) (fun () ->
-          let oid =
-            match Vm_page.binding page with Some (o, _) -> o | None -> assert false
-          in
-          match services.resolve_object oid with
-          | obj ->
-              Vm_object.disconnect obj page;
-              Ok ()
-          | exception Not_found -> Error (Printf.sprintf "unknown object %d" oid))
-    end
-  in
-
-  (* Operand slots are immutable after install, so kinds (and the cells
-     behind them) resolve here, once. *)
-  let cread_int ix =
-    match Operand.get ops ix with
-    | Some (Operand.Int r) -> G (fun () -> !r)
-    | Some (Operand.Count q) -> G (fun () -> Page_queue.length q)
-    | _ -> (
-        match Operand.read_int ops ix with Error e -> Gerr e | Ok _ -> assert false)
-  in
-  let cwrite_int ix =
-    match Operand.get ops ix with
-    | Some (Operand.Int r) -> S (fun v -> r := v)
-    | _ -> (
-        match Operand.write_int ops ix 0 with Error e -> Serr e | Ok () -> assert false)
-  in
-  let cread_bool ix =
-    match Operand.get ops ix with
-    | Some (Operand.Bool r) -> G (fun () -> !r)
-    | _ -> (
-        match Operand.read_bool ops ix with Error e -> Gerr e | Ok _ -> assert false)
-  in
-  let cwrite_bool ix =
-    match Operand.get ops ix with
-    | Some (Operand.Bool r) -> S (fun v -> r := v)
-    | _ -> (
-        match Operand.write_bool ops ix false with
-        | Error e -> Serr e
-        | Ok () -> assert false)
-  in
-  let cpage_slot ix = Operand.read_page_slot ops ix in
-  let cqueue ix = Operand.read_queue ops ix in
-  let empty_page_msg ix = Printf.sprintf "operand %d: empty page register" ix in
-
-  (* Dense event dispatch: one precompiled 256-slot array, preloaded
-     with the shared undefined-event error closures.  [entry] is one
-     depth check, one bounds check and one indexed load — no hashing,
-     no string formatting. *)
-  let handlers = Array.copy undefined_event_code in
-  let entry event rt =
-    if rt.depth > max_activation_depth then Err depth_msg
-    else if event land -256 <> 0 then
-      Err (Printf.sprintf "undefined event %s" (Events.name event))
-    else (Array.unsafe_get handlers event) rt
-  in
-
-  let compile_event event code : code =
+  let compile_event event code =
     let len = Array.length code in
-    let table : code array = Array.make len (fun _ -> Tout) in
+    let table : code array = Array.make len (fun _ -> None) in
     let ev_name = Events.name event in
     (* A control transfer: in range it is one indexed call; out of range
        it is the interpreter's bounds error, produced without counting a
-       step or charging a fetch (the interpreter checks before both). *)
-    let goto cc : code =
-      if cc < 0 || cc >= len then
-        let msg = Printf.sprintf "%s: control ran past CC %d" ev_name cc in
-        fun _ -> Err msg
-      else fun rt -> (Array.unsafe_get table cc) rt
+       step or charging a fetch (the interpreter checks before both).
+       Targets are never negative except a [Jump]'s, checked there. *)
+    let[@inline] jump cc rt =
+      if cc < len then (Array.unsafe_get table cc) rt
+      else fail (Printf.sprintf "%s: control ran past CC %d" ev_name cc)
     in
-    let err e : code = fun _ -> Err e in
     let body cc instr : code =
-      let next = goto (cc + 1) in
+      let[@inline] next rt = jump (cc + 1) rt in
       (* Skip-next semantics (paper Table 2): a test command that
          evaluates TRUE skips the immediately following command. *)
-      let skip = goto (cc + 2) in
-      let cond b rt = if b then skip rt else next rt in
+      let[@inline] cond b rt = jump (if b then cc + 2 else cc + 1) rt in
+      (* Opcode index resolved at compile time for the profiler. *)
+      let opc = Opcode.code (Instr.opcode instr) in
+      (* The per-step prologue every command starts with, in the
+         interpreter's exact order: profiler boundary, count the step,
+         charge the fetch, then check the budget. *)
+      let[@inline] fetch rt =
+        (match rt.prof with
+        | None -> ()
+        | Some pr ->
+            Hipec_metrics.Metrics.profile_step pr ~opcode:opc
+              ~sim_ns:(Sim_time.to_ns (Engine.now engine)));
+        incr counter;
+        let n = Container.count_command rt.container in
+        Engine.advance engine fetch_cost;
+        if n > rt.limit then raise_notrace Out_of_steps
+      in
       match instr with
       | Instr.Return ix ->
-          let v = Operand.get ops ix in
-          fun _ -> Value v
-      | Instr.Jump target -> goto target
+          let x = cell ix in
+          fun rt ->
+            fetch rt;
+            at rt x
+      | Instr.Jump target ->
+          if target < 0 then fun rt ->
+            fetch rt;
+            fail (Printf.sprintf "%s: control ran past CC %d" ev_name target)
+          else fun rt ->
+            fetch rt;
+            jump target rt
       | Instr.Arith (a, b, op) -> (
-          match cread_int a with
-          | Gerr e -> err e
-          | G geta -> (
-              let getb =
-                match op with
-                | Opcode.Arith_op.Inc | Opcode.Arith_op.Dec -> G (fun () -> 0)
-                | _ -> cread_int b
-              in
-              match getb with
-              | Gerr e -> err e
-              | G getb -> (
-                  match cwrite_int a with
-                  | Serr e -> (
-                      (* the interpreter applies the operator before the
-                         write, so a division by zero outranks the
-                         write diagnostic *)
-                      match op with
-                      | Opcode.Arith_op.Div ->
-                          fun _ ->
-                            if getb () = 0 then Err "division by zero" else Err e
-                      | Opcode.Arith_op.Rem ->
-                          fun _ ->
-                            if getb () = 0 then Err "remainder by zero" else Err e
-                      | _ -> err e)
-                  | S seta -> (
-                      match op with
-                      | Opcode.Arith_op.Add ->
-                          fun rt ->
-                            seta (geta () + getb ());
-                            next rt
-                      | Opcode.Arith_op.Sub ->
-                          fun rt ->
-                            seta (geta () - getb ());
-                            next rt
-                      | Opcode.Arith_op.Mul ->
-                          fun rt ->
-                            seta (geta () * getb ());
-                            next rt
-                      | Opcode.Arith_op.Div ->
-                          fun rt ->
-                            let d = getb () in
-                            if d = 0 then Err "division by zero"
-                            else begin
-                              seta (geta () / d);
-                              next rt
-                            end
-                      | Opcode.Arith_op.Rem ->
-                          fun rt ->
-                            let d = getb () in
-                            if d = 0 then Err "remainder by zero"
-                            else begin
-                              seta (geta () mod d);
-                              next rt
-                            end
-                      | Opcode.Arith_op.Inc ->
-                          fun rt ->
-                            seta (geta () + 1);
-                            next rt
-                      | Opcode.Arith_op.Dec ->
-                          fun rt ->
-                            seta (geta () - 1);
-                            next rt))))
-      | Instr.Comp (a, b, op) -> (
-          match cread_int a with
-          | Gerr e -> err e
-          | G ga -> (
-              match cread_int b with
-              | Gerr e -> err e
-              | G gb -> fun rt -> cond (Opcode.Comp_op.apply op (ga ()) (gb ())) rt))
+          let xa = cell a in
+          match op with
+          | Opcode.Arith_op.Inc | Opcode.Arith_op.Dec ->
+              fun rt ->
+                fetch rt;
+                let sa = at rt xa in
+                set_int a sa (arith op (int_of a sa) 0);
+                next rt
+          | _ ->
+              let xb = cell b in
+              fun rt ->
+                fetch rt;
+                let sa = at rt xa in
+                let va = int_of a sa in
+                let vb = int_of b (at rt xb) in
+                set_int a sa (arith op va vb);
+                next rt)
+      | Instr.Comp (a, b, op) ->
+          let xa = cell a and xb = cell b in
+          fun rt ->
+            fetch rt;
+            let va = int_of a (at rt xa) in
+            let vb = int_of b (at rt xb) in
+            cond (Opcode.Comp_op.apply op va vb) rt
       | Instr.Logic (a, b, op) -> (
-          match cread_bool a with
-          | Gerr e -> err e
-          | G ga -> (
-              let gb =
-                match op with
-                | Opcode.Logic_op.Not -> G (fun () -> false)
-                | _ -> cread_bool b
-              in
-              match gb with
-              | Gerr e -> err e
-              | G gb -> (
-                  match cwrite_bool a with
-                  | Serr e -> err e
-                  | S seta ->
-                      fun rt ->
-                        let r = Opcode.Logic_op.apply op (ga ()) (gb ()) in
-                        seta r;
-                        cond r rt)))
-      | Instr.Emptyq q -> (
-          match cqueue q with
-          | Error e -> err e
-          | Ok queue ->
+          let xa = cell a in
+          match op with
+          | Opcode.Logic_op.Not ->
               fun rt ->
-                Engine.advance engine queue_cost;
-                cond (Page_queue.is_empty queue) rt)
-      | Instr.Inq (q, p) -> (
-          match cqueue q with
-          | Error e -> err e
-          | Ok queue -> (
-              match cpage_slot p with
-              | Error e -> err e
-              | Ok slot ->
-                  let empty = empty_page_msg p in
-                  fun rt ->
-                    (match !slot with
-                    | None -> Err empty
-                    | Some page ->
-                        Engine.advance engine queue_cost;
-                        cond (Page_queue.mem queue page) rt)))
-      | Instr.Dequeue (p, q, whence) -> (
-          match cqueue q with
-          | Error e -> err e
-          | Ok queue -> (
-              match cpage_slot p with
-              | Error e -> err e
-              | Ok slot ->
-                  let deq =
-                    match whence with
-                    | Opcode.Queue_end.Head -> Page_queue.dequeue_head
-                    | Opcode.Queue_end.Tail -> Page_queue.dequeue_tail
-                  in
-                  let empty =
-                    Printf.sprintf "DeQueue from empty queue %s" (Page_queue.name queue)
-                  in
-                  fun rt ->
-                    Engine.advance engine queue_cost;
-                    (match deq queue with
-                    | None -> Err empty
-                    | Some page ->
-                        slot := Some page;
-                        next rt)))
-      | Instr.Enqueue (p, q, whence) -> (
-          match cqueue q with
-          | Error e -> err e
-          | Ok queue -> (
-              match cpage_slot p with
-              | Error e -> err e
-              | Ok slot ->
-                  let empty = empty_page_msg p in
-                  let enq =
-                    match whence with
-                    | Opcode.Queue_end.Head -> Page_queue.enqueue_head
-                    | Opcode.Queue_end.Tail -> Page_queue.enqueue_tail
-                  in
-                  if Page_queue.id queue = Page_queue.id free_q then
-                    fun rt ->
-                      (match !slot with
-                      | None -> Err empty
-                      | Some page -> (
-                          Engine.advance engine queue_cost;
-                          match make_free_slot page with
-                          | Error e -> Err e
-                          | Ok () ->
-                              enq queue page;
-                              next rt))
-                  else
-                    fun rt ->
-                      (match !slot with
-                      | None -> Err empty
-                      | Some page ->
-                          Engine.advance engine queue_cost;
-                          enq queue page;
-                          next rt)))
-      | Instr.Request n -> fun rt -> cond (services.request_frames container n) rt
-      | Instr.Release ix -> (
-          match Operand.kind_at ops ix with
-          | Some Operand.Kint | Some Operand.Kcount -> (
-              match cread_int ix with
-              | Gerr e -> err e
-              | G get ->
-                  fun rt ->
-                    let count = get () in
-                    let released = services.release_count container ~count in
-                    cond (released >= count) rt)
-          | Some Operand.Kpage -> (
-              match cpage_slot ix with
-              | Error e -> err e
-              | Ok slot ->
-                  let empty = empty_page_msg ix in
-                  fun rt ->
-                    (match !slot with
-                    | None -> Err empty
-                    | Some page -> (
-                        match services.release_page container page with
-                        | Error e -> Err e
-                        | Ok () -> skip rt)))
-          | Some k ->
-              err (Printf.sprintf "Release: operand %d is a %s" ix (Operand.kind_name k))
-          | None -> err (Printf.sprintf "Release: operand %d is empty" ix))
-      | Instr.Flush p -> (
-          match cpage_slot p with
-          | Error e -> err e
-          | Ok slot ->
-              let empty = empty_page_msg p in
+                fetch rt;
+                let sa = at rt xa in
+                let r = Opcode.Logic_op.apply op (bool_of a sa) false in
+                set_bool a sa r;
+                cond r rt
+          | _ ->
+              let xb = cell b in
               fun rt ->
-                (match !slot with
-                | None -> Err empty
-                | Some page ->
-                    if Vm_page.dirty page then
-                      match services.flush_page container page with
-                      | Error e -> Err e
-                      | Ok () -> next rt
-                    else next rt))
-      | Instr.Set (p, action, which) -> (
-          match cpage_slot p with
-          | Error e -> err e
-          | Ok slot ->
-              let empty = empty_page_msg p in
-              let v = action = Opcode.Bit_action.Set_bit in
-              let apply =
-                match which with
-                | Opcode.Bit_which.Reference ->
-                    fun page -> Frame.set_referenced (Vm_page.frame page) v
-                | Opcode.Bit_which.Modify ->
-                    fun page -> Frame.set_modified (Vm_page.frame page) v
-              in
-              fun rt ->
-                (match !slot with
-                | None -> Err empty
-                | Some page ->
-                    apply page;
-                    next rt))
-      | Instr.Ref p -> (
-          match cpage_slot p with
-          | Error e -> err e
-          | Ok slot ->
-              let empty = empty_page_msg p in
-              fun rt ->
-                (match !slot with
-                | None -> Err empty
-                | Some page -> cond (Vm_page.referenced page) rt))
-      | Instr.Mod p -> (
-          match cpage_slot p with
-          | Error e -> err e
-          | Ok slot ->
-              let empty = empty_page_msg p in
-              fun rt ->
-                (match !slot with
-                | None -> Err empty
-                | Some page -> cond (Vm_page.dirty page) rt))
-      | Instr.Find (p, va_ix) -> (
-          match cread_int va_ix with
-          | Gerr e -> err e
-          | G gva -> (
-              match cpage_slot p with
-              | Error e -> err e
-              | Ok slot ->
-                  let region = Container.region container in
-                  let obj = Container.obj container in
-                  let start_vpn = region.Vm_map.start_vpn in
-                  let end_vpn = Vm_map.region_end_vpn region in
-                  fun rt ->
-                    let vpn = Pmap.vpn_of_va (gva ()) in
-                    let found =
-                      if vpn >= start_vpn && vpn < end_vpn then
-                        Vm_object.find_resident obj
-                          ~offset:(Vm_map.offset_of_vpn region vpn)
-                      else None
-                    in
-                    slot := found;
-                    cond (found <> None) rt))
+                fetch rt;
+                let sa = at rt xa in
+                let va = bool_of a sa in
+                let vb = bool_of b (at rt xb) in
+                let r = Opcode.Logic_op.apply op va vb in
+                set_bool a sa r;
+                cond r rt)
+      | Instr.Emptyq q ->
+          let xq = cell q in
+          fun rt ->
+            fetch rt;
+            let queue = queue_of q (at rt xq) in
+            Engine.advance engine queue_cost;
+            cond (Page_queue.is_empty queue) rt
+      | Instr.Inq (q, p) ->
+          let xq = cell q and xp = cell p in
+          fun rt ->
+            fetch rt;
+            let queue = queue_of q (at rt xq) in
+            let page = page_of p (at rt xp) in
+            Engine.advance engine queue_cost;
+            cond (Page_queue.mem queue page) rt
+      | Instr.Dequeue (p, q, whence) ->
+          let xq = cell q and xp = cell p in
+          fun rt ->
+            fetch rt;
+            let queue = queue_of q (at rt xq) in
+            let slot = page_slot_of p (at rt xp) in
+            Engine.advance engine queue_cost;
+            dequeue queue slot whence;
+            next rt
+      | Instr.Enqueue (p, q, whence) ->
+          let xq = cell q and xp = cell p in
+          fun rt ->
+            fetch rt;
+            let queue = queue_of q (at rt xq) in
+            let page = page_of p (at rt xp) in
+            Engine.advance engine queue_cost;
+            enqueue services rt.container queue page whence;
+            next rt
+      | Instr.Request n ->
+          fun rt ->
+            fetch rt;
+            cond (services.request_frames rt.container n) rt
+      | Instr.Release ix ->
+          let x = cell ix in
+          fun rt ->
+            fetch rt;
+            cond (release services rt.container ix (at rt x)) rt
+      | Instr.Flush p ->
+          let xp = cell p in
+          fun rt ->
+            fetch rt;
+            flush services rt.container (page_of p (at rt xp));
+            next rt
+      | Instr.Set (p, action, which) ->
+          let xp = cell p in
+          fun rt ->
+            fetch rt;
+            set_bit (page_of p (at rt xp)) action which;
+            next rt
+      | Instr.Ref p ->
+          let xp = cell p in
+          fun rt ->
+            fetch rt;
+            cond (Vm_page.referenced (page_of p (at rt xp))) rt
+      | Instr.Mod p ->
+          let xp = cell p in
+          fun rt ->
+            fetch rt;
+            cond (Vm_page.dirty (page_of p (at rt xp))) rt
+      | Instr.Find (p, va) ->
+          let xp = cell p and xva = cell va in
+          fun rt ->
+            fetch rt;
+            let v = int_of va (at rt xva) in
+            let slot = page_slot_of p (at rt xp) in
+            cond (find rt.container slot v) rt
       | Instr.Activate ev ->
           fun rt ->
+            fetch rt;
             rt.depth <- rt.depth + 1;
-            let r = entry ev rt in
+            ignore (entry ev rt);
             rt.depth <- rt.depth - 1;
-            (match r with Value _ -> next rt | (Err _ | Tout) as stop -> stop)
-      | Instr.Fifo q | Instr.Lru q | Instr.Mru q -> (
-          match cqueue q with
-          | Error e -> err e
-          | Ok queue ->
-              let select =
-                match instr with
-                | Instr.Fifo _ -> Page_queue.peek_head
-                | Instr.Lru _ -> Page_queue.find_oldest
-                | _ -> Page_queue.find_newest
-              in
-              let reg = cpage_slot Operand.Std.page_reg in
-              (* Evict one page chosen by [select]; it becomes a free
-                 slot on the container's free queue and lands in the
-                 page register. *)
-              fun rt ->
-                Engine.advance engine complex_cost;
-                Engine.advance engine queue_cost;
-                (match select queue with
-                | None -> next rt
-                | Some victim -> (
-                    Page_queue.remove queue victim;
-                    match make_free_slot victim with
-                    | Error e -> Err e
-                    | Ok () -> (
-                        Page_queue.enqueue_tail free_q victim;
-                        match reg with
-                        | Error e -> Err e
-                        | Ok r ->
-                            r := Some victim;
-                            skip rt))))
+            next rt
+      | Instr.Fifo q | Instr.Lru q | Instr.Mru q ->
+          let select =
+            match instr with
+            | Instr.Fifo _ -> Page_queue.peek_head
+            | Instr.Lru _ -> Page_queue.find_oldest
+            | _ -> Page_queue.find_newest
+          in
+          let xq = cell q and xreg = cell Operand.Std.page_reg in
+          fun rt ->
+            fetch rt;
+            let queue = queue_of q (at rt xq) in
+            cond (replace engine costs services rt.container queue select (at rt xreg)) rt
     in
-    Array.iteri
-      (fun cc instr ->
-        let b = body cc instr in
-        (* Opcode index resolved at compile time for the profiler. *)
-        let opc = Opcode.code (Instr.opcode instr) in
-        (* The per-step prologue, in the interpreter's exact order:
-           profiler boundary, count the step, charge the fetch, then
-           check the budget. *)
-        table.(cc) <-
-          (fun rt ->
-            (match rt.prof with
-            | None -> ()
-            | Some pr ->
-                Hipec_metrics.Metrics.profile_step pr ~opcode:opc
-                  ~sim_ns:(Sim_time.to_ns (Engine.now engine)));
-            rt.steps <- rt.steps + 1;
-            incr counter;
-            Container.count_commands container 1;
-            Engine.advance engine fetch_cost;
-            if rt.steps > max_steps then Tout else b rt))
-      code;
-    goto 0
+    Array.iteri (fun cc instr -> table.(cc) <- body cc instr) code;
+    Array.unsafe_get table 0
   in
+  let handlers = Array.copy undefined_event_code in
   List.iter
     (fun event ->
-      match Program.code (Container.program container) ~event with
-      | None -> ()
-      | Some code ->
-          if event land -256 = 0 then begin
-            let run_code = compile_event event code in
-            (* the interpreter's run counter ticks on every defined-event
-               entry, nested activations included *)
-            handlers.(event) <-
-              (fun rt ->
-                Container.count_event_run container;
-                run_code rt)
-          end)
-    (Program.events (Container.program container));
+      if event land -256 = 0 then begin
+        let run_code = compile_event event (Program.code_or_empty program ~event) in
+        (* the interpreter's run counter ticks on every defined-event
+           entry, nested activations included *)
+        handlers.(event) <-
+          (fun rt ->
+            Container.count_event_run rt.container;
+            run_code rt)
+      end)
+    (Program.events program);
+  { code = handlers; slots = Array.of_list (List.rev !slots) }
+
+let bind t container =
+  let ops = Container.operands container in
   {
     container;
-    engine;
-    dispatch_cost = costs.Costs.hipec_dispatch;
-    entry;
-    scratch = { steps = 0; depth = 0; prof = None };
+    cells = Array.map (Operand.get ops) t.slots;
+    handlers = t.code;
+    limit = 0;
+    depth = 0;
+    prof = None;
   }
 
-let container t = t.container
-
-let run ?prof t ~event =
-  Container.start_execution t.container ~at:(Engine.now t.engine);
-  Engine.advance t.engine t.dispatch_cost;
-  let rt = t.scratch in
-  rt.steps <- 0;
+let run ?prof rt ~event ~limit =
+  rt.limit <- limit;
   rt.depth <- 0;
   rt.prof <- prof;
-  let r =
-    try t.entry event rt
-    with Invalid_argument m -> Err (Printf.sprintf "kernel check failed: %s" m)
-  in
-  rt.prof <- None;
-  r
+  entry event rt

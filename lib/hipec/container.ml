@@ -6,6 +6,9 @@ type state =
   | Throttled of { since : Sim_time.t; until : Sim_time.t; fuel : int }
   | Degraded of { reason : string; at : Sim_time.t }
 
+type code = ..
+type code += No_code
+
 type t = {
   id : int;
   task : Task.t;
@@ -31,6 +34,7 @@ type t = {
   mutable fuel_used : int;
   mutable throttles : int;
   mutable cooldown_level : int;
+  mutable code : code;
 }
 
 let next_id = ref 0
@@ -57,6 +61,7 @@ let create ~task ~obj ~region ~program ~operands ~queues ~min_frames () =
     fuel_used = 0;
     throttles = 0;
     cooldown_level = 0;
+    code = No_code;
   }
 
 let id t = t.id
@@ -64,6 +69,8 @@ let task t = t.task
 let obj t = t.obj
 let region t = t.region
 let program t = t.program
+let code t = t.code
+let set_code t c = t.code <- c
 let operands t = t.operands
 let free_queue t = t.queues.Operand.free
 let active_queue t = t.queues.Operand.active
@@ -123,7 +130,10 @@ let clear_throttled t =
 let events_run t = t.events_run
 let count_event_run t = t.events_run <- t.events_run + 1
 let commands_interpreted t = t.commands_interpreted
-let count_commands t n = t.commands_interpreted <- t.commands_interpreted + n
+let count_command t =
+  let n = t.commands_interpreted + 1 in
+  t.commands_interpreted <- n;
+  n
 
 let fuel_window_start t = t.fuel_window_start
 let fuel_used t = t.fuel_used

@@ -11,6 +11,13 @@ open Hipec_vm
 
 type t
 
+(** What the executor caches on a container.  The compiled backend
+    extends it with the container's binding to its shared program, so a
+    run finds that program without a table lookup. *)
+type code = ..
+
+type code += No_code  (** nothing cached: the state at {!create} *)
+
 val create :
   task:Task.t ->
   obj:Vm_object.t ->
@@ -28,6 +35,9 @@ val obj : t -> Vm_object.t
 val region : t -> Vm_map.region
 val program : t -> Program.t
 val operands : t -> Operand.t
+
+val code : t -> code
+val set_code : t -> code -> unit
 
 val free_queue : t -> Page_queue.t
 val active_queue : t -> Page_queue.t
@@ -120,6 +130,8 @@ val set_cooldown_level : t -> int -> unit
 val events_run : t -> int
 val count_event_run : t -> unit
 val commands_interpreted : t -> int
-val count_commands : t -> int -> unit
+val count_command : t -> int
+(** Count one executed command; returns the new {!commands_interpreted},
+    which the executor compares with the run's step limit. *)
 
 val pp : Format.formatter -> t -> unit

@@ -41,11 +41,13 @@ type t = {
   services : services;
   backend : backend;
   counter : int ref;  (* commands executed, shared with compiled code *)
-  compiled : (int, Compiled.t) Hashtbl.t;  (* container id -> compiled program *)
-  mutable last_compiled : Compiled.t option;
-      (* one-slot cache over [compiled]: fault streams hit the same
-         container repeatedly, so the common lookup is pointer-equal *)
+  programs : (string, Compiled.t) Hashtbl.t;
+      (* program image -> its compiled handlers, shared by every
+         container that installs the program *)
 }
+
+(* programs compiled by every executor of the process *)
+let compiled_programs = ref 0
 
 let create ?(max_steps = 100_000) ~engine ~costs ~services () =
   {
@@ -55,286 +57,175 @@ let create ?(max_steps = 100_000) ~engine ~costs ~services () =
     services;
     backend = !default;
     counter = ref 0;
-    compiled = Hashtbl.create 8;
-    last_compiled = None;
+    programs = Hashtbl.create 8;
   }
 
 let commands_executed t = !(t.counter)
 let backend t = t.backend
 let max_steps t = t.max_steps
+let compiles () = !compiled_programs
 
+(* The container's binding to its compiled program, cached on the
+   container; the program is compiled on its first install. *)
 let compiled_for t container =
-  match t.last_compiled with
-  | Some c when Compiled.container c == container -> c
+  match Container.code container with
+  | Compiled.Bound rt -> rt
   | _ ->
-      let key = Container.id container in
-      let c =
-        match Hashtbl.find_opt t.compiled key with
+      let program = Container.program container in
+      let key = Bytes.unsafe_to_string (Program.to_bytes program) in
+      let compiled =
+        match Hashtbl.find_opt t.programs key with
         | Some c -> c
         | None ->
             let c =
-              Compiled.compile ~engine:t.engine ~costs:t.costs
-                ~max_steps:t.max_steps
-                ~services:t.services ~counter:t.counter container
+              Compiled.compile ~engine:t.engine ~costs:t.costs ~services:t.services
+                ~counter:t.counter program
             in
-            Hashtbl.replace t.compiled key c;
+            incr compiled_programs;
+            Hashtbl.replace t.programs key c;
             c
       in
-      t.last_compiled <- Some c;
-      c
+      let rt = Compiled.bind compiled container in
+      Container.set_code container (Compiled.Bound rt);
+      rt
 
 let precompile t container =
   match t.backend with Compiled -> ignore (compiled_for t container) | Interp -> ()
 
-let forget t container =
-  (match t.last_compiled with
-  | Some c when Compiled.container c == container -> t.last_compiled <- None
-  | _ -> ());
-  Hashtbl.remove t.compiled (Container.id container)
-
-(* Internal execution result: a value, an error, or budget exhaustion
-   (shared with the compiled backend). *)
-type exec = Compiled.exec = Value of Operand.value option | Err of string | Tout
-
-let ( let* ) r k = match r with Ok v -> k v | Error e -> Err e
+let forget _t container = Container.set_code container Container.No_code
 
 module Mx = Hipec_metrics.Metrics
 
-let run_interp t container ~event ~prof =
-  let ops = Container.operands container in
-  let free_q = Container.free_queue container in
-  let charge d = Engine.advance t.engine d in
-  let steps = ref 0 in
-  Container.start_execution container ~at:(Engine.now t.engine);
-  charge t.costs.Costs.hipec_dispatch;
-
-  (* [Flush], and the implicit launder when a dirty bound page moves to
-     the free queue: asynchronous writeback owned by the manager. *)
-  let flush page =
-    if Vm_page.dirty page then t.services.flush_page container page else Ok ()
-  in
-  (* A bound page entering the free queue stops caching its object page:
-     launder if dirty, drop translations, unbind. *)
-  let make_free_slot page =
-    if not (Vm_page.is_bound page) then Ok ()
+(* The interpreter.  One activation of [event]; the step loop below is
+   its body.  Every piece of run state is an argument, so a clean run
+   allocates nothing: errors and budget exhaustion leave by the
+   exceptions [run] catches. *)
+let rec exec_event t c ops prof limit event depth =
+  if depth > Compiled.max_activation_depth then Compiled.fail Compiled.depth_msg
+  else
+    let code = Program.code_or_empty (Container.program c) ~event in
+    if Array.length code = 0 then
+      Compiled.fail (Printf.sprintf "undefined event %s" (Events.name event))
     else begin
-      (if Hipec_trace.Trace.on () then
-         match Vm_page.binding page with
-         | Some (oid, offset) ->
-             Hipec_trace.Trace.evict ~source:Hipec_trace.Event.Policy ~obj:oid
-               ~offset ~dirty:(Vm_page.dirty page)
-         | None -> ());
-      Result.bind (flush page) (fun () ->
-          let oid =
-            match Vm_page.binding page with Some (o, _) -> o | None -> assert false
-          in
-          match t.services.resolve_object oid with
-          | obj ->
-              Vm_object.disconnect obj page;
-              Ok ()
-          | exception Not_found -> Error (Printf.sprintf "unknown object %d" oid))
+      Container.count_event_run c;
+      step t c ops prof limit code event depth 0
     end
-  in
 
-  let read_page ix =
-    Result.bind (Operand.read_page_slot ops ix) (fun slot ->
-        match !slot with
-        | Some page -> Ok page
-        | None -> Error (Printf.sprintf "operand %d: empty page register" ix))
-  in
+and step t c ops prof limit code event depth cc =
+  if cc < 0 || cc >= Array.length code then
+    Compiled.fail (Printf.sprintf "%s: control ran past CC %d" (Events.name event) cc)
+  else begin
+    let instr = Array.unsafe_get code cc in
+    (* Profiler boundary, matching the compiled prologue: the interval
+       since the previous fetch is attributed to the previously fetched
+       opcode. *)
+    (match prof with
+    | None -> ()
+    | Some pr ->
+        Mx.profile_step pr
+          ~opcode:(Opcode.code (Instr.opcode instr))
+          ~sim_ns:(Sim_time.to_ns (Engine.now t.engine)));
+    incr t.counter;
+    let n = Container.count_command c in
+    Engine.advance t.engine t.costs.Costs.hipec_fetch_decode;
+    if n > limit then raise_notrace Compiled.Out_of_steps;
+    (* Skip-next semantics (paper Table 2): a test command that
+       evaluates TRUE skips the immediately following command — by
+       convention the else-branch Jump — so the fast path never fetches
+       it.  Static validation guarantees every test is followed by a
+       Jump. *)
+    let next = cc + 1 and skip = cc + 2 in
+    match instr with
+    | Instr.Return ix -> Operand.get ops ix
+    | Instr.Jump target -> step t c ops prof limit code event depth target
+    | Instr.Arith (a, b, op) ->
+        let sa = Operand.get ops a in
+        let va = Compiled.int_of a sa in
+        let vb =
+          match op with
+          | Opcode.Arith_op.Inc | Opcode.Arith_op.Dec -> 0
+          | _ -> Compiled.int_of b (Operand.get ops b)
+        in
+        Compiled.set_int a sa (Compiled.arith op va vb);
+        step t c ops prof limit code event depth next
+    | Instr.Comp (a, b, op) ->
+        let va = Compiled.int_of a (Operand.get ops a) in
+        let vb = Compiled.int_of b (Operand.get ops b) in
+        step t c ops prof limit code event depth
+          (if Opcode.Comp_op.apply op va vb then skip else next)
+    | Instr.Logic (a, b, op) ->
+        let sa = Operand.get ops a in
+        let va = Compiled.bool_of a sa in
+        let vb =
+          match op with
+          | Opcode.Logic_op.Not -> false
+          | _ -> Compiled.bool_of b (Operand.get ops b)
+        in
+        let r = Opcode.Logic_op.apply op va vb in
+        Compiled.set_bool a sa r;
+        step t c ops prof limit code event depth (if r then skip else next)
+    | Instr.Emptyq q ->
+        let queue = Compiled.queue_of q (Operand.get ops q) in
+        Engine.advance t.engine t.costs.Costs.queue_op;
+        step t c ops prof limit code event depth
+          (if Page_queue.is_empty queue then skip else next)
+    | Instr.Inq (q, p) ->
+        let queue = Compiled.queue_of q (Operand.get ops q) in
+        let page = Compiled.page_of p (Operand.get ops p) in
+        Engine.advance t.engine t.costs.Costs.queue_op;
+        step t c ops prof limit code event depth
+          (if Page_queue.mem queue page then skip else next)
+    | Instr.Dequeue (p, q, whence) ->
+        let queue = Compiled.queue_of q (Operand.get ops q) in
+        let slot = Compiled.page_slot_of p (Operand.get ops p) in
+        Engine.advance t.engine t.costs.Costs.queue_op;
+        Compiled.dequeue queue slot whence;
+        step t c ops prof limit code event depth next
+    | Instr.Enqueue (p, q, whence) ->
+        let queue = Compiled.queue_of q (Operand.get ops q) in
+        let page = Compiled.page_of p (Operand.get ops p) in
+        Engine.advance t.engine t.costs.Costs.queue_op;
+        Compiled.enqueue t.services c queue page whence;
+        step t c ops prof limit code event depth next
+    | Instr.Request n ->
+        step t c ops prof limit code event depth
+          (if t.services.request_frames c n then skip else next)
+    | Instr.Release ix ->
+        step t c ops prof limit code event depth
+          (if Compiled.release t.services c ix (Operand.get ops ix) then skip else next)
+    | Instr.Flush p ->
+        Compiled.flush t.services c (Compiled.page_of p (Operand.get ops p));
+        step t c ops prof limit code event depth next
+    | Instr.Set (p, action, which) ->
+        Compiled.set_bit (Compiled.page_of p (Operand.get ops p)) action which;
+        step t c ops prof limit code event depth next
+    | Instr.Ref p ->
+        step t c ops prof limit code event depth
+          (if Vm_page.referenced (Compiled.page_of p (Operand.get ops p)) then skip
+           else next)
+    | Instr.Mod p ->
+        step t c ops prof limit code event depth
+          (if Vm_page.dirty (Compiled.page_of p (Operand.get ops p)) then skip else next)
+    | Instr.Find (p, va) ->
+        let v = Compiled.int_of va (Operand.get ops va) in
+        let slot = Compiled.page_slot_of p (Operand.get ops p) in
+        step t c ops prof limit code event depth
+          (if Compiled.find c slot v then skip else next)
+    | Instr.Activate ev ->
+        ignore (exec_event t c ops prof limit ev (depth + 1));
+        step t c ops prof limit code event depth next
+    | Instr.Fifo q -> complex t c ops prof limit code event depth cc q Page_queue.peek_head
+    | Instr.Lru q -> complex t c ops prof limit code event depth cc q Page_queue.find_oldest
+    | Instr.Mru q -> complex t c ops prof limit code event depth cc q Page_queue.find_newest
+  end
 
-  (* Evict one page from [q] chosen by [select]; it becomes a free slot
-     on the container's free queue and lands in the page register. *)
-  let complex_replace q select =
-    charge t.costs.Costs.hipec_complex_command;
-    charge t.costs.Costs.queue_op;
-    match select q with
-    | None -> Ok false
-    | Some victim ->
-        Page_queue.remove q victim;
-        Result.bind (make_free_slot victim) (fun () ->
-            Page_queue.enqueue_tail free_q victim;
-            Result.bind (Operand.read_page_slot ops Operand.Std.page_reg) (fun reg ->
-                reg := Some victim;
-                Ok true))
+and complex t c ops prof limit code event depth cc q select =
+  let queue = Compiled.queue_of q (Operand.get ops q) in
+  let found =
+    Compiled.replace t.engine t.costs t.services c queue select
+      (Operand.get ops Operand.Std.page_reg)
   in
-
-  let rec exec_event event depth =
-    if depth > Compiled.max_activation_depth then Err Compiled.depth_msg
-    else
-      match Program.code (Container.program container) ~event with
-      | None -> Err (Printf.sprintf "undefined event %s" (Events.name event))
-      | Some code ->
-          Container.count_event_run container;
-          let len = Array.length code in
-          let rec step cc =
-            if cc < 0 || cc >= len then
-              Err (Printf.sprintf "%s: control ran past CC %d" (Events.name event) cc)
-            else begin
-              let instr = code.(cc) in
-              (* Profiler boundary, matching the compiled prologue:
-                 the interval since the previous fetch is attributed to
-                 the previously fetched opcode. *)
-              (match prof with
-              | None -> ()
-              | Some pr ->
-                  Mx.profile_step pr
-                    ~opcode:(Opcode.code (Instr.opcode instr))
-                    ~sim_ns:(Sim_time.to_ns (Engine.now t.engine)));
-              incr steps;
-              incr t.counter;
-              Container.count_commands container 1;
-              charge t.costs.Costs.hipec_fetch_decode;
-              if !steps > t.max_steps then Tout
-              else begin
-                (* Skip-next semantics (paper Table 2): a test command
-                   that evaluates TRUE skips the immediately following
-                   command — by convention the else-branch Jump — so the
-                   fast path never fetches it.  Static validation
-                   guarantees every test is followed by a Jump. *)
-                let set_cond b = if b then step (cc + 2) else step (cc + 1) in
-                let next () = step (cc + 1) in
-                match instr with
-                | Instr.Return ix -> Value (Operand.get ops ix)
-                | Instr.Jump target -> step target
-                | Instr.Arith (a, b, op) ->
-                    let* va = Operand.read_int ops a in
-                    let* vb =
-                      match op with
-                      | Opcode.Arith_op.Inc | Opcode.Arith_op.Dec -> Ok 0
-                      | _ -> Operand.read_int ops b
-                    in
-                    let* result = Opcode.Arith_op.apply op va vb in
-                    let* () = Operand.write_int ops a result in
-                    next ()
-                | Instr.Comp (a, b, op) ->
-                    let* va = Operand.read_int ops a in
-                    let* vb = Operand.read_int ops b in
-                    set_cond (Opcode.Comp_op.apply op va vb)
-                | Instr.Logic (a, b, op) ->
-                    let* va = Operand.read_bool ops a in
-                    let* vb =
-                      match op with
-                      | Opcode.Logic_op.Not -> Ok false
-                      | _ -> Operand.read_bool ops b
-                    in
-                    let result = Opcode.Logic_op.apply op va vb in
-                    let* () = Operand.write_bool ops a result in
-                    set_cond result
-                | Instr.Emptyq q ->
-                    let* queue = Operand.read_queue ops q in
-                    charge t.costs.Costs.queue_op;
-                    set_cond (Page_queue.is_empty queue)
-                | Instr.Inq (q, p) ->
-                    let* queue = Operand.read_queue ops q in
-                    let* page = read_page p in
-                    charge t.costs.Costs.queue_op;
-                    set_cond (Page_queue.mem queue page)
-                | Instr.Dequeue (p, q, whence) ->
-                    let* queue = Operand.read_queue ops q in
-                    let* slot = Operand.read_page_slot ops p in
-                    charge t.costs.Costs.queue_op;
-                    let taken =
-                      match whence with
-                      | Opcode.Queue_end.Head -> Page_queue.dequeue_head queue
-                      | Opcode.Queue_end.Tail -> Page_queue.dequeue_tail queue
-                    in
-                    (match taken with
-                    | None ->
-                        Err
-                          (Printf.sprintf "DeQueue from empty queue %s"
-                             (Page_queue.name queue))
-                    | Some page ->
-                        slot := Some page;
-                        next ())
-                | Instr.Enqueue (p, q, whence) -> (
-                    let* queue = Operand.read_queue ops q in
-                    let* page = read_page p in
-                    charge t.costs.Costs.queue_op;
-                    let* () =
-                      if Page_queue.id queue = Page_queue.id free_q then
-                        make_free_slot page
-                      else Ok ()
-                    in
-                    match whence with
-                    | Opcode.Queue_end.Head ->
-                        Page_queue.enqueue_head queue page;
-                        next ()
-                    | Opcode.Queue_end.Tail ->
-                        Page_queue.enqueue_tail queue page;
-                        next ())
-                | Instr.Request n ->
-                    set_cond (t.services.request_frames container n)
-                | Instr.Release ix -> (
-                    match Operand.kind_at ops ix with
-                    | Some Operand.Kint | Some Operand.Kcount ->
-                        let* count = Operand.read_int ops ix in
-                        let released = t.services.release_count container ~count in
-                        set_cond (released >= count)
-                    | Some Operand.Kpage ->
-                        let* page = read_page ix in
-                        let* () = t.services.release_page container page in
-                        set_cond true
-                    | Some k ->
-                        Err
-                          (Printf.sprintf "Release: operand %d is a %s" ix
-                             (Operand.kind_name k))
-                    | None -> Err (Printf.sprintf "Release: operand %d is empty" ix))
-                | Instr.Flush p ->
-                    let* page = read_page p in
-                    let* () = flush page in
-                    next ()
-                | Instr.Set (p, action, which) ->
-                    let* page = read_page p in
-                    let v = action = Opcode.Bit_action.Set_bit in
-                    (match which with
-                    | Opcode.Bit_which.Reference ->
-                        Frame.set_referenced (Vm_page.frame page) v
-                    | Opcode.Bit_which.Modify -> Frame.set_modified (Vm_page.frame page) v);
-                    next ()
-                | Instr.Ref p ->
-                    let* page = read_page p in
-                    set_cond (Vm_page.referenced page)
-                | Instr.Mod p ->
-                    let* page = read_page p in
-                    set_cond (Vm_page.dirty page)
-                | Instr.Find (p, va_ix) ->
-                    let* va = Operand.read_int ops va_ix in
-                    let* slot = Operand.read_page_slot ops p in
-                    let region = Container.region container in
-                    let vpn = Pmap.vpn_of_va va in
-                    let found =
-                      if vpn >= region.Vm_map.start_vpn && vpn < Vm_map.region_end_vpn region
-                      then
-                        Vm_object.find_resident (Container.obj container)
-                          ~offset:(Vm_map.offset_of_vpn region vpn)
-                      else None
-                    in
-                    slot := found;
-                    set_cond (found <> None)
-                | Instr.Activate ev -> (
-                    match exec_event ev (depth + 1) with
-                    | Value _ -> step (cc + 1)
-                    | (Err _ | Tout) as stop -> stop)
-                | Instr.Fifo q ->
-                    let* queue = Operand.read_queue ops q in
-                    let* found = complex_replace queue Page_queue.peek_head in
-                    set_cond found
-                | Instr.Lru q ->
-                    let* queue = Operand.read_queue ops q in
-                    let* found = complex_replace queue Page_queue.find_oldest in
-                    set_cond found
-                | Instr.Mru q ->
-                    let* queue = Operand.read_queue ops q in
-                    let* found = complex_replace queue Page_queue.find_newest in
-                    set_cond found
-              end
-            end
-          in
-          step 0
-  in
-  try exec_event event 0
-  with Invalid_argument m -> Err (Printf.sprintf "kernel check failed: %s" m)
+  step t c ops prof limit code event depth (if found then cc + 2 else cc + 1)
 
 let run t container ~event =
   (* Per-opcode profiling is backend-symmetric: both prologues place the
@@ -347,21 +238,32 @@ let run t container ~event =
         ~sim_ns:(Sim_time.to_ns (Engine.now t.engine))
     else None
   in
-  let result =
-    match t.backend with
-    | Interp -> run_interp t container ~event ~prof
-    | Compiled -> Compiled.run ?prof (compiled_for t container) ~event
+  Container.start_execution container ~at:(Engine.now t.engine);
+  Engine.advance t.engine t.costs.Costs.hipec_dispatch;
+  (* the budget: [max_steps] more commands on this container, nested
+     activations included *)
+  let limit = Container.commands_interpreted container + t.max_steps in
+  let outcome =
+    match
+      match t.backend with
+      | Interp ->
+          exec_event t container (Container.operands container) prof limit event 0
+      | Compiled -> Compiled.run ?prof (compiled_for t container) ~event ~limit
+    with
+    | v ->
+        Container.stop_execution container;
+        Returned v
+    | exception Compiled.Policy_error e ->
+        Container.stop_execution container;
+        Runtime_error (Printf.sprintf "%s: %s" (Events.name event) e)
+    | exception Invalid_argument m ->
+        Container.stop_execution container;
+        Runtime_error (Printf.sprintf "%s: kernel check failed: %s" (Events.name event) m)
+    | exception Compiled.Out_of_steps ->
+        (* leave the timestamp in place: the security checker will find it *)
+        Timed_out
   in
   (match prof with
   | None -> ()
   | Some pr -> Mx.profile_end pr ~sim_ns:(Sim_time.to_ns (Engine.now t.engine)));
-  match result with
-  | Value v ->
-      Container.stop_execution container;
-      Returned v
-  | Err e ->
-      Container.stop_execution container;
-      Runtime_error (Printf.sprintf "%s: %s" (Events.name event) e)
-  | Tout ->
-      (* leave the timestamp in place: the security checker will find it *)
-      Timed_out
+  outcome

@@ -7,16 +7,23 @@
 
     Two backends execute the same semantics:
 
-    - {!Interp} re-decodes every command word on each fetch (the
-      reference implementation);
+    - {!Interp} decodes every command on each fetch (the reference
+      implementation);
     - {!Compiled} translates each event's command array into one array
-      of OCaml closures once, at install time (see {!Compiled}).  Each
+      of OCaml closures once per program (see {!Compiled}).  Each
       closure runs the interpreter's per-step prologue (profiler branch,
-      step count, fetch charge, budget check) before its command, so the
+      step count, fetch charge, budget check) before its command, and
+      the command bodies are the functions the interpreter calls, so the
       backend is observationally identical — same simulated-time
       charges, counters, error strings and trace digests — and the
       profiler times the same table that unprofiled runs execute.  It
       saves host time only where per-command decode dominates.
+
+    {b Cost per command.}  A clean run allocates nothing on either
+    backend beyond the {!Returned} box: the interpreter's step loop
+    keeps its state in arguments, operands are read as bare values,
+    page registers take the page's preallocated option, and errors and
+    budget exhaustion leave by exception.
 
     On entry it stamps the container with the current time; the security
     checker polls that stamp to detect runaway policies.  Execution is
@@ -97,12 +104,22 @@ val run : t -> Container.t -> event:int -> outcome
     identically under either backend. *)
 
 val precompile : t -> Container.t -> unit
-(** Translate the container's program now (a no-op under {!Interp}) —
-    called from the install path so the decode cost is paid once, at
-    [vm_map_hipec] time, never on a fault. *)
+(** Bind the container to its compiled program now (a no-op under
+    {!Interp}) — called from the install path so no fault pays for it.
+    The program is compiled only if no earlier container installed the
+    same one (compared by its {!Program.to_bytes} image); the compiled
+    code reads operands through the container's binding, so it does not
+    depend on the operand array. *)
 
 val forget : t -> Container.t -> unit
-(** Drop the container's cached compiled program (teardown/demotion). *)
+(** Drop the container's binding (teardown/demotion).  The compiled
+    program stays for other containers. *)
+
+val compiles : unit -> int
+(** Programs compiled so far by every executor of the process.  An
+    executor compiles each distinct program it runs under {!Compiled}
+    once, however many containers install it; a workload's count is the
+    difference across its run. *)
 
 val commands_executed : t -> int
 (** Total across all runs (instrumentation). *)

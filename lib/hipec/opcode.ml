@@ -117,16 +117,6 @@ module Arith_op = struct
   end
 
   include Make_flag (F)
-
-  let apply op a b =
-    match op with
-    | Add -> Ok (a + b)
-    | Sub -> Ok (a - b)
-    | Mul -> Ok (a * b)
-    | Div -> if b = 0 then Error "division by zero" else Ok (a / b)
-    | Rem -> if b = 0 then Error "remainder by zero" else Ok (a mod b)
-    | Inc -> Ok (a + 1)
-    | Dec -> Ok (a - 1)
 end
 
 module Comp_op = struct

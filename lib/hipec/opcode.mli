@@ -59,8 +59,6 @@ module Arith_op : sig
   val of_code : int -> t option
   val name : t -> string
   val of_name : string -> t option
-  val apply : t -> int -> int -> (int, string) result
-  (** [apply op a b]; division/remainder by zero is an error. *)
 end
 
 module Comp_op : sig

@@ -36,41 +36,33 @@ let set (t : t) ix v =
 let get (t : t) ix = if ix < 0 || ix >= size then None else t.(ix)
 let kind_at t ix = Option.map kind_of_value (get t ix)
 
-let typed name ix = function
-  | None -> Error (Printf.sprintf "operand %d: empty slot used as %s" ix name)
+let type_error ?(write = false) ix slot ~expected =
+  match slot with
+  | None -> Printf.sprintf "operand %d: empty slot used as %s" ix (kind_name expected)
+  | Some (Count _) when write && expected = Kint ->
+      Printf.sprintf "operand %d: count is read-only" ix
   | Some v ->
-      Error
-        (Printf.sprintf "operand %d: %s used as %s" ix (kind_name (kind_of_value v)) name)
+      Printf.sprintf "operand %d: %s used as %s" ix
+        (kind_name (kind_of_value v))
+        (kind_name expected)
 
 let read_int t ix =
   match get t ix with
   | Some (Int r) -> Ok !r
   | Some (Count q) -> Ok (Page_queue.length q)
-  | other -> typed "int" ix other
+  | slot -> Error (type_error ix slot ~expected:Kint)
 
 let write_int t ix v =
   match get t ix with
   | Some (Int r) ->
       r := v;
       Ok ()
-  | Some (Count _) -> Error (Printf.sprintf "operand %d: count is read-only" ix)
-  | other -> typed "int" ix other
-
-let read_bool t ix =
-  match get t ix with Some (Bool r) -> Ok !r | other -> typed "bool" ix other
-
-let write_bool t ix v =
-  match get t ix with
-  | Some (Bool r) ->
-      r := v;
-      Ok ()
-  | other -> typed "bool" ix other
-
-let read_page_slot t ix =
-  match get t ix with Some (Page r) -> Ok r | other -> typed "page" ix other
+  | slot -> Error (type_error ~write:true ix slot ~expected:Kint)
 
 let read_queue t ix =
-  match get t ix with Some (Queue q) -> Ok q | other -> typed "queue" ix other
+  match get t ix with
+  | Some (Queue q) -> Ok q
+  | slot -> Error (type_error ix slot ~expected:Kqueue)
 
 module Std = struct
   let null = 0x00

@@ -36,7 +36,15 @@ val set : t -> int -> value -> unit
 val get : t -> int -> value option
 val kind_at : t -> int -> kind option
 
-(** {1 Typed readers (for the executor)} *)
+(** {1 Typed access} *)
+
+val type_error : ?write:bool -> int -> value option -> expected:kind -> string
+(** [type_error ix slot ~expected] is the diagnostic for using slot
+    [ix], holding [slot], as an [expected] operand:
+    ["operand N: empty slot used as K"], ["operand N: K' used as K"], or,
+    for a [~write:true] of an int into a [Count] slot,
+    ["operand N: count is read-only"].  Both executor backends report
+    ill-typed operands with exactly this text. *)
 
 val read_int : t -> int -> (int, string) result
 (** [Int] and [Count] slots read as integers. *)
@@ -44,9 +52,6 @@ val read_int : t -> int -> (int, string) result
 val write_int : t -> int -> int -> (unit, string) result
 (** [Count] slots are read-only. *)
 
-val read_bool : t -> int -> (bool, string) result
-val write_bool : t -> int -> bool -> (unit, string) result
-val read_page_slot : t -> int -> (Vm_page.t option ref, string) result
 val read_queue : t -> int -> (Page_queue.t, string) result
 
 (** {1 The standard slot layout}

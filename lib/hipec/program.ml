@@ -1,4 +1,9 @@
-type t = { table : (int * Instr.t array) list }
+type t = {
+  table : (int * Instr.t array) list;
+  (* the same bindings as parallel arrays, for the executor's lookup *)
+  events : int array;
+  codes : Instr.t array array;
+}
 
 (* "HP" ^ "EC" read as bytes *)
 let magic = 0x48695045l
@@ -12,10 +17,22 @@ let make bindings =
       if Hashtbl.mem seen event then invalid_arg "Program.make: duplicate event";
       Hashtbl.replace seen event ())
     bindings;
-  { table = List.sort (fun (a, _) (b, _) -> compare a b) bindings }
+  let table = List.sort (fun (a, _) (b, _) -> compare a b) bindings in
+  {
+    table;
+    events = Array.of_list (List.map fst table);
+    codes = Array.of_list (List.map snd table);
+  }
 
 let events t = List.map fst t.table
 let code t ~event = List.assoc_opt event t.table
+
+let rec find_code t event i =
+  if i = Array.length t.events then [||]
+  else if Array.unsafe_get t.events i = event then Array.unsafe_get t.codes i
+  else find_code t event (i + 1)
+
+let code_or_empty t ~event = find_code t event 0
 let has_event t ~event = List.mem_assoc event t.table
 let total_commands t = List.fold_left (fun acc (_, c) -> acc + Array.length c) 0 t.table
 
@@ -26,7 +43,7 @@ let to_image t =
 
 let of_image image =
   let rec decode_events acc = function
-    | [] -> Ok { table = List.rev acc }
+    | [] -> Ok (List.rev acc)
     | (event, words) :: rest ->
         if Array.length words < 2 then
           Error (Printf.sprintf "event %d: truncated command block" event)
@@ -41,7 +58,7 @@ let of_image image =
   match decode_events [] image with
   | Ok t -> (
       (* re-validate construction invariants *)
-      try Ok (make t.table) with Invalid_argument m -> Error m)
+      try Ok (make t) with Invalid_argument m -> Error m)
   | Error _ as e -> e
 
 (* Wire format: "HPEC" file magic, u32 event count, then per event:

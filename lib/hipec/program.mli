@@ -21,6 +21,12 @@ val events : t -> int list
 (** Ascending. *)
 
 val code : t -> event:int -> Instr.t array option
+
+val code_or_empty : t -> event:int -> Instr.t array
+(** [code] without the option: the empty array when [event] is
+    undefined (a defined event's code is never empty).  Allocates
+    nothing, for the executor's per-run lookup. *)
+
 val has_event : t -> event:int -> bool
 
 val total_commands : t -> int

@@ -1,7 +1,5 @@
 type protection = Read_only | Read_write
 
-type access_result = Hit of Frame.t | Miss | Protection_violation of Frame.t
-
 type entry = { frame : Frame.t; mutable prot : protection }
 
 type t = { entries : (int, entry) Hashtbl.t }
@@ -31,15 +29,18 @@ let lookup t ~vpn =
   | None -> None
   | Some e -> Some (e.frame, e.prot)
 
+let miss = -1
+let protection_violation = -2
+
 let access t ~vpn ~write =
-  match Hashtbl.find_opt t.entries vpn with
-  | None -> Miss
-  | Some e ->
-      if write && e.prot = Read_only then Protection_violation e.frame
+  match Hashtbl.find t.entries vpn with
+  | exception Not_found -> miss
+  | e ->
+      if write && e.prot = Read_only then protection_violation
       else begin
         Frame.set_referenced e.frame true;
         if write then Frame.set_modified e.frame true;
-        Hit e.frame
+        Frame.index e.frame
       end
 
 let resident_count t = Hashtbl.length t.entries

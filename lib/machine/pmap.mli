@@ -8,11 +8,6 @@
 
 type protection = Read_only | Read_write
 
-type access_result =
-  | Hit of Frame.t  (** translation present, permission ok *)
-  | Miss  (** no translation: page fault *)
-  | Protection_violation of Frame.t  (** write to a read-only mapping *)
-
 type t
 
 val create : unit -> t
@@ -31,8 +26,19 @@ val protect : t -> vpn:int -> prot:protection -> unit
 
 val lookup : t -> vpn:int -> (Frame.t * protection) option
 
-val access : t -> vpn:int -> write:bool -> access_result
-(** One user memory reference: updates hardware ref/mod bits on a hit. *)
+val access : t -> vpn:int -> write:bool -> int
+(** One user memory reference.  On a hit (translation present,
+    permission ok) it sets the frame's reference bit, and its modify bit
+    on a write, and returns the frame's {!Frame.index}.  Otherwise it
+    returns {!miss} (no translation: a page fault) or
+    {!protection_violation} (a write to a read-only mapping).  The
+    result is an unboxed int, so a reference allocates nothing. *)
+
+val miss : int
+(** [-1] *)
+
+val protection_violation : int
+(** [-2] *)
 
 val resident_count : t -> int
 

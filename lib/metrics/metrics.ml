@@ -97,10 +97,38 @@ module Profile = struct
     cells : cell array;  (* indexed by opcode code *)
     overhead : cell;  (* dispatch + entry work before the first fetch *)
     mutable runs : int;
+    mutable live : run option;  (* the one run record, in its preallocated [Some] *)
+  }
+
+  (* One top-level executor run.  Attribution is by boundary timers: at
+     each fetch the interval since the previous boundary is charged to
+     the previously fetched opcode's cell (the overhead cell absorbs the
+     dispatch charge before the first fetch), then the boundary moves.
+     Wall time is measured relative to [base_wall] so ns precision
+     survives the float mantissa.  Runs never nest on one container, so
+     each profile reuses one record and a run allocates none. *)
+  and run = {
+    prof : t;
+    base_wall : float array;  (* one unboxed float *)
+    mutable pending : cell;
+    mutable sim0 : int;
+    mutable wall0 : int;
   }
 
   let create ~backend ~container =
-    { backend; container; cells = Array.init slots (fun _ -> fresh_cell ()); overhead = fresh_cell (); runs = 0 }
+    let overhead = fresh_cell () in
+    let t =
+      {
+        backend;
+        container;
+        cells = Array.init slots (fun _ -> fresh_cell ());
+        overhead;
+        runs = 0;
+        live = None;
+      }
+    in
+    t.live <- Some { prof = t; base_wall = [| 0. |]; pending = overhead; sim0 = 0; wall0 = 0 };
+    t
 
   let backend t = t.backend
   let container t = t.container
@@ -113,25 +141,18 @@ module Profile = struct
 
   let count_total t = Array.fold_left (fun acc c -> acc + c.count) 0 t.cells
 
-  (* One top-level executor run.  Attribution is by boundary timers: at
-     each fetch the interval since the previous boundary is charged to
-     the previously fetched opcode's cell (the overhead cell absorbs the
-     dispatch charge before the first fetch), then the boundary moves.
-     Wall time is measured relative to [base_wall] so ns precision
-     survives the float mantissa. *)
-  type run = {
-    prof : t;
-    base_wall : float;
-    mutable pending : cell;
-    mutable sim0 : int;
-    mutable wall0 : int;
-  }
-
-  let wall_now run = int_of_float ((Unix.gettimeofday () -. run.base_wall) *. 1e9)
+  let wall_now run = int_of_float ((Unix.gettimeofday () -. run.base_wall.(0)) *. 1e9)
 
   let begin_run prof ~sim_ns =
     prof.runs <- prof.runs + 1;
-    { prof; base_wall = Unix.gettimeofday (); pending = prof.overhead; sim0 = sim_ns; wall0 = 0 }
+    match prof.live with
+    | Some run as live ->
+        run.pending <- prof.overhead;
+        run.sim0 <- sim_ns;
+        run.wall0 <- 0;
+        run.base_wall.(0) <- Unix.gettimeofday ();
+        live
+    | None -> assert false
 
   let step run ~opcode ~sim_ns =
     let w = wall_now run in
@@ -654,7 +675,7 @@ let sample name v =
 let profile_begin ~backend ~container ~sim_ns =
   match !current with
   | None -> None
-  | Some r -> Some (Profile.begin_run (Registry.profile r ~backend ~container) ~sim_ns)
+  | Some r -> Profile.begin_run (Registry.profile r ~backend ~container) ~sim_ns
 
 let profile_step run ~opcode ~sim_ns = Profile.step run ~opcode ~sim_ns
 let profile_end run ~sim_ns = Profile.finish run ~sim_ns

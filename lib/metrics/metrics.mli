@@ -168,7 +168,9 @@ val sample : string -> int -> unit
 (** {1 Profiler entry points} (used by the executor backends) *)
 
 val profile_begin : backend:string -> container:int -> sim_ns:int -> Profile.run option
-(** [None] while no registry is installed. *)
+(** [None] while no registry is installed.  Each profile reuses one run
+    record, so a run allocates none and stores no young value into the
+    executor's state; runs never nest on one container. *)
 
 val profile_step : Profile.run -> opcode:int -> sim_ns:int -> unit
 (** Close the interval since the previous boundary (attributing it to

@@ -68,14 +68,6 @@ let register_check t ~name f =
 let unregister_check t ~name =
   t.extra_checks <- List.filter (fun (n, _) -> n <> name) t.extra_checks
 
-(* The region of [regions] containing [vpn], without the option and
-   closure [Vm_map.find] allocates.  Raises [Not_found]. *)
-let rec region_at vpn = function
-  | [] -> raise Not_found
-  | r :: rest ->
-      if vpn >= r.Vm_map.start_vpn && vpn < Vm_map.region_end_vpn r then r
-      else region_at vpn rest
-
 (* One full consistency sweep.  Checks, in order:
    - the frame table's free-list conservation;
    - every audited queue's link invariants, each member's [on_queue],
@@ -160,7 +152,7 @@ let sweep t =
               add "pmap-free-frame"
                 (Printf.sprintf "%s maps vpn %d to free frame %d" (Task.name task) vpn
                    (Frame.index frame));
-            match region_at vpn (Vm_map.regions (Task.vm_map task)) with
+            match Vm_map.region_at (Task.vm_map task) ~vpn with
             | exception Not_found ->
                 add "pmap-unmapped-vpn"
                   (Printf.sprintf "%s maps vpn %d outside every region" (Task.name task)

@@ -562,24 +562,27 @@ let set_access_recorder t tap = t.access_recorder <- tap
 (* One reference, with whatever fault service it triggers. *)
 let reference t task ~vpn ~write =
   charge t t.costs.Costs.mem_access;
-  match Pmap.access (Task.pmap task) ~vpn ~write with
-  | Pmap.Hit frame -> (
-      match t.page_by_frame.(Frame.index frame) with
-      | Some page -> Vm_page.touch page (now t)
-      | None -> ())
-  | Pmap.Protection_violation _ -> (
-      match Vm_map.find (Task.vm_map task) ~vpn with
-      | Some region when region.Vm_map.command_buffer ->
-          kill_and_raise t task "attempt to modify a HiPEC command buffer"
-      | Some region when region.Vm_map.prot = Pmap.Read_write ->
-          resolve_cow_write t task region ~vpn
-      | Some _ | None -> kill_and_raise t task "protection violation")
-  | Pmap.Miss -> (
-      match Vm_map.find (Task.vm_map task) ~vpn with
-      | None ->
-          kill_and_raise t task
-            (Printf.sprintf "segmentation fault at vpn %d" vpn)
-      | Some region ->
+  let frame = Pmap.access (Task.pmap task) ~vpn ~write in
+  if frame >= 0 then begin
+    match t.page_by_frame.(frame) with
+    | Some page -> Vm_page.touch page (now t)
+    | None -> ()
+  end
+  else
+    match Vm_map.region_at (Task.vm_map task) ~vpn with
+    | exception Not_found ->
+        if frame = Pmap.miss then
+          kill_and_raise t task (Printf.sprintf "segmentation fault at vpn %d" vpn)
+        else kill_and_raise t task "protection violation"
+    | region ->
+        if frame = Pmap.protection_violation then begin
+          if region.Vm_map.command_buffer then
+            kill_and_raise t task "attempt to modify a HiPEC command buffer"
+          else if region.Vm_map.prot = Pmap.Read_write then
+            resolve_cow_write t task region ~vpn
+          else kill_and_raise t task "protection violation"
+        end
+        else begin
           if write && region.Vm_map.prot = Pmap.Read_only then begin
             if region.Vm_map.command_buffer then
               kill_and_raise t task "attempt to modify a HiPEC command buffer"
@@ -589,7 +592,8 @@ let reference t task ~vpn ~write =
           (* post-service re-evaluation: the fault may have drained (or a
              seizure may have refilled) the free pool; a no-op unless a
              pressure controller is engaged *)
-          check_pressure t)
+          check_pressure t
+        end
 
 let access_vpn t task ~vpn ~write =
   if not (Task.alive task) then

@@ -69,7 +69,12 @@ let remove t region =
   t.regions <- List.filter (fun r -> r.region_id <> region.region_id) t.regions;
   if List.length t.regions = n then invalid_arg "Vm_map.remove: region not in map"
 
-let find t ~vpn =
-  List.find_opt (fun r -> vpn >= r.start_vpn && vpn < region_end_vpn r) t.regions
+let rec region_in vpn = function
+  | [] -> raise Not_found
+  | r :: rest ->
+      if vpn >= r.start_vpn && vpn < region_end_vpn r then r else region_in vpn rest
+
+let region_at t ~vpn = region_in vpn t.regions
+let find t ~vpn = match region_at t ~vpn with r -> Some r | exception Not_found -> None
 
 let regions t = t.regions

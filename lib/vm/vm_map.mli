@@ -44,5 +44,10 @@ val remove : t -> region -> unit
 (** Raises [Invalid_argument] if the region is not in this map. *)
 
 val find : t -> vpn:int -> region option
+
+val region_at : t -> vpn:int -> region
+(** [find] without the option: raises [Not_found] when no region holds
+    [vpn].  Allocates nothing, for the reference path. *)
+
 val regions : t -> region list
 (** Sorted by start address. *)

@@ -17,6 +17,7 @@ open Hipec_vm
 open Hipec_core
 open Hipec_trace
 module Trace_run = Hipec_workloads.Trace_run
+module Storm = Hipec_workloads.Storm
 module Std = Operand.Std
 
 let count_faults events =
@@ -524,6 +525,21 @@ let test_api_init_follows_switch () =
   check "built after it" Executor.Interp (executor_of_new_system ());
   check "the first keeps its backend" Executor.Compiled inside
 
+(* The compiled backend compiles each distinct program once per
+   executor, not once per container: the storm's tenants run three
+   policies, so a storm-smoke run compiles three programs. *)
+let test_storm_compiles_once_per_program () =
+  let config = Storm.smoke in
+  let policies =
+    List.sort_uniq compare (List.init config.Storm.tenants (Storm.kind_of config))
+  in
+  let before = Executor.compiles () in
+  let r = Executor.with_backend Executor.Compiled (fun () -> Storm.run config) in
+  Alcotest.(check bool) "more tenants than policies" true
+    (r.Storm.admitted > List.length policies);
+  Alcotest.(check int) "one compile per distinct program" (List.length policies)
+    (Executor.compiles () - before)
+
 let () =
   (* "trace:" lines pin checked-in recordings, not regenerable
      scenarios; test_golden.ml replays those on both backends *)
@@ -542,6 +558,8 @@ let () =
             test_with_backend_restores;
           Alcotest.test_case "Api.init follows the switch" `Quick
             test_api_init_follows_switch;
+          Alcotest.test_case "storm compiles once per program" `Quick
+            test_storm_compiles_once_per_program;
         ] );
       ( "golden equivalence",
         List.map

@@ -574,6 +574,207 @@ let test_commands_are_charged () =
   in
   Alcotest.(check int) "dispatch + 2 fetches" expected elapsed
 
+(* ------------------------------------------------------------------ *)
+(* Runtime-error text                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A container built without the security checker, so ill-typed and
+   ill-formed programs reach the executor, run on the current default
+   backend by an executor whose services never re-enter it. *)
+let unchecked probe_code =
+  let kernel =
+    Kernel.create ~config:{ Kernel.default_config with Kernel.total_frames = 64 } ()
+  in
+  let task = Kernel.create_task kernel () in
+  let region = Kernel.vm_allocate kernel task ~npages:4 in
+  let ops = Operand.create () in
+  let queues =
+    Operand.install_std ops ~name:"t" ~free_target:4 ~inactive_target:8 ~reserved_target:2
+  in
+  Operand.set ops x_slot (Operand.Int (ref 7));
+  Operand.set ops b1_slot (Operand.Bool (ref true));
+  let container =
+    Container.create ~task ~obj:region.Vm_map.obj ~region
+      ~program:(Program.make [ (probe_event, probe_code) ])
+      ~operands:ops ~queues ~min_frames:0 ()
+  in
+  let services =
+    {
+      Executor.request_frames = (fun _ _ -> false);
+      release_count = (fun _ ~count:_ -> 0);
+      release_page = (fun _ _ -> Ok ());
+      flush_page = (fun _ _ -> Ok ());
+      resolve_object = (fun _ -> region.Vm_map.obj);
+    }
+  in
+  let executor =
+    Executor.create ~engine:(Kernel.engine kernel) ~costs:(Kernel.costs kernel) ~services ()
+  in
+  (executor, container)
+
+(* The literal [Runtime_error] text, which reaches demotion reasons and
+   trace digests: both backends must produce it byte for byte. *)
+let test_runtime_error_text () =
+  let empty = 0x40 in
+  let cases =
+    [
+      ( "empty slot",
+        [| Instr.Arith (x_slot, empty, Opcode.Arith_op.Add); Instr.Return Std.null |],
+        "event-2: operand 64: empty slot used as int" );
+      ( "wrong kind",
+        [| Instr.Comp (x_slot, Std.free_queue, Opcode.Comp_op.Gt); Instr.Jump 2;
+           Instr.Return Std.null |],
+        "event-2: operand 1: queue used as int" );
+      ( "int used as bool",
+        [| Instr.Logic (b1_slot, x_slot, Opcode.Logic_op.And); Instr.Jump 2;
+           Instr.Return Std.null |],
+        "event-2: operand 16: int used as bool" );
+      ( "read-only count",
+        [| Instr.Arith (Std.free_count, Std.null, Opcode.Arith_op.Inc); Instr.Return Std.null |],
+        "event-2: operand 2: count is read-only" );
+      ( "empty page register",
+        [| Instr.Ref Std.page_reg; Instr.Jump 2; Instr.Return Std.null |],
+        "event-2: operand 11: empty page register" );
+      ( "dequeue from empty queue",
+        [| Instr.Dequeue (Std.page_reg, Std.active_queue, Opcode.Queue_end.Head);
+           Instr.Return Std.page_reg |],
+        "event-2: DeQueue from empty queue t.active" );
+      ( "release of the wrong kind",
+        [| Instr.Release Std.free_queue; Instr.Jump 2; Instr.Return Std.null |],
+        "event-2: Release: operand 1 is a queue" );
+      ( "release of an empty slot",
+        [| Instr.Release empty; Instr.Jump 2; Instr.Return Std.null |],
+        "event-2: Release: operand 64 is empty" );
+      ( "activate of an undefined event",
+        [| Instr.Activate 9; Instr.Return Std.null |],
+        "event-2: undefined event event-9" );
+      ( "control ran past the end",
+        [| Instr.Arith (x_slot, x_slot, Opcode.Arith_op.Inc) |],
+        "event-2: event-2: control ran past CC 1" );
+      ( "jump out of range",
+        [| Instr.Jump 7 |],
+        "event-2: event-2: control ran past CC 7" );
+      ( "activation depth",
+        [| Instr.Activate probe_event; Instr.Return Std.null |],
+        "event-2: activation depth exceeds 16" );
+      ( "division by zero",
+        [| Instr.Arith (x_slot, Std.null, Opcode.Arith_op.Div); Instr.Return Std.null |],
+        "event-2: division by zero" );
+      ( "remainder by zero",
+        [| Instr.Arith (x_slot, Std.null, Opcode.Arith_op.Rem); Instr.Return Std.null |],
+        "event-2: remainder by zero" );
+      ( "division by zero outranks the read-only write",
+        [| Instr.Arith (Std.free_count, Std.null, Opcode.Arith_op.Div); Instr.Return Std.null |],
+        "event-2: division by zero" );
+    ]
+  in
+  let text ~event code =
+    let executor, container = unchecked code in
+    match Executor.run executor container ~event with
+    | Executor.Runtime_error e -> e
+    | Executor.Returned _ -> "(returned)"
+    | Executor.Timed_out -> "(timed out)"
+  in
+  List.iter
+    (fun (name, code, expected) ->
+      Alcotest.(check string) name expected (text ~event:probe_event code))
+    cases;
+  Alcotest.(check string) "undefined event" "event-5: undefined event event-5"
+    (text ~event:5 [| Instr.Return Std.null |])
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let minor_words_of f =
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let a = Gc.minor_words () in
+  f ();
+  let b = Gc.minor_words () in
+  b -. a -. overhead
+
+(* The MRU policy's PageFault handler, replacing the newest resident
+   page on every run, allocates nothing but the [Returned] box. *)
+let test_mru_fault_run_allocation () =
+  let config = { Kernel.default_config with Kernel.total_frames = 256; hipec_kernel = true } in
+  let kernel = Kernel.create ~config () in
+  let sys = Api.init ~start_checker:false kernel in
+  let task = Kernel.create_task kernel () in
+  let region, container =
+    match
+      Api.vm_allocate_hipec sys task ~npages:64
+        (Api.default_spec ~policy:(Policies.mru ()) ~min_frames:16)
+    with
+    | Ok rc -> rc
+    | Error e -> failwith e
+  in
+  Kernel.touch_region kernel task region ~write:false;
+  let executor = Frame_manager.executor (Api.manager sys) in
+  let active = Container.active_queue container in
+  let fault () =
+    match Executor.run executor container ~event:Events.page_fault with
+    | Executor.Returned (Some (Operand.Page { contents = Some _ })) -> ()
+    | _ -> Alcotest.fail "the MRU fault handler did not return a page"
+  in
+  fault ();
+  let runs = 8 in
+  let before = Page_queue.length active in
+  Alcotest.(check bool) "free queue empty" true
+    (Page_queue.is_empty (Container.free_queue container));
+  let words = minor_words_of (fun () -> for _ = 1 to runs do fault () done) in
+  Alcotest.(check int) "one MRU replacement per run" (before - runs) (Page_queue.length active);
+  if words > float_of_int (2 * runs) then
+    Alcotest.failf "%d MRU fault runs allocate %.0f words, more than %d Returned boxes" runs
+      words runs
+
+(* A policy that spins until its step budget runs out allocates the same
+   whatever the budget: no step allocates. *)
+let test_budget_run_allocation () =
+  let words max_steps =
+    let kernel =
+      Kernel.create
+        ~config:{ Kernel.default_config with Kernel.total_frames = 64; hipec_kernel = true }
+        ()
+    in
+    let sys = Api.init ~start_checker:false kernel in
+    let task = Kernel.create_task kernel () in
+    let container =
+      match
+        Api.vm_allocate_hipec sys task ~npages:8
+          (Api.default_spec ~policy:(Policies.looping ()) ~min_frames:4)
+      with
+      | Ok (_, c) -> c
+      | Error e -> failwith e
+    in
+    let executor =
+      Executor.create ~max_steps ~engine:(Kernel.engine kernel) ~costs:(Kernel.costs kernel)
+        ~services:
+          {
+            Executor.request_frames = (fun _ _ -> false);
+            release_count = (fun _ ~count:_ -> 0);
+            release_page = (fun _ _ -> Ok ());
+            flush_page = (fun _ _ -> Ok ());
+            resolve_object = (fun _ -> Container.obj container);
+          }
+        ()
+    in
+    let spin () =
+      match Executor.run executor container ~event:Events.page_fault with
+      | Executor.Timed_out -> ()
+      | _ -> Alcotest.fail "the looping policy did not time out"
+    in
+    spin ();
+    minor_words_of spin
+  in
+  let small = words 1_000 and large = words 100_000 in
+  if small <> large then
+    Alcotest.failf "a run to a 1,000-step budget allocates %.0f words, to 100,000 steps %.0f"
+      small large
+
 (* Every instruction-level test runs under both execution backends: the
    interpreter and the compile-once closure backend must be
    observationally identical, down to the simulated-time charges. *)
@@ -623,6 +824,12 @@ let suites =
         ("step budget", test_step_budget_times_out);
         ("return kinds", test_return_value_kinds);
         ("commands charged", test_commands_are_charged);
+      ] );
+    ("errors", [ ("runtime error text", test_runtime_error_text) ]);
+    ( "allocation",
+      [
+        ("MRU fault run allocates only the Returned box", test_mru_fault_run_allocation);
+        ("budget run allocation is flat", test_budget_run_allocation);
       ] );
   ]
 

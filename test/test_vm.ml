@@ -604,7 +604,7 @@ let test_kernel_hit_allocates_no_more_than_pmap () =
   let hits = ref 0 in
   let lookups () =
     for _ = 1 to 10_000 do
-      match Pmap.access pmap ~vpn ~write:false with Pmap.Hit _ -> incr hits | _ -> ()
+      if Pmap.access pmap ~vpn ~write:false >= 0 then incr hits
     done
   in
   let accesses () =
@@ -622,6 +622,30 @@ let test_kernel_hit_allocates_no_more_than_pmap () =
     (access_words <= pmap_words);
   Alcotest.(check int) "one fault" 1 (Task.faults task);
   Alcotest.(check int) "all hits" 20_000 !hits
+
+(* A reference to a resident page allocates nothing at all: the pmap
+   answers with an unboxed frame index, and the region lookup the miss
+   and protection paths make is never reached. *)
+let test_kernel_hit_allocates_nothing () =
+  let k = small_kernel () in
+  let task = Kernel.create_task k () in
+  let region = Kernel.vm_allocate k task ~npages:2 in
+  Kernel.touch_region k task region ~write:true;
+  let reads () =
+    for _ = 1 to 10_000 do
+      Kernel.access_vpn k task ~vpn:region.Vm_map.start_vpn ~write:false
+    done
+  in
+  let writes () =
+    for _ = 1 to 10_000 do
+      Kernel.access_vpn k task ~vpn:(region.Vm_map.start_vpn + 1) ~write:true
+    done
+  in
+  reads ();
+  writes ();
+  Alcotest.(check (float 0.)) "read hits" 0. (minor_words_of reads);
+  Alcotest.(check (float 0.)) "write hits" 0. (minor_words_of writes);
+  Alcotest.(check int) "one fault per page" 2 (Task.faults task)
 
 let test_kernel_null_ops_cost () =
   let k = small_kernel () in
@@ -978,6 +1002,8 @@ let () =
             test_kernel_charge_allocates_nothing;
           Alcotest.test_case "resident hit allocates no more than the pmap" `Quick
             test_kernel_hit_allocates_no_more_than_pmap;
+          Alcotest.test_case "resident hit allocates nothing" `Quick
+            test_kernel_hit_allocates_nothing;
         ] );
       ( "cow",
         [
