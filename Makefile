@@ -53,13 +53,18 @@ storm:
 # the storm at full scale and past the old ~1.3k-tenant breaking point,
 # with the shipped 500 ms auditor; each run must exit 0 (no exception,
 # no audit violation, conservation ok, honest tenants alive), and the
-# runs listed with a digest must print exactly that trace digest
+# runs listed with a digest must print exactly that trace digest.  Each
+# run's wall seconds are printed next to its digest (not gated)
 storm-sweep:
+	dune build bin/hipec_cli.exe
 	for run in 1000:84d7424c768b2f6e 1400: 1500: 2000:9a32e3181b2b31d8; do \
 	  n=$${run%%:*}; want=$${run#*:}; \
 	  echo "== storm --tenants=$$n"; \
+	  t0=$$(date +%s.%N); \
 	  out=$$(dune exec bin/hipec_cli.exe -- storm --tenants=$$n) || exit 1; \
+	  t1=$$(date +%s.%N); \
 	  got=$$(printf '%s\n' "$$out" | awk '$$1 == "digest" { print $$2 }'); \
+	  echo "digest $$got  wall $$(echo "$$t0 $$t1" | awk '{ printf "%.2f", $$2 - $$1 }') s"; \
 	  if [ -n "$$want" ] && [ "$$got" != "$$want" ]; then \
 	    echo "storm --tenants=$$n: digest $$got, expected $$want"; exit 1; \
 	  fi; \

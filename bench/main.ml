@@ -265,7 +265,16 @@ let chaos ~quick () =
     config.Chaos.bad_swap_blocks
     (if quick then " [smoke scale]" else "");
   let clean = Chaos.run ~faults:false config in
-  let faulty = Chaos.run config in
+  let timed config =
+    Gc.compact ();
+    let t0 = Unix.gettimeofday () in
+    let r = Chaos.run config in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let faulty, on_s = timed config in
+  (* the same run with the audit period past its end: one sweep, at the
+     end *)
+  let _, end_only_s = timed { config with Chaos.audit_period = T.sec 1_000_000 } in
   let again = Chaos.run config in
   Format.printf "%a@." Chaos.pp_result faulty;
   Printf.printf "\n%s\n" faulty.Chaos.kstat;
@@ -284,8 +293,14 @@ let chaos ~quick () =
     "same seed did not reproduce the same run";
   Printf.printf
     "  acceptance: zero task kills, %d demotion(s), auditor clean over %d sweeps,\n\
-    \  counters deterministic per seed\n\n"
-    faulty.Chaos.demotions faulty.Chaos.audit_sweeps
+    \  counters deterministic per seed\n"
+    faulty.Chaos.demotions faulty.Chaos.audit_sweeps;
+  Printf.printf
+    "  auditor cost (informational, not gated): %.3f s with the %.0f ms daemon, %.3f s\n\
+    \  sweeping only at the end, ratio %.2f\n\n"
+    on_s
+    (T.to_ms_f config.Chaos.audit_period)
+    end_only_s (on_s /. end_only_s)
 
 let ablation_interp ~quick () =
   header "Ablation: complex vs simple commands (paper section 4.2)";

@@ -12,7 +12,9 @@ val page_size : int
 (** Bytes per page frame: 4096, as on the paper's i486. *)
 
 type t
-(** A physical page frame. *)
+(** A physical page frame.  A frame points back at its table, so
+    frames are cyclic values: compare them with [==] or {!index}, never
+    with structural equality. *)
 
 val index : t -> int
 (** Physical frame number, stable for the frame's lifetime. *)
@@ -40,6 +42,13 @@ val claim : t -> holder:int -> unit
     the frame is allocated and held by no page. *)
 
 val pp : Format.formatter -> t -> unit
+
+type pages = ..
+(** A slot each table keeps for the page layer's frame -> page index
+    ({!Hipec_vm.Vm_page}): this layer cannot name pages, so the page
+    layer adds the one constructor it stores here. *)
+
+type pages += No_pages  (** a table no page has been created on *)
 
 (** The machine's fixed pool of physical frames. *)
 module Table : sig
@@ -74,4 +83,10 @@ module Table : sig
   val check_conservation : t -> bool
   (** Every frame is either in the free pool or allocated, never both,
       and the pool's count agrees.  Allocates nothing. *)
+
+  val pages : t -> pages
+  val set_pages : t -> pages -> unit
 end
+
+val table : t -> Table.t
+(** The table the frame belongs to. *)

@@ -2,12 +2,19 @@ type protection = Read_only | Read_write
 
 type entry = { frame : Frame.t; mutable prot : protection }
 
-type t = { entries : (int, entry) Hashtbl.t }
+(* The layer above records who owns the pmap here; this layer cannot
+   name tasks, so the slot's type is open. *)
+type owner = ..
+type owner += Unowned
+
+type t = { entries : (int, entry) Hashtbl.t; mutable owner : owner }
 
 (* Small to start: every task has a pmap and most map few pages.  Only
    [iter] (the auditor's sweep) sees the bucket order, so the size moves
    no simulated result. *)
-let create () = { entries = Hashtbl.create 16 }
+let create () = { entries = Hashtbl.create 16; owner = Unowned }
+let owner t = t.owner
+let set_owner t o = t.owner <- o
 
 let enter t ~vpn ~frame ~prot =
   Hipec_trace.Trace.map_op ~vpn ~enter:true;
@@ -31,6 +38,11 @@ let lookup t ~vpn =
 
 let miss = -1
 let protection_violation = -2
+
+let frame_at t ~vpn =
+  match Hashtbl.find t.entries vpn with
+  | exception Not_found -> miss
+  | e -> Frame.index e.frame
 
 let access t ~vpn ~write =
   match Hashtbl.find t.entries vpn with

@@ -12,6 +12,15 @@ type t
 
 val create : unit -> t
 
+type owner = ..
+(** Who owns the pmap, recorded by the layer above ({!Hipec_vm.Task}
+    adds its constructor): this layer cannot name tasks. *)
+
+type owner += Unowned  (** a fresh pmap's owner *)
+
+val owner : t -> owner
+val set_owner : t -> owner -> unit
+
 val enter : t -> vpn:int -> frame:Frame.t -> prot:protection -> unit
 (** Install (or replace) the translation for virtual page [vpn]. *)
 
@@ -33,6 +42,10 @@ val access : t -> vpn:int -> write:bool -> int
     returns {!miss} (no translation: a page fault) or
     {!protection_violation} (a write to a read-only mapping).  The
     result is an unboxed int, so a reference allocates nothing. *)
+
+val frame_at : t -> vpn:int -> int
+(** The {!Frame.index} the translation for [vpn] targets, or {!miss}.
+    No side effects, allocates nothing. *)
 
 val miss : int
 (** [-1] *)

@@ -104,12 +104,11 @@ module Profile = struct
      each fetch the interval since the previous boundary is charged to
      the previously fetched opcode's cell (the overhead cell absorbs the
      dispatch charge before the first fetch), then the boundary moves.
-     Wall time is measured relative to [base_wall] so ns precision
-     survives the float mantissa.  Runs never nest on one container, so
-     each profile reuses one record and a run allocates none. *)
+     Wall time is read as integer nanoseconds from the monotonic clock,
+     unboxed.  Runs never nest on one container, so each profile reuses
+     one record and a run allocates none. *)
   and run = {
     prof : t;
-    base_wall : float array;  (* one unboxed float *)
     mutable pending : cell;
     mutable sim0 : int;
     mutable wall0 : int;
@@ -127,7 +126,7 @@ module Profile = struct
         live = None;
       }
     in
-    t.live <- Some { prof = t; base_wall = [| 0. |]; pending = overhead; sim0 = 0; wall0 = 0 };
+    t.live <- Some { prof = t; pending = overhead; sim0 = 0; wall0 = 0 };
     t
 
   let backend t = t.backend
@@ -141,7 +140,7 @@ module Profile = struct
 
   let count_total t = Array.fold_left (fun acc c -> acc + c.count) 0 t.cells
 
-  let wall_now run = int_of_float ((Unix.gettimeofday () -. run.base_wall.(0)) *. 1e9)
+  let wall_now () = Int64.to_int (Monotonic_clock.now ())
 
   let begin_run prof ~sim_ns =
     prof.runs <- prof.runs + 1;
@@ -149,13 +148,12 @@ module Profile = struct
     | Some run as live ->
         run.pending <- prof.overhead;
         run.sim0 <- sim_ns;
-        run.wall0 <- 0;
-        run.base_wall.(0) <- Unix.gettimeofday ();
+        run.wall0 <- wall_now ();
         live
     | None -> assert false
 
   let step run ~opcode ~sim_ns =
-    let w = wall_now run in
+    let w = wall_now () in
     let prev = run.pending in
     prev.sim_ns <- prev.sim_ns + (sim_ns - run.sim0);
     prev.wall_ns <- prev.wall_ns + (w - run.wall0);
@@ -166,7 +164,7 @@ module Profile = struct
     run.wall0 <- w
 
   let finish run ~sim_ns =
-    let w = wall_now run in
+    let w = wall_now () in
     let prev = run.pending in
     prev.sim_ns <- prev.sim_ns + (sim_ns - run.sim0);
     prev.wall_ns <- prev.wall_ns + (w - run.wall0)

@@ -10,7 +10,7 @@
 
     Model correspondence, verified against the executor:
     - a resident page's recency is updated on {e every} access (the
-      kernel touches pages on TLB hits through [page_by_frame]), and
+      kernel touches pages on TLB hits through its frame index), and
       simulated time strictly increases between accesses, so LRU/MRU
       victims are unambiguous;
     - FIFO evicts the active-queue head, which is insertion order;

@@ -11,13 +11,85 @@ let pp_violation fmt v = Format.fprintf fmt "%s: %s" v.check v.detail
 
 exception Violation of violation list
 
+let periods_per_pass = 8
+
+(* Registration order with O(1) removal: entries sit in an array in the
+   order they came and a removal leaves a hole.  A full array first
+   squeezes its holes out, and grows only if that freed less than half.
+   [slot] finds an entry's position by key. *)
+module Registry (Key : Hashtbl.HashedType) = struct
+  module Slot = Hashtbl.Make (Key)
+
+  type 'v t = {
+    slot : int Slot.t;
+    mutable entries : (Key.t * 'v) option array;
+    mutable used : int;  (* entries past [used] are empty *)
+  }
+
+  let create () = { slot = Slot.create 16; entries = Array.make 16 None; used = 0 }
+  let mem r key = Slot.mem r.slot key
+
+  let squeeze r =
+    let live = ref 0 in
+    for i = 0 to r.used - 1 do
+      match r.entries.(i) with
+      | None -> ()
+      | Some (key, _) as e ->
+          r.entries.(i) <- None;
+          r.entries.(!live) <- e;
+          Slot.replace r.slot key !live;
+          incr live
+    done;
+    r.used <- !live
+
+  let add r key v =
+    if not (mem r key) then begin
+      if r.used = Array.length r.entries then begin
+        squeeze r;
+        if 2 * r.used >= Array.length r.entries then begin
+          let grown = Array.make (2 * Array.length r.entries) None in
+          Array.blit r.entries 0 grown 0 r.used;
+          r.entries <- grown
+        end
+      end;
+      r.entries.(r.used) <- Some (key, v);
+      Slot.replace r.slot key r.used;
+      r.used <- r.used + 1
+    end
+
+  let remove r key =
+    match Slot.find r.slot key with
+    | exception Not_found -> ()
+    | i ->
+        r.entries.(i) <- None;
+        Slot.remove r.slot key
+
+  let iter f r =
+    for i = 0 to r.used - 1 do
+      match r.entries.(i) with Some (_, v) -> f v | None -> ()
+    done
+end
+
+(* Queue ids count up from 1, so the id is its own hash: the daemon asks
+   for every queued page whether its queue is audited. *)
+module Queues = Registry (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
+end)
+
+module Checks = Registry (String)
+
 type t = {
   kernel : Kernel.t;
   period : Sim_time.t;
   raise_on_violation : bool;
-  mutable extra_queues : Page_queue.t Queue.t;  (* in registration order *)
-  registered : (int, unit) Hashtbl.t;  (* ids of [extra_queues] *)
-  mutable extra_checks : (string * (unit -> (string * string) list)) list;
+  kernel_queues : Page_queue.t list;  (* the pageout daemon's, fixed per kernel *)
+  queues : Page_queue.t Queues.t;  (* keyed by queue id *)
+  checks : (unit -> (string * string) list) Checks.t;
+  pages : Vm_page.index;
+  mutable cursor : int;  (* the first frame the next period checks *)
   mutable running : bool;
   mutable pending : Engine.handle option;
   mutable sweeps : int;
@@ -30,9 +102,11 @@ let create ?(period = Sim_time.ms 500) ?(raise_on_violation = true) kernel =
     kernel;
     period;
     raise_on_violation;
-    extra_queues = Queue.create ();
-    registered = Hashtbl.create 16;
-    extra_checks = [];
+    kernel_queues = Pageout.queues (Kernel.pageout kernel);
+    queues = Queues.create ();
+    checks = Checks.create ();
+    pages = Vm_page.index (Kernel.frame_table kernel);
+    cursor = 0;
     running = false;
     pending = None;
     sweeps = 0;
@@ -40,33 +114,16 @@ let create ?(period = Sim_time.ms 500) ?(raise_on_violation = true) kernel =
     first_violation = None;
   }
 
-let register_queue t q =
-  if not (Hashtbl.mem t.registered (Page_queue.id q)) then begin
-    Hashtbl.replace t.registered (Page_queue.id q) ();
-    Queue.add q t.extra_queues
-  end
-
-let unregister_queue t q =
-  if Hashtbl.mem t.registered (Page_queue.id q) then begin
-    Hashtbl.remove t.registered (Page_queue.id q);
-    let kept = Queue.create () in
-    Queue.iter
-      (fun q' -> if Page_queue.id q' <> Page_queue.id q then Queue.add q' kept)
-      t.extra_queues;
-    t.extra_queues <- kept
-  end
+let register_queue t q = Queues.add t.queues (Page_queue.id q) q
+let unregister_queue t q = Queues.remove t.queues (Page_queue.id q)
 
 (* Layered invariants: the VM auditor cannot see HiPEC containers (the
    dependency points the other way), so the hipec layer registers a
    closure that re-derives its own invariants — e.g. "a throttled
    container still owns its minimum frames" — and reports violations
    naming the offending container. *)
-let register_check t ~name f =
-  if not (List.mem_assoc name t.extra_checks) then
-    t.extra_checks <- t.extra_checks @ [ (name, f) ]
-
-let unregister_check t ~name =
-  t.extra_checks <- List.filter (fun (n, _) -> n <> name) t.extra_checks
+let register_check t ~name f = Checks.add t.checks name f
+let unregister_check t ~name = Checks.remove t.checks name
 
 (* One full consistency sweep.  Checks, in order:
    - the frame table's free-list conservation;
@@ -120,8 +177,8 @@ let sweep t =
               ~where:(Printf.sprintf "page %d on queue %s" (Vm_page.id page) (Page_queue.name q)))
       q
   in
-  List.iter audit_queue (Pageout.queues (Kernel.pageout k));
-  Queue.iter audit_queue t.extra_queues;
+  List.iter audit_queue t.kernel_queues;
+  Queues.iter audit_queue t.queues;
   (* objects *)
   Kernel.iter_objects k (fun obj ->
       Vm_object.iter_resident
@@ -172,9 +229,7 @@ let sweep t =
                            (Frame.index (Vm_page.frame page))))))
     (Kernel.tasks k);
   (* registered external checks (HiPEC isolation invariants) *)
-  List.iter
-    (fun (_, f) -> List.iter (fun (check, detail) -> add check detail) (f ()))
-    t.extra_checks;
+  Checks.iter (fun f -> List.iter (fun (check, detail) -> add check detail) (f ())) t.checks;
   let violations = List.rev !out in
   t.sweeps <- t.sweeps + 1;
   t.violations_found <- t.violations_found + List.length violations;
@@ -184,12 +239,126 @@ let sweep t =
   end;
   violations
 
+(* ------------------------------------------------------------------ *)
+(* One daemon period                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The period's checks are the sweep's invariants read from the frame
+   side, so a clean period visits no hash-table buckets and allocates
+   nothing.  Every function below is top-level (no closures) and
+   answers [true] when what it checks is clean. *)
+
+let rec mem_queue qid = function
+  | [] -> false
+  | q :: rest -> Page_queue.id q = qid || mem_queue qid rest
+
+let audited t qid = mem_queue qid t.kernel_queues || Queues.mem t.queues qid
+
+(* The page sits in its object's resident table at its binding. *)
+let resident k page =
+  match Vm_page.binding page with
+  | None -> false
+  | Some (oid, offset) -> (
+      match Kernel.resolve_object k oid with
+      | exception Not_found -> false
+      | obj -> (
+          match Vm_object.resident obj ~offset with
+          | exception Not_found -> false
+          | r -> r == page))
+
+(* Bound to an object the kernel does not know: the sweep never sees
+   such a page through an object. *)
+let unknown_object k page =
+  match Vm_page.binding page with
+  | None -> true
+  | Some (oid, _) -> (
+      match Kernel.resolve_object k oid with exception Not_found -> true | _ -> false)
+
+(* A translation the page lists is present, targets the page's frame,
+   and lies in a region that maps the page's binding. *)
+let translation_ok page frame pmap vpn =
+  match Task.of_pmap pmap with
+  | exception Not_found -> true  (* no task's pmap: the sweep does not see it *)
+  | task when not (Task.alive task) -> true
+  | task -> (
+      Pmap.frame_at pmap ~vpn = frame
+      &&
+      match Vm_map.region_at (Task.vm_map task) ~vpn with
+      | exception Not_found -> false
+      | region -> (
+          match Vm_page.binding page with
+          | None -> false
+          | Some (oid, offset) ->
+              Vm_object.id region.Vm_map.obj = oid
+              && Vm_map.offset_of_vpn region vpn = offset))
+
+let rec mappings_ok page frame = function
+  | [] -> true
+  | (pmap, vpn) :: rest -> translation_ok page frame pmap vpn && mappings_ok page frame rest
+
+(* The page the index holds for one frame: it holds the frame (unless
+   the sweep cannot reach it: neither on an audited queue nor
+   resident), its queue links agree, its binding reads back through its
+   object, and its translations check out. *)
+let page_ok t page =
+  let k = t.kernel in
+  let queued =
+    match Vm_page.on_queue page with Some qid -> audited t qid | None -> false
+  in
+  let resident = resident k page in
+  (Vm_page.holds_frame page || not (queued || resident))
+  && ((not queued) || Vm_page.links_ok page)
+  && (resident || (not (Vm_page.is_bound page)) || unknown_object k page)
+  && mappings_ok page (Frame.index (Vm_page.frame page)) (Vm_page.mappings page)
+
+let rec frames_ok t i last =
+  i >= last
+  || (match Vm_page.holding t.pages i with None -> true | Some page -> page_ok t page)
+     && frames_ok t (i + 1) last
+
+let rec translations acc = function
+  | [] -> acc
+  | task :: rest ->
+      translations
+        (if Task.alive task then acc + Pmap.resident_count (Task.pmap task) else acc)
+        rest
+
+(* Counts kept exactly, checked whole every period: every frame is in
+   the pool or held by a page the index knows, and every live
+   translation is one page mapping entry. *)
+let counts_ok t tbl =
+  Frame.Table.free_count tbl + Vm_page.holding_count t.pages = Frame.Table.total tbl
+  && translations 0 (Kernel.tasks t.kernel) = Vm_page.mapping_count t.pages
+
+let rec checks_ok entries i used =
+  i >= used
+  || (match entries.(i) with
+     | Some (_, f) -> ( match f () with [] -> true | _ :: _ -> false)
+     | None -> true)
+     && checks_ok entries (i + 1) used
+
+let tick t =
+  let tbl = Kernel.frame_table t.kernel in
+  let total = Frame.Table.total tbl in
+  let first = t.cursor in
+  let last = min total (first + ((total + periods_per_pass - 1) / periods_per_pass)) in
+  t.cursor <- (if last >= total then 0 else last);
+  if
+    ((first > 0 || Frame.Table.check_conservation tbl)
+    && counts_ok t tbl && frames_ok t first last
+    && checks_ok t.checks.entries 0 t.checks.used)
+  then t.sweeps <- t.sweeps + 1
+  else begin
+    Log.debug (fun m -> m "audit: period escalates to a full sweep");
+    ignore (sweep t)
+  end
+
 let rec arm t =
   if t.running then
     t.pending <-
       Some
         (Engine.schedule (Kernel.engine t.kernel) ~daemon:true ~after:t.period (fun _ ->
-             ignore (sweep t);
+             tick t;
              arm t))
 
 let start t =

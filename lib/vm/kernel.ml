@@ -55,6 +55,15 @@ type stats = {
   mutable cow_pushes : int;  (* copies pushed down before a source write *)
 }
 
+(* Object ids count up from 1, so an id is its own hash: the auditor
+   resolves the object of every held frame it checks. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
+end)
+
 type t = {
   engine : Engine.t;
   costs : Costs.t;
@@ -65,15 +74,15 @@ type t = {
   hipec_kernel : bool;
   readahead : int;
   mutable task_list : Task.t list;
-  objects : (int, Vm_object.t) Hashtbl.t;
+  objects : Vm_object.t Ids.t;
   managers : (int, manager) Hashtbl.t;
   next_disk_block : int ref;
   stats : stats;
-  (* reverse map for the access hot path: which resident page a frame
-     currently backs; refreshed whenever a translation is installed, so
-     kernel-visible access recency (Vm_page.last_access) is maintained
-     on hits as well as faults.  The LRU/MRU complex commands read it. *)
-  page_by_frame : Vm_page.t option array;
+  (* the frame table's frame -> page index: the access hot path finds
+     the page a translation hit lands on there, so kernel-visible access
+     recency (Vm_page.last_access) is kept on hits as well as faults.
+     The LRU/MRU complex commands read it. *)
+  pages : Vm_page.index;
   mutable access_recorder : (Task.t -> vpn:int -> write:bool -> unit) option;
   io_policy : Io_retry.policy;
   io_stats : Io_retry.stats;
@@ -110,7 +119,7 @@ let create ?(config = default_config) () =
       ~rng:(Rng.split rng) ()
   in
   let frame_table = Frame.Table.create ~total:config.total_frames in
-  let objects = Hashtbl.create 64 and next_disk_block = ref 0 in
+  let objects = Ids.create 64 and next_disk_block = ref 0 in
   let io_stats = Io_retry.create_stats () in
   {
     engine;
@@ -125,7 +134,7 @@ let create ?(config = default_config) () =
     objects;
     managers = Hashtbl.create 16;
     next_disk_block;
-    page_by_frame = Array.make config.total_frames None;
+    pages = Vm_page.index frame_table;
     access_recorder = None;
     io_policy = config.io_retry;
     io_stats;
@@ -135,7 +144,7 @@ let create ?(config = default_config) () =
         disk;
         engine;
         costs = config.costs;
-        resolve_object = Hashtbl.find objects;
+        resolve_object = Ids.find objects;
         alloc_swap = (fun () -> alloc_extent disk next_disk_block ~npages:1);
         io_policy = config.io_retry;
         io_stats;
@@ -169,8 +178,8 @@ let charge t d = charge_engine t.engine d
 
 let drain_io t = Engine.run t.engine
 
-let resolve_object t oid = Hashtbl.find t.objects oid
-let register_object t obj = Hashtbl.replace t.objects (Vm_object.id obj) obj
+let resolve_object t oid = Ids.find t.objects oid
+let register_object t obj = Ids.replace t.objects (Vm_object.id obj) obj
 
 let alloc_disk_extent t ~npages = alloc_extent t.disk t.next_disk_block ~npages
 let pageout_ctx t = t.pageout_ctx
@@ -178,7 +187,7 @@ let pageout_ctx t = t.pageout_ctx
 let stats t = t.stats
 let io_stats t = t.io_stats
 let io_policy t = t.io_policy
-let iter_objects t f = Hashtbl.iter (fun _ obj -> f obj) t.objects
+let iter_objects t f = Ids.iter (fun _ obj -> f obj) t.objects
 
 (* ------------------------------------------------------------------ *)
 (* Memory pressure (overload protection)                               *)
@@ -246,9 +255,17 @@ let release_region_pages t task region =
       !doomed
   end;
   Vm_object.detach_copy obj;
-  (* drop this task's translations for the region *)
+  (* drop this task's translations for the region, and their entries in
+     the mapped pages (a managed object's pages stay resident) *)
+  let pmap = Task.pmap task in
   for vpn = region.Vm_map.start_vpn to Vm_map.region_end_vpn region - 1 do
-    Pmap.remove (Task.pmap task) ~vpn
+    let frame = Pmap.frame_at pmap ~vpn in
+    if frame <> Pmap.miss then begin
+      (match Vm_page.holding t.pages frame with
+      | Some page -> Vm_page.remove_mapping page pmap ~vpn
+      | None -> ());
+      Pmap.remove pmap ~vpn
+    end
   done
 
 let terminate_task t task ~reason =
@@ -377,7 +394,6 @@ let install_page t task region ~obj ~offset ~vpn slot =
   Pmap.enter (Task.pmap task) ~vpn ~frame:(Vm_page.frame slot) ~prot;
   Vm_page.add_mapping slot (Task.pmap task) ~vpn;
   Vm_page.touch slot (now t);
-  t.page_by_frame.(Frame.index (Vm_page.frame slot)) <- Vm_page.some slot;
   if region.Vm_map.wired then Vm_page.set_wired slot true;
   slot
 
@@ -469,7 +485,6 @@ let fault t task region ~vpn ~write =
       Pmap.enter (Task.pmap task) ~vpn ~frame:(Vm_page.frame page) ~prot:region.Vm_map.prot;
       Vm_page.add_mapping page (Task.pmap task) ~vpn;
       Vm_page.touch page (now t);
-      t.page_by_frame.(Frame.index (Vm_page.frame page)) <- Vm_page.some page;
       Frame.set_referenced (Vm_page.frame page) true;
       if write then Frame.set_modified (Vm_page.frame page) true;
       emit Hipec_trace.Event.Soft
@@ -564,7 +579,7 @@ let reference t task ~vpn ~write =
   charge t t.costs.Costs.mem_access;
   let frame = Pmap.access (Task.pmap task) ~vpn ~write in
   if frame >= 0 then begin
-    match t.page_by_frame.(frame) with
+    match Vm_page.holding t.pages frame with
     | Some page -> Vm_page.touch page (now t)
     | None -> ()
   end

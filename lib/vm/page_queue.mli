@@ -9,7 +9,9 @@
     behind HiPEC's [Queue] operands ([EnQueue], [DeQueue], [EmptyQ],
     [InQ], [FIFO], [LRU], [MRU] all operate on them). *)
 
-type t
+type t = Vm_page.queue
+(** A queue is its link core: this module adds the exclusivity checks
+    over {!Vm_page.link} and {!Vm_page.unlink}, which skip them. *)
 
 val create : string -> t
 (** [create name] is a fresh empty queue; [name] appears in errors and

@@ -14,23 +14,31 @@ type t = {
   mutable cpu_time : Sim_time.t;
 }
 
+type Pmap.owner += Pmap_of of t
+
 let next_id = ref 0
 
 let create ?name () =
   incr next_id;
   let name = match name with Some n -> n | None -> Printf.sprintf "task-%d" !next_id in
-  {
-    id = !next_id;
-    name;
-    pmap = Pmap.create ();
-    vm_map = Vm_map.create ();
-    death_reason = None;
-    faults = 0;
-    pageins = 0;
-    pageouts = 0;
-    zero_fills = 0;
-    cpu_time = Sim_time.zero;
-  }
+  let t =
+    {
+      id = !next_id;
+      name;
+      pmap = Pmap.create ();
+      vm_map = Vm_map.create ();
+      death_reason = None;
+      faults = 0;
+      pageins = 0;
+      pageouts = 0;
+      zero_fills = 0;
+      cpu_time = Sim_time.zero;
+    }
+  in
+  Pmap.set_owner t.pmap (Pmap_of t);
+  t
+
+let of_pmap pmap = match Pmap.owner pmap with Pmap_of t -> t | _ -> raise Not_found
 
 let id t = t.id
 let name t = t.name

@@ -12,6 +12,10 @@ val name : t -> string
 val pmap : t -> Pmap.t
 val vm_map : t -> Vm_map.t
 
+val of_pmap : Pmap.t -> t
+(** The task a pmap belongs to; raises [Not_found] for a pmap no task
+    made. *)
+
 val alive : t -> bool
 val kill : t -> reason:string -> unit
 val death_reason : t -> string option

@@ -61,6 +61,25 @@ let empty_queue ~qid ~qname ~some_qid =
 
 let detached = empty_queue ~qid:0 ~qname:"" ~some_qid:None
 
+(* A frame table's frame -> page index, kept in the table's page slot.
+   [holders] counts the pages that hold a frame (created and not yet
+   released); [mapped] counts their mapping entries. *)
+type index = { slots : t option array; mutable holders : int; mutable mapped : int }
+type Frame.pages += Index of index
+
+let index tbl =
+  match Frame.Table.pages tbl with
+  | Index i -> i
+  | _ ->
+      let i = { slots = Array.make (Frame.Table.total tbl) None; holders = 0; mapped = 0 } in
+      Frame.Table.set_pages tbl (Index i);
+      i
+
+let index_of_frame frame = index (Frame.table frame)
+let holding i frame = i.slots.(frame)
+let holding_count i = i.holders
+let mapping_count i = i.mapped
+
 let next_id = ref 0
 
 let create ~frame =
@@ -84,6 +103,9 @@ let create ~frame =
       self = Some page;
     }
   in
+  let i = index_of_frame frame in
+  i.slots.(Frame.index frame) <- page.self;
+  i.holders <- i.holders + 1;
   page
 
 let id t = t.id
@@ -103,13 +125,22 @@ let unbind t =
 
 let is_bound t = t.binding <> None
 let mappings t = t.mappings
-let add_mapping t pmap ~vpn = t.mappings <- (pmap, vpn) :: t.mappings
+let count_mappings t n =
+  let i = index_of_frame t.frame in
+  i.mapped <- i.mapped + n
+
+let add_mapping t pmap ~vpn =
+  t.mappings <- (pmap, vpn) :: t.mappings;
+  count_mappings t 1
 
 let remove_mapping t pmap ~vpn =
-  t.mappings <- List.filter (fun (p, v) -> not (p == pmap && v = vpn)) t.mappings
+  let kept = List.filter (fun (p, v) -> not (p == pmap && v = vpn)) t.mappings in
+  count_mappings t (List.length kept - List.length t.mappings);
+  t.mappings <- kept
 
 let unmap_all t =
   List.iter (fun (pmap, vpn) -> Pmap.remove pmap ~vpn) t.mappings;
+  count_mappings t (-List.length t.mappings);
   t.mappings <- []
 
 let dirty t = Frame.modified t.frame
@@ -149,6 +180,9 @@ let release_frame tbl t =
   | Ok () ->
       set_wired t false;
       Frame.set_modified t.frame false;
+      let i = index tbl in
+      i.slots.(Frame.index t.frame) <- None;
+      i.holders <- i.holders - 1;
       Frame.Table.free tbl t.frame
 
 (* ------------------------------------------------------------------ *)
@@ -268,6 +302,30 @@ let unlink q p =
   if q.indexed then recency_unlink q p;
   q.length <- q.length - 1;
   p.queue <- detached
+
+(* One member's links agree with its neighbours and its queue's ends:
+   each neighbour points back at it, is on the same queue and sits on
+   the right side of it in rank order (and, once the recency list is
+   built, in (time, rank) order); an unbuilt recency list links
+   nothing.  O(1) and allocation-free. *)
+let links_ok p =
+  let q = p.queue in
+  (match p.prev with
+  | None -> q.head == p.self
+  | Some a -> a.next == p.self && a.queue == q && a.rank < p.rank)
+  && (match p.next with
+     | None -> q.tail == p.self
+     | Some n -> n.prev == p.self && n.queue == q && p.rank < n.rank)
+  &&
+  if q.indexed then
+    (match p.older with
+    | None -> q.oldest == p.self
+    | Some o -> o.newer == p.self && o.queue == q && before o p)
+    &&
+    match p.newer with
+    | None -> q.newest == p.self
+    | Some n -> n.older == p.self && n.queue == q && before p n
+  else p.older == None && p.newer == None
 
 (* Member of the queue under [check_links]: a mark that is never a real
    queue, so it cannot be confused with one. *)

@@ -39,6 +39,31 @@ val release_frame : Frame.Table.t -> t -> unit
     with the {!releasable} reason.  Every path that frees a page's frame
     goes through here. *)
 
+(** {1 Frame index}
+
+    Each frame table carries an index from frame to holding page.
+    {!create} and {!release_frame}, the only places a frame changes
+    hands, keep it: one array store each, nothing on a reference. *)
+
+type index
+
+val index : Frame.Table.t -> index
+(** The table's index (made empty on first use). *)
+
+val holding : index -> int -> t option
+(** The page {!create} last gave frame [i], until {!release_frame}
+    takes it back.  A frame freed or claimed some other way keeps its
+    old entry. *)
+
+val holding_count : index -> int
+(** Pages created on the table and not released.  When every frame
+    changes hands through {!create} and {!release_frame}, this plus the
+    table's free count is the table's total. *)
+
+val mapping_count : index -> int
+(** The mapping entries ({!add_mapping}) of the table's pages, less
+    those removed. *)
+
 (** {1 Binding to an object offset} *)
 
 val binding : t -> (int * int) option
@@ -133,6 +158,11 @@ val oldest : queue -> t option
 val newest : queue -> t option
 (** Most recently touched member; ties go to the page nearest the head.
     O(1 + members sharing the newest time) once the index is built. *)
+
+val links_ok : t -> bool
+(** A queued page's own links agree with its neighbours' and with its
+    queue's ends, in queue and recency order.  O(1), allocates nothing:
+    the per-member view of {!check_links}. *)
 
 val check_links : queue -> bool
 (** Both lists are consistent, ordered, of the queue's length, and hold

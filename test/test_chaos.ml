@@ -7,6 +7,7 @@ open Hipec_core
 open Hipec_workloads
 module Disk = Hipec_machine.Disk
 module Frame = Hipec_machine.Frame
+module Pmap = Hipec_machine.Pmap
 module T = Hipec_sim.Sim_time
 module Engine = Hipec_sim.Engine
 module Rng = Hipec_sim.Rng
@@ -246,6 +247,186 @@ let test_audit_register_queue_allocation_flat () =
   Alcotest.(check (list string)) "violations in registration order" [ "a"; "c"; "b" ]
     (List.map queue_of (Audit.sweep auditor))
 
+(* A clean daemon period allocates nothing: over a whole pass (the
+   frame-table walk included) the incremental checks cost 0 words. *)
+let test_audit_tick_allocation_zero () =
+  let k = Kernel.create ~config:{ Kernel.default_config with total_frames = 512 } () in
+  let task = Kernel.create_task k () in
+  let region = Kernel.vm_allocate k task ~npages:256 in
+  Kernel.touch_region k task region ~write:true;
+  Kernel.drain_io k;
+  let auditor = Audit.create k in
+  let spare = Page_queue.create "spare" in
+  List.iter
+    (fun frame -> Page_queue.enqueue_tail spare (Vm_page.create ~frame))
+    (Frame.Table.alloc_many (Kernel.frame_table k) 16);
+  Audit.register_queue auditor spare;
+  let pass () =
+    for _ = 1 to Audit.periods_per_pass do
+      Audit.tick auditor
+    done
+  in
+  pass ();
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let a = Gc.minor_words () in
+  pass ();
+  let b = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words per clean pass" 0. (b -. a -. overhead);
+  Alcotest.(check int) "one sweep counted per period" (2 * Audit.periods_per_pass)
+    (Audit.sweeps auditor);
+  Alcotest.(check int) "clean" 0 (Audit.violations_found auditor)
+
+(* Incremental vs full: a seeded kernel with the daemon armed, one
+   corruption of each class the sweep names planted mid-run.  The daemon
+   must report within [periods_per_pass] periods, and what it records
+   must be what a full sweep reports on the same state. *)
+type fixture = {
+  k : Kernel.t;
+  daemon : Audit.t;
+  reference : Audit.t;  (* sweeps only, same registrations *)
+  task : Task.t;
+  region : Vm_map.region;
+  spare : Page_queue.t;  (* unbound slots on an audited queue *)
+  broken : bool ref;  (* makes the registered check fail *)
+}
+
+let period = T.ms 10
+
+let fixture () =
+  let k =
+    Kernel.create ~config:{ Kernel.default_config with total_frames = 256; seed = 5 } ()
+  in
+  let daemon = Audit.create ~period ~raise_on_violation:false k in
+  let reference = Audit.create ~raise_on_violation:false k in
+  let task = Kernel.create_task k ~name:"planted" () in
+  let region = Kernel.vm_allocate k task ~npages:64 in
+  for i = 0 to 47 do
+    Kernel.access_vpn k task ~vpn:(region.Vm_map.start_vpn + i) ~write:(i mod 3 = 0)
+  done;
+  let spare = Page_queue.create "spare" in
+  List.iter
+    (fun frame -> Page_queue.enqueue_tail spare (Vm_page.create ~frame))
+    (Frame.Table.alloc_many (Kernel.frame_table k) 8);
+  let broken = ref false in
+  let check () = if !broken then [ ("planted-check", "the planted check fails") ] else [] in
+  List.iter
+    (fun a ->
+      Audit.register_queue a spare;
+      Audit.register_check a ~name:"planted" check)
+    [ daemon; reference ];
+  Kernel.drain_io k;
+  Audit.start daemon;
+  (* mid-run: the cursor is part-way through a pass *)
+  for _ = 1 to 3 do
+    Kernel.charge k period
+  done;
+  { k; daemon; reference; task; region; spare; broken }
+
+let resident_page fx i =
+  Vm_object.resident fx.region.Vm_map.obj ~offset:(fx.region.Vm_map.obj_offset + i)
+
+let vpn fx i = fx.region.Vm_map.start_vpn + i
+let spare_page fx = Option.get (Page_queue.peek_head fx.spare)
+let pooled_frame fx =
+  let tbl = Kernel.frame_table fx.k in
+  let f = Option.get (Frame.Table.alloc tbl) in
+  Frame.Table.free tbl f;
+  f
+
+let plants : (string * (fixture -> unit)) list =
+  [
+    ( "frame-conservation",
+      (* no call of the frame table's API breaks conservation: write the
+         free count directly, as a stray store would *)
+      fun fx ->
+        let tbl = Obj.repr (Kernel.frame_table fx.k) in
+        let free_count = Frame.Table.free_count (Kernel.frame_table fx.k) in
+        assert (Obj.obj (Obj.field tbl 2) = free_count);
+        Obj.set_field tbl 2 (Obj.repr (free_count + 1)) );
+    ( "queue-invariants",
+      (* relink a kernel-queue page onto another queue without unlinking *)
+      fun fx -> Vm_page.link fx.spare (resident_page fx 5) ~at_head:false );
+    ( "queue-membership",
+      fun fx ->
+        let active = List.hd (Pageout.queues (Kernel.pageout fx.k)) in
+        Vm_page.link active (spare_page fx) ~at_head:true );
+    ( "free-frame-on-queue",
+      fun fx -> Frame.Table.free (Kernel.frame_table fx.k) (Vm_page.frame (spare_page fx)) );
+    ( "frame-aliasing",
+      fun fx ->
+        let tbl = Kernel.frame_table fx.k in
+        let stale = spare_page fx in
+        Frame.Table.free tbl (Vm_page.frame stale);
+        let frame = Option.get (Frame.Table.alloc tbl) in
+        assert (frame == Vm_page.frame stale);
+        ignore (Vm_page.create ~frame) );
+    ( "binding",
+      fun fx ->
+        let page = resident_page fx 7 in
+        let oid = Vm_object.id fx.region.Vm_map.obj in
+        Vm_page.unbind page;
+        Vm_page.bind page ~object_id:oid ~offset:(fx.region.Vm_map.obj_offset + 8) );
+    ( "resident-free-frame",
+      fun fx -> Frame.Table.free (Kernel.frame_table fx.k) (Vm_page.frame (resident_page fx 9))
+    );
+    ( "pmap-free-frame",
+      fun fx ->
+        Pmap.enter (Task.pmap fx.task) ~vpn:(vpn fx 11) ~frame:(pooled_frame fx)
+          ~prot:Pmap.Read_write );
+    ( "pmap-unmapped-vpn",
+      fun fx ->
+        Pmap.enter (Task.pmap fx.task) ~vpn:100_000
+          ~frame:(Vm_page.frame (resident_page fx 12))
+          ~prot:Pmap.Read_write );
+    ( "pmap-stale",
+      fun fx ->
+        Pmap.enter (Task.pmap fx.task) ~vpn:(vpn fx 60)
+          ~frame:(Vm_page.frame (resident_page fx 13))
+          ~prot:Pmap.Read_write );
+    ( "pmap-wrong-frame",
+      fun fx ->
+        Pmap.enter (Task.pmap fx.task) ~vpn:(vpn fx 14)
+          ~frame:(Vm_page.frame (resident_page fx 15))
+          ~prot:Pmap.Read_write );
+    ("planted-check", fun fx -> fx.broken := true);
+  ]
+
+let test_audit_incremental_matches_sweep () =
+  List.iter
+    (fun (cls, plant) ->
+      let fx = fixture () in
+      Alcotest.(check int) (cls ^ ": clean before the plant") 0
+        (Audit.violations_found fx.daemon);
+      plant fx;
+      let rec wait periods =
+        if Audit.violations_found fx.daemon > 0 then periods
+        else if periods >= Audit.periods_per_pass then
+          Alcotest.failf "%s: not reported within %d periods" cls Audit.periods_per_pass
+        else begin
+          let sweeps = Audit.sweeps fx.daemon in
+          Kernel.charge fx.k period;
+          Alcotest.(check int) (cls ^ ": one period per step") (sweeps + 1)
+            (Audit.sweeps fx.daemon);
+          wait (periods + 1)
+        end
+      in
+      ignore (wait 0);
+      let swept = Audit.sweep fx.reference in
+      Alcotest.(check bool)
+        (cls ^ ": the sweep reports the planted class")
+        true
+        (List.exists (fun v -> v.Audit.check = cls) swept);
+      Alcotest.(check (option string))
+        (cls ^ ": first violation is the sweep's")
+        (Option.map (Format.asprintf "%a" Audit.pp_violation) (Some (List.hd swept)))
+        (Option.map (Format.asprintf "%a" Audit.pp_violation) (Audit.first_violation fx.daemon));
+      Audit.stop fx.daemon)
+    plants
+
 (* ------------------------------------------------------------------ *)
 (* Chaos scenario                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -364,6 +545,18 @@ let prop_conservation_under_demote_migrate_faults =
       Frame.Table.check_conservation (Kernel.frame_table k)
       && Audit.sweep auditor = [])
 
+(* The incremental daemon never fires on a healthy run: over random
+   chaos runs the daemon and the closing full sweep both stay clean. *)
+let prop_daemon_clean_on_chaos_runs =
+  QCheck.Test.make ~name:"daemon and full sweep clean on random chaos runs" ~count:6
+    QCheck.(pair (int_range 1 1000) (int_bound 3))
+    (fun (seed, rate) ->
+      let config =
+        { tiny with Chaos.seed; transient_rate = 0.01 *. float_of_int rate; audit_period = T.ms 20 }
+      in
+      let r = Chaos.run config in
+      r.Chaos.audit_sweeps > 1 && r.Chaos.audit_violations = 0 && r.Chaos.first_violation = None)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "chaos"
@@ -389,6 +582,10 @@ let () =
             test_audit_sweep_allocation_flat;
           Alcotest.test_case "register_queue allocation is flat" `Quick
             test_audit_register_queue_allocation_flat;
+          Alcotest.test_case "clean daemon period allocates nothing" `Quick
+            test_audit_tick_allocation_zero;
+          Alcotest.test_case "incremental daemon reports what the sweep does" `Quick
+            test_audit_incremental_matches_sweep;
         ] );
       ( "scenario",
         [ Alcotest.test_case "tiny chaos run healthy" `Quick test_chaos_tiny_healthy ] );
@@ -397,5 +594,6 @@ let () =
           [
             prop_chaos_deterministic;
             prop_conservation_under_demote_migrate_faults;
+            prop_daemon_clean_on_chaos_runs;
           ] );
     ]

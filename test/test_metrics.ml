@@ -244,6 +244,29 @@ let test_profiler_attribution () =
   Alcotest.(check int) "sim total telescopes" 100 (Mx.Profile.sim_total p);
   Alcotest.(check int) "runs" 1 (Mx.Profile.runs p)
 
+(* The profiler reads the monotonic clock as an unboxed integer, so a
+   profiled step allocates nothing. *)
+let test_profiler_step_allocation () =
+  ignore (Mx.install ());
+  let run = Option.get (Mx.profile_begin ~backend:"test" ~container:2 ~sim_ns:0) in
+  let steps () =
+    for i = 1 to 10_000 do
+      Mx.profile_step run ~opcode:(i land 7) ~sim_ns:i
+    done
+  in
+  steps ();
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let a = Gc.minor_words () in
+  steps ();
+  let b = Gc.minor_words () in
+  Mx.profile_end run ~sim_ns:10_001;
+  ignore (Mx.uninstall ());
+  Alcotest.(check (float 0.)) "minor words per 10k steps" 0. (b -. a -. overhead)
+
 (* Run [name] under both executors into one registry; their per-opcode
    simulated attributions must agree cell for cell (the boundary timers
    sit at identical simulated instants in both prologues). *)
@@ -495,6 +518,8 @@ let () =
       ( "profiler",
         [
           Alcotest.test_case "boundary-timer attribution" `Quick test_profiler_attribution;
+          Alcotest.test_case "a profiled step allocates nothing" `Quick
+            test_profiler_step_allocation;
           Alcotest.test_case "backends agree on policy scenario" `Quick
             (check_backends_agree "policy");
           Alcotest.test_case "backends agree on join-small" `Quick
