@@ -6,8 +6,9 @@ all:
 test:
 	dune runtest
 
+# the chaos acceptance checks at smoke scale; rewrites BENCH_chaos.json
 chaos:
-	dune exec bench/main.exe -- chaos --smoke
+	dune exec bench/main.exe -- chaos --quick
 
 # the differential suite: executor vs the pure policy oracles
 oracle:
@@ -20,7 +21,7 @@ golden:
 # interp vs compiled executor on the same scenarios; fails on digest
 # divergence or on a compiled-speedup regression (executor-attributed
 # < 1.0x anywhere, spin-heavy whole-run < 1.5x) and rewrites
-# BENCH_7.json
+# BENCH_backend.json
 backend-bench:
 	dune exec bench/main.exe -- backend --quick
 
@@ -41,7 +42,7 @@ backend-check:
 	dune exec bin/hipec_cli.exe -- stat --json --scenario join-small
 	dune exec bin/hipec_cli.exe -- stat --json --scenario storm-smoke
 
-# per-scenario latency percentile tables; rewrites BENCH_4.json
+# per-scenario latency percentile tables; rewrites BENCH_metrics.json
 metrics-bench:
 	dune exec bench/main.exe -- metrics
 
@@ -71,7 +72,7 @@ storm-sweep:
 	done
 
 # storm isolation metrics under both backends; fails on digest
-# instability or backend divergence and rewrites BENCH_5.json
+# instability or backend divergence and rewrites BENCH_storm.json
 storm-bench:
 	dune exec bench/main.exe -- storm --quick
 
@@ -85,7 +86,7 @@ adversary:
 	  test/golden/witness-fifo-lo.trace test/golden/witness-fifo-hi.trace
 
 # witness search throughput and the fifo-falls/adaptive-stands gate at
-# the full budget; rewrites BENCH_6.json
+# the full budget; rewrites BENCH_adversary.json
 adversary-bench:
 	dune exec bench/main.exe -- adversary
 
@@ -96,7 +97,7 @@ spans:
 	dune exec bin/hipec_cli.exe -- spans --scenario chaos-smoke
 
 # online span-building overhead and stream-identity gates; rewrites
-# BENCH_8.json (spans off: event stream bit-identical; spans on:
+# BENCH_spans.json (spans off: event stream bit-identical; spans on:
 # < 10% of the whole-run wall)
 spans-bench:
 	dune exec bench/main.exe -- spans --quick

@@ -1,20 +1,24 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (section 5), plus the ablations DESIGN.md calls
-   out and Bechamel micro-benchmarks of the real (wall-clock) cost of
-   the interpreter substrate.
+   out and the gated benches that time this implementation.
 
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe table3     -- one artifact
-     dune exec bench/main.exe -- --quick -- reduced scale
-     dune exec bench/main.exe -- --trace -- collect + summarize the event stream
+     dune exec bench/main.exe                   -- everything
+     dune exec bench/main.exe table3            -- one artifact
+     dune exec bench/main.exe -- --quick        -- reduced scale
+     dune exec bench/main.exe -- --trace        -- collect + summarize the event stream
+     dune exec bench/main.exe -- compare OLD NEW -- diff two bench result files
 
-   Simulated-time results reproduce the paper's numbers; Bechamel
-   results measure this implementation itself. *)
+   Simulated-time results reproduce the paper's numbers.  The gated
+   benches (chaos, storm, adversary, spans, backend, metrics) write
+   their results to BENCH_<bench>.json in one schema (see [write]) and
+   exit nonzero when a check fails. *)
 
 open Hipec_workloads
 open Hipec_core
 open Hipec_vm
 module T = Hipec_sim.Sim_time
+module Tr = Hipec_trace.Trace
+module Ev = Hipec_trace.Event
 
 let line () = print_endline (String.make 72 '-')
 
@@ -22,6 +26,137 @@ let header title =
   line ();
   Printf.printf "%s\n" title;
   line ()
+
+(* ------------------------------------------------------------------ *)
+(* One clock, one schema, one writer, one gate                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The wall-clock ns of one call, on the clock the executor profiler
+   and hostbench read. *)
+let timed f =
+  let t0 = Monotonic_clock.now () in
+  let r = f () in
+  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0))
+
+(* [n] timed runs of [f], each after a [Gc.compact] so none pays for
+   another's garbage: their results and their walls. *)
+let sampled n f =
+  List.split
+    (List.init n (fun _ ->
+         Gc.compact ();
+         timed f))
+
+(* Paired timing, the estimator every timed gate uses.  The two sides
+   run [pairs] times in one process in the order A B, B A, A B, ... so
+   drift in the host lands on both alike, each run after a [Gc.compact]
+   so neither pays for the other's garbage.  A gate reads the median of
+   the per-pair ratios and prints their interquartile range. *)
+let interleave ~pairs run_a run_b =
+  let once f =
+    Gc.compact ();
+    f ()
+  in
+  List.init pairs (fun i ->
+      if i mod 2 = 0 then
+        let a = once run_a in
+        let b = once run_b in
+        (a, b)
+      else
+        let b = once run_b in
+        let a = once run_a in
+        (a, b))
+
+(* Median and interquartile range, by linear interpolation between
+   order statistics. *)
+let median_iqr xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  let q p =
+    let x = p *. float_of_int (n - 1) in
+    let i = int_of_float x in
+    if i >= n - 1 then a.(n - 1) else a.(i) +. ((x -. float_of_int i) *. (a.(i + 1) -. a.(i)))
+  in
+  (q 0.5, q 0.75 -. q 0.25)
+
+let gate_pairs ~quick = if quick then 7 else 11
+
+(* run one of [Trace_run]'s named scenarios, failing on any error *)
+let run_named name =
+  match Option.map Trace_run.run_scenario (Trace_run.scenario_of_name name) with
+  | Some (Ok ()) -> ()
+  | Some (Error e) -> failwith (name ^ ": " ^ e)
+  | None -> failwith ("unknown scenario " ^ name)
+
+(* Every gated bench reports rows and checks, written to
+   BENCH_<bench>.json:
+
+     {bench, quick,
+      rows:   [{scenario, measure, value, unit, repeats, spread, better?}],
+      checks: [{name, ok, detail}]}
+
+   A simulated row is deterministic: one repeat, spread 0, no [better].
+   A timed row is the median of its repeats, [spread] is their
+   interquartile range, and [better] ("lower" or "higher") says which
+   way is good.  Digests, witnesses and pass/fail facts are checks,
+   their text in [detail]; a check that records a text only is always
+   ok. *)
+type row = {
+  scenario : string;
+  measure : string;
+  value : float;
+  unit : string;
+  repeats : int;
+  spread : float;
+  better : string option;
+}
+
+type check = { name : string; ok : bool; detail : string }
+
+let sim ?(unit = "count") scenario measure value =
+  { scenario; measure; value; unit; repeats = 1; spread = 0.; better = None }
+
+let timed_row ?(unit = "ns") ?(better = "lower") scenario measure samples =
+  let value, spread = median_iqr samples in
+  { scenario; measure; value; unit; repeats = List.length samples; spread; better = Some better }
+
+let check name ok detail = { name; ok; detail }
+
+(* the row a printed table reads back *)
+let find rows measure = List.find (fun r -> r.measure = measure) rows
+
+let json_number v = Printf.sprintf "%.15g" v
+
+(* One row or check per line, so two files diff line by line.  Strings
+   are OCaml literals, which are JSON strings for the printable ASCII
+   every name and detail here is made of. *)
+let write ~bench ~quick rows checks =
+  let path = Printf.sprintf "BENCH_%s.json" bench in
+  let row r =
+    Printf.sprintf
+      "{\"scenario\": %S, \"measure\": %S, \"value\": %s, \"unit\": %S, \"repeats\": %d, \
+       \"spread\": %s%s}"
+      r.scenario r.measure (json_number r.value) r.unit r.repeats (json_number r.spread)
+      (Option.fold ~none:"" ~some:(Printf.sprintf ", \"better\": %S") r.better)
+  and check c = Printf.sprintf "{\"name\": %S, \"ok\": %b, \"detail\": %S}" c.name c.ok c.detail in
+  let list f xs = String.concat ",\n    " (List.map f xs) in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "{\"bench\": %S, \"quick\": %b,\n \"rows\": [\n    %s\n ],\n" bench quick
+        (list row rows);
+      Printf.fprintf oc " \"checks\": [\n    %s\n ]}\n" (list check checks));
+  path
+
+(* The regression gate every bench shares: name each failing check,
+   then exit nonzero if there was one. *)
+let gate ~bench checks =
+  let failed = List.filter (fun c -> not c.ok) checks in
+  List.iter (fun c -> Printf.printf "  FAIL %s (%s)\n" c.name c.detail) failed;
+  Printf.printf "  %s regression gate: %s\n\n" bench (if failed = [] then "PASS" else "FAIL");
+  if failed <> [] then exit 1
+
+let report ~bench ~quick rows checks =
+  Printf.printf "\n  wrote %s\n" (write ~bench ~quick rows checks);
+  gate ~bench checks
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: 40 MB page-fault sweep, Mach vs HiPEC                      *)
@@ -265,42 +400,62 @@ let chaos ~quick () =
     config.Chaos.bad_swap_blocks
     (if quick then " [smoke scale]" else "");
   let clean = Chaos.run ~faults:false config in
-  let timed config =
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    let r = Chaos.run config in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let faulty, on_s = timed config in
+  (* twice, so the second run can show the seed reproduces the first *)
+  let runs, on_walls = sampled 2 (fun () -> Chaos.run config) in
+  let faulty = List.hd runs and again = List.nth runs 1 in
   (* the same run with the audit period past its end: one sweep, at the
      end *)
-  let _, end_only_s = timed { config with Chaos.audit_period = T.sec 1_000_000 } in
-  let again = Chaos.run config in
+  let _, end_walls =
+    sampled 2 (fun () -> Chaos.run { config with Chaos.audit_period = T.sec 1_000_000 })
+  in
   Format.printf "%a@." Chaos.pp_result faulty;
   Printf.printf "\n%s\n" faulty.Chaos.kstat;
+  let degradation = Chaos.degradation_percent ~clean ~faulty in
   Printf.printf "  clean-disk elapsed %.1f ms; degradation under faults %+.2f%%\n"
-    (T.to_ms_f clean.Chaos.elapsed)
-    (Chaos.degradation_percent ~clean ~faulty);
-  let check cond msg = if not cond then failwith ("chaos acceptance: " ^ msg) in
-  check (faulty.Chaos.task_kills = 0) "a task was killed";
-  check (faulty.Chaos.demotions >= 1) "no demotion recorded";
-  check (faulty.Chaos.audit_violations = 0) "auditor found invariant violations";
-  check
-    (faulty.Chaos.io_errors > 0 && faulty.Chaos.io_retries > 0)
-    "fault/retry counters are zero";
-  check
-    (again.Chaos.kstat = faulty.Chaos.kstat && again.Chaos.elapsed = faulty.Chaos.elapsed)
-    "same seed did not reproduce the same run";
-  Printf.printf
-    "  acceptance: zero task kills, %d demotion(s), auditor clean over %d sweeps,\n\
-    \  counters deterministic per seed\n"
-    faulty.Chaos.demotions faulty.Chaos.audit_sweeps;
+    (T.to_ms_f clean.Chaos.elapsed) degradation;
+  let sc = if quick then "chaos-smoke" else "chaos-t3" in
+  let count m v = sim sc m (float v) in
+  let on = timed_row sc "audit_daemon.wall_ns" on_walls
+  and end_only = timed_row sc "audit_end_only.wall_ns" end_walls in
+  let rows =
+    [
+      sim ~unit:"ns" sc "elapsed_ns" (float (T.to_ns faulty.Chaos.elapsed));
+      sim ~unit:"ns" sc "clean.elapsed_ns" (float (T.to_ns clean.Chaos.elapsed));
+      sim ~unit:"%" sc "degradation_percent" degradation;
+      count "task_kills" faulty.Chaos.task_kills;
+      count "demotions" faulty.Chaos.demotions;
+      count "io_errors" faulty.Chaos.io_errors;
+      count "io_retries" faulty.Chaos.io_retries;
+      count "audit_sweeps" faulty.Chaos.audit_sweeps;
+      count "audit_violations" faulty.Chaos.audit_violations;
+      on;
+      end_only;
+    ]
+  in
+  let checks =
+    [
+      check (sc ^ ": no task killed") (faulty.Chaos.task_kills = 0)
+        (Printf.sprintf "%d killed" faulty.Chaos.task_kills);
+      check (sc ^ ": a demotion recorded") (faulty.Chaos.demotions >= 1)
+        (Printf.sprintf "%d demotions" faulty.Chaos.demotions);
+      check (sc ^ ": auditor clean") (faulty.Chaos.audit_violations = 0)
+        (Printf.sprintf "%d violations over %d sweeps" faulty.Chaos.audit_violations
+           faulty.Chaos.audit_sweeps);
+      check (sc ^ ": fault and retry counters nonzero")
+        (faulty.Chaos.io_errors > 0 && faulty.Chaos.io_retries > 0)
+        (Printf.sprintf "%d errors, %d retries" faulty.Chaos.io_errors faulty.Chaos.io_retries);
+      check (sc ^ ": the same seed reproduces the run")
+        (again.Chaos.kstat = faulty.Chaos.kstat && again.Chaos.elapsed = faulty.Chaos.elapsed)
+        "";
+    ]
+  in
   Printf.printf
     "  auditor cost (informational, not gated): %.3f s with the %.0f ms daemon, %.3f s\n\
-    \  sweeping only at the end, ratio %.2f\n\n"
-    on_s
+    \  sweeping only at the end, ratio %.2f\n"
+    (on.value /. 1e9)
     (T.to_ms_f config.Chaos.audit_period)
-    end_only_s (on_s /. end_only_s)
+    (end_only.value /. 1e9) (on.value /. end_only.value);
+  report ~bench:"chaos" ~quick rows checks
 
 let ablation_interp ~quick () =
   header "Ablation: complex vs simple commands (paper section 4.2)";
@@ -439,9 +594,6 @@ let mechanism ~quick () =
 (* Backend regression: interpreter vs compiled executor                *)
 (* ------------------------------------------------------------------ *)
 
-module Tr = Hipec_trace.Trace
-module Ev = Hipec_trace.Event
-
 (* A policy-heavy PageFault handler: a counted arithmetic loop in front
    of the standard take, so per-command fetch/decode overhead dominates
    the run — the cost the compiled backend exists to remove.  The loop
@@ -486,20 +638,10 @@ let spin_program () =
       (Events.reclaim_frame, [| Instr.Return Operand.Std.null |]);
     ]
 
-type backend_measure = {
-  wall_ns : float;
-  commands : int;
-  faults : int;
-  digest : string;
-  events : int;
-}
-
-let commands_per_sec m =
-  if m.wall_ns <= 0. then 0. else float_of_int m.commands /. (m.wall_ns /. 1e9)
-
-(* one spin-heavy run: cyclic scan over npages > frames, so every
-   access faults and runs the arithmetic loop *)
-let drive_spin ~spin ~frames ~npages ~loops () =
+(* One spin-heavy run: a cyclic scan over 256 pages through 128 frames,
+   so every access faults and runs the 100-round arithmetic loop. *)
+let drive_spin ~quick () =
+  let frames = 128 and npages = 256 in
   let config =
     { Kernel.default_config with Kernel.total_frames = 4 * frames; hipec_kernel = true }
   in
@@ -512,7 +654,7 @@ let drive_spin ~spin ~frames ~npages ~loops () =
       Api.extra_operands =
         [
           (spin_x, Operand.Int (ref 0));
-          (spin_limit, Operand.Int (ref spin));
+          (spin_limit, Operand.Int (ref 100));
           (spin_zero, Operand.Int (ref 0));
           (spin_acc, Operand.Int (ref 0));
           (spin_div, Operand.Int (ref 7));
@@ -521,848 +663,613 @@ let drive_spin ~spin ~frames ~npages ~loops () =
   in
   match Api.vm_allocate_hipec sys task ~npages spec with
   | Error e -> failwith ("spin-heavy: " ^ e)
-  | Ok (region, container) ->
-      for _ = 1 to loops do
+  | Ok (region, _) ->
+      for _ = 1 to if quick then 8 else 24 do
         for i = 0 to npages - 1 do
           Kernel.access_vpn k task ~vpn:(region.Vm_map.start_vpn + i) ~write:false
         done
       done;
-      Kernel.drain_io k;
-      Container.commands_interpreted container
+      Kernel.drain_io k
 
-let measure_spin backend ~quick =
-  let spin = 100 in
-  let frames = 128 and npages = 256 in
-  let loops = if quick then 8 else 24 in
+(* What one traced, untimed run shows; the backends must agree on all
+   of it. *)
+type observed = { faults : int; digest : string; events : int }
+
+let observe drive backend =
   Executor.with_backend backend (fun () ->
-      (* timed, untraced: pure executor speed *)
-      let t0 = Unix.gettimeofday () in
-      let commands = drive_spin ~spin ~frames ~npages ~loops () in
-      let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-      (* traced (streaming digest): the observable-equivalence check *)
       let c = Tr.start ~store:false () in
-      ignore (drive_spin ~spin ~frames ~npages ~loops ());
+      drive ();
       ignore (Tr.stop ());
-      let counts = Tr.counts c in
       {
-        wall_ns;
-        commands;
         faults =
-          counts.(Ev.tag (Ev.Fault { task = 0; vpn = 0; kind = Ev.Hipec; latency_ns = 0 }));
+          (Tr.counts c).(Ev.tag (Ev.Fault { task = 0; vpn = 0; kind = Ev.Hipec; latency_ns = 0 }));
         digest = Tr.digest_hex (Tr.digest c);
         events = Tr.events_seen c;
       })
 
-let measure_scenario backend name =
-  let scenario =
-    match Trace_run.scenario_of_name name with
-    | Some s -> s
-    | None -> failwith ("unknown scenario " ^ name)
-  in
-  Executor.with_backend backend (fun () ->
-      let t0 = Unix.gettimeofday () in
-      match Trace_run.record scenario with
-      | Error e -> failwith (name ^ ": " ^ e)
-      | Ok r ->
-          let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-          let commands = ref 0 and faults = ref 0 in
-          Array.iter
-            (fun ev ->
-              match ev.Ev.payload with
-              | Ev.Policy_run { commands = c; _ } -> commands := !commands + c
-              | Ev.Fault _ -> incr faults
-              | _ -> ())
-            r.Tr.Recorded.events;
-          {
-            wall_ns;
-            commands = !commands;
-            faults = !faults;
-            digest = Tr.digest_hex r.Tr.Recorded.digest;
-            events = Array.length r.Tr.Recorded.events;
-          })
-
-let json_of_measure m =
-  Printf.sprintf
-    "{ \"wall_ns\": %.0f, \"commands\": %d, \"commands_per_sec\": %.0f, \"faults\": %d, \
-     \"events\": %d, \"digest\": \"%s\" }"
-    m.wall_ns m.commands (commands_per_sec m) m.faults m.events m.digest
-
-(* Paired timing, the estimator every timed gate uses.  The two sides
-   run [pairs] times in one process in the order A B, B A, A B, ... so
-   drift in the host lands on both alike, each run after a [Gc.compact]
-   so neither pays for the other's garbage.  A gate reads the median of
-   the per-pair ratios and prints their interquartile range. *)
-let interleave ~pairs run_a run_b =
-  let once f =
-    Gc.compact ();
-    f ()
-  in
-  List.init pairs (fun i ->
-      if i mod 2 = 0 then
-        let a = once run_a in
-        let b = once run_b in
-        (a, b)
-      else
-        let b = once run_b in
-        let a = once run_a in
-        (a, b))
-
-(* Median and interquartile range, by linear interpolation between
-   order statistics. *)
-let median_iqr xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  let q p =
-    let x = p *. float_of_int (n - 1) in
-    let i = int_of_float x in
-    if i >= n - 1 then a.(n - 1) else a.(i) +. ((x -. float_of_int i) *. (a.(i + 1) -. a.(i)))
-  in
-  (q 0.5, q 0.75 -. q 0.25)
-
-let gate_pairs ~quick = if quick then 7 else 11
-
 (* Executor-attributed measurement.  Whole-scenario wall conflates the
    executor with minidb and the disk simulation — on join-small the
    executor is a sliver of the run, so the whole-wall ratio is mostly
-   noise.  The per-opcode profiler (PR 4) attributes wall time to the
-   executor itself; both backends pay the same boundary-timer overhead,
-   so the ratio is apples-to-apples at the layer the backends differ. *)
+   noise.  The per-opcode profiler attributes wall time to the executor
+   itself; both backends pay the same boundary-timer overhead, so the
+   ratio is apples-to-apples at the layer the backends differ.  One
+   profiled run gives (opcode, count, sim_ns, wall_ns) cells, the
+   "(overhead)" cell first; they sum to the executor's totals. *)
 module Mp = Hipec_metrics.Metrics
 
-type exec_measure = {
-  exec_wall_ns : int;
-  exec_sim_ns : int;
-  exec_runs : int;
-  per_opcode : (string * int * int * int) list;
-      (* (opcode, count, sim_ns, wall_ns); "(overhead)" row first *)
-}
-
-let exec_once backend drive =
+let exec_cells backend drive =
   Executor.with_backend backend (fun () ->
       let reg = Mp.install () in
       drive ();
       ignore (Mp.uninstall ());
-      match
-        Mp.Registry.profile_totals reg ~backend:(Executor.backend_name backend)
-      with
+      match Mp.Registry.profile_totals reg ~backend:(Executor.backend_name backend) with
       | None ->
           failwith
-            (Printf.sprintf "no executor profile for backend %s"
-               (Executor.backend_name backend))
+            (Printf.sprintf "no executor profile for backend %s" (Executor.backend_name backend))
       | Some (cells, overhead, runs) ->
-          let wall = ref overhead.Mp.Profile.wall_ns
-          and sim = ref overhead.Mp.Profile.sim_ns in
-          Array.iter
-            (fun c ->
-              wall := !wall + c.Mp.Profile.wall_ns;
-              sim := !sim + c.Mp.Profile.sim_ns)
-            cells;
-          (!wall, !sim, runs, cells, overhead))
+          let cell i c =
+            let name =
+              Option.fold ~none:(Printf.sprintf "op%d" i) ~some:Opcode.name (Opcode.of_code i)
+            in
+            if c.Mp.Profile.count = 0 then None
+            else Some (name, c.Mp.Profile.count, c.Mp.Profile.sim_ns, c.Mp.Profile.wall_ns)
+          in
+          ("(overhead)", runs, overhead.Mp.Profile.sim_ns, overhead.Mp.Profile.wall_ns)
+          :: List.filter_map Fun.id (List.mapi cell (Array.to_list cells)))
 
-let finish_exec (wall, sim, runs, cells, overhead) =
-  let rows = ref [] in
-  for i = Array.length cells - 1 downto 0 do
-    let c = cells.(i) in
-    if c.Mp.Profile.count > 0 then begin
-      let name =
-        match Opcode.of_code i with
-        | Some op -> Opcode.name op
-        | None -> Printf.sprintf "op%d" i
-      in
-      rows :=
-        (name, c.Mp.Profile.count, c.Mp.Profile.sim_ns, c.Mp.Profile.wall_ns)
-        :: !rows
-    end
-  done;
-  let per_opcode =
-    ("(overhead)", runs, overhead.Mp.Profile.sim_ns, overhead.Mp.Profile.wall_ns)
-    :: !rows
-  in
-  { exec_wall_ns = wall; exec_sim_ns = sim; exec_runs = runs; per_opcode }
+let total f cells = List.fold_left (fun acc cell -> acc + f cell) 0 cells
+let exec_wall cells = float (total (fun (_, _, _, w) -> w) cells)
 
-(* The executor-attributed wall of each backend, in interleaved pairs;
-   per backend, the run with the median wall is the one reported. *)
-let measure_exec_pairs ~pairs drive =
-  let runs =
-    interleave ~pairs
-      (fun () -> exec_once Executor.Interp drive)
-      (fun () -> exec_once Executor.Compiled drive)
+(* One backend's rows for one scenario: what it observed, its whole-run
+   and executor walls over the pairs, and its per-opcode table.  The
+   opcode counts sum to the commands the run interpreted. *)
+let backend_rows scenario side (o : observed) walls cell_runs =
+  let cells = List.hd cell_runs in
+  let commands = float (total (fun (_, n, _, _) -> n) (List.tl cells)) in
+  let wall_of op cells =
+    let _, _, _, w = List.find (fun (name, _, _, _) -> name = op) cells in
+    float w
   in
-  let wall_of (w, _, _, _, _) = w in
-  let median_run side =
-    let sorted = List.sort (fun a b -> compare (wall_of a) (wall_of b)) (List.map side runs) in
-    finish_exec (List.nth sorted (List.length sorted / 2))
-  in
-  let ratios =
-    List.map
-      (fun (i, c) -> float_of_int (wall_of i) /. float_of_int (max 1 (wall_of c)))
-      runs
-  in
-  (median_run fst, median_run snd, median_iqr ratios)
-
-let json_of_exec e =
-  let rows =
-    String.concat ",\n"
-      (List.map
-         (fun (name, count, sim, wall) ->
-           Printf.sprintf
-             "          { \"opcode\": \"%s\", \"count\": %d, \"sim_ns\": %d, \
-              \"wall_ns\": %d }"
-             name count sim wall)
-         e.per_opcode)
-  in
-  Printf.sprintf
-    "{ \"exec_wall_ns\": %d, \"exec_sim_ns\": %d, \"runs\": %d,\n\
-     \        \"per_opcode\": [\n%s\n        ] }"
-    e.exec_wall_ns e.exec_sim_ns e.exec_runs rows
+  [
+    sim scenario (side ^ ".commands") commands;
+    sim scenario (side ^ ".faults") (float o.faults);
+    sim scenario (side ^ ".events") (float o.events);
+    timed_row scenario (side ^ ".wall_ns") walls;
+    timed_row ~unit:"1/s" ~better:"higher" scenario (side ^ ".commands_per_sec")
+      (List.map (fun w -> commands /. (w /. 1e9)) walls);
+    timed_row scenario (side ^ ".exec.wall_ns") (List.map exec_wall cell_runs);
+    sim ~unit:"ns" scenario (side ^ ".exec.sim_ns") (float (total (fun (_, _, s, _) -> s) cells));
+  ]
+  @ List.concat_map
+      (fun (op, count, sim_ns, _) ->
+        let m = side ^ ".exec." ^ op in
+        [
+          sim scenario (m ^ ".count") (float count);
+          sim ~unit:"ns" scenario (m ^ ".sim_ns") (float sim_ns);
+          timed_row scenario (m ^ ".wall_ns") (List.map (wall_of op) cell_runs);
+        ])
+      cells
 
 let backend_bench ~quick () =
-  header "Backend: interpreter vs compile-once executor (BENCH_7.json)";
+  header "Backend: interpreter vs compile-once executor (BENCH_backend.json)";
   let pairs = gate_pairs ~quick in
-  let spin_drive () =
-    ignore (drive_spin ~spin:100 ~frames:128 ~npages:256 ~loops:(if quick then 8 else 24) ())
-  in
-  let scenario_drive name () =
-    let scenario =
-      match Trace_run.scenario_of_name name with
-      | Some s -> s
-      | None -> failwith ("unknown scenario " ^ name)
-    in
-    match Trace_run.run_scenario scenario with
-    | Ok () -> ()
-    | Error e -> failwith (name ^ ": " ^ e)
-  in
   let scenarios =
     [
-      ("spin-heavy", (fun b -> measure_spin b ~quick), spin_drive);
-      ("join-small", (fun b -> measure_scenario b "join-small"), scenario_drive "join-small");
-      ("aim-small", (fun b -> measure_scenario b "aim-small"), scenario_drive "aim-small");
+      ("spin-heavy", drive_spin ~quick, Some 1.5);
+      ("join-small", (fun () -> run_named "join-small"), None);
+      ("aim-small", (fun () -> run_named "aim-small"), None);
     ]
   in
   Printf.printf
-    "  (speedups: median of %d interleaved interp/compiled pairs, IQR below)\n" pairs;
+    "  (walls and speedups: medians of %d interleaved interp/compiled pairs, IQR below)\n"
+    pairs;
   Printf.printf "  %-12s %-9s %12s %14s %13s %8s  %s\n" "scenario" "backend" "wall (ms)"
     "commands/sec" "exec (ms)" "faults" "digest";
-  let rows =
+  let results =
     List.map
-      (fun (name, measure, drive) ->
-        let mi = measure Executor.Interp in
-        let mc = measure Executor.Compiled in
-        let ei, ec, (exec_speedup, exec_iqr) = measure_exec_pairs ~pairs drive in
+      (fun (name, drive, whole_run_floor) ->
+        let oi = observe drive Executor.Interp in
+        let oc = observe drive Executor.Compiled in
+        let exec_runs =
+          interleave ~pairs
+            (fun () -> exec_cells Executor.Interp drive)
+            (fun () -> exec_cells Executor.Compiled drive)
+        in
         (* whole-run wall in interleaved pairs: the backends run the same
            commands, so the wall ratio is the commands/sec speedup *)
-        let wall_on backend () =
-          Executor.with_backend backend (fun () ->
-              let t0 = Unix.gettimeofday () in
-              drive ();
-              Unix.gettimeofday () -. t0)
+        let wall_on backend () = snd (timed (fun () -> Executor.with_backend backend drive)) in
+        let walls = interleave ~pairs (wall_on Executor.Interp) (wall_on Executor.Compiled) in
+        let ratios runs f = List.map (fun (i, c) -> f i /. Float.max (f c) 1.) runs in
+        let rows =
+          backend_rows name "interp" oi (List.map fst walls) (List.map fst exec_runs)
+          @ backend_rows name "compiled" oc (List.map snd walls) (List.map snd exec_runs)
+          @ [
+              timed_row ~unit:"x" ~better:"higher" name "speedup.commands_per_sec"
+                (ratios walls Fun.id);
+              timed_row ~unit:"x" ~better:"higher" name "speedup.executor_wall"
+                (ratios exec_runs exec_wall);
+            ]
         in
-        let speedup, speedup_iqr =
-          median_iqr
-            (List.map
-               (fun (wi, wc) -> wi /. Float.max wc 1e-9)
-               (interleave ~pairs (wall_on Executor.Interp) (wall_on Executor.Compiled)))
-        in
+        let row = find rows in
         List.iter
-          (fun (bname, m, e) ->
-            Printf.printf "  %-12s %-9s %12.2f %14.0f %13.2f %8d  %s\n" name bname
-              (m.wall_ns /. 1e6) (commands_per_sec m)
-              (float_of_int e.exec_wall_ns /. 1e6)
-              m.faults m.digest)
-          [ ("interp", mi, ei); ("compiled", mc, ec) ];
-        let digest_match = mi.digest = mc.digest && mi.events = mc.events in
-        Printf.printf "  %-12s %-9s %12s %13.2fx %12.2fx %8s  digest %s\n" "" "speedup"
-          "" speedup exec_speedup ""
+          (fun (side, o) ->
+            Printf.printf "  %-12s %-9s %12.2f %14.0f %13.2f %8d  %s\n" name side
+              ((row (side ^ ".wall_ns")).value /. 1e6)
+              (row (side ^ ".commands_per_sec")).value
+              ((row (side ^ ".exec.wall_ns")).value /. 1e6)
+              o.faults o.digest)
+          [ ("interp", oi); ("compiled", oc) ];
+        let speedup = row "speedup.commands_per_sec" and exec = row "speedup.executor_wall" in
+        let digest_match = oi.digest = oc.digest && oi.events = oc.events in
+        Printf.printf "  %-12s %-9s %12s %13.2fx %12.2fx %8s  digest %s\n" "" "speedup" ""
+          speedup.value exec.value ""
           (if digest_match then "MATCH" else "MISMATCH");
-        Printf.printf "  %-12s %-9s %12s %13.2f  %12.2f  %8s\n" "" "IQR" "" speedup_iqr
-          exec_iqr "";
-        if not digest_match then
-          failwith (Printf.sprintf "backend digests diverged on %s" name);
-        (name, mi, mc, speedup, digest_match, ei, ec, exec_speedup))
+        Printf.printf "  %-12s %-9s %12s %13.2f  %12.2f  %8s\n" "" "IQR" "" speedup.spread
+          exec.spread "";
+        (* The regression gate: compiled must win at the executor-
+           attributed layer on every scenario, and spin-heavy — a
+           pure-executor scenario — must hold the headline whole-run
+           speedup. *)
+        let checks =
+          [
+            check (name ^ ": digests match across backends") digest_match
+              (Printf.sprintf "interp %s (%d events), compiled %s (%d events)" oi.digest
+                 oi.events oc.digest oc.events);
+            check
+              (name ^ ": executor-attributed speedup >= 1.0x")
+              (exec.value >= 1.0)
+              (Printf.sprintf "%.3fx" exec.value);
+          ]
+          @ Option.fold whole_run_floor ~none:[] ~some:(fun floor ->
+                [ check (Printf.sprintf "%s: whole-run speedup >= %.1fx" name floor)
+                    (speedup.value >= floor) (Printf.sprintf "%.2fx" speedup.value) ])
+        in
+        (name, List.hd exec_runs |> fst, rows, checks))
       scenarios
   in
   (* Per-opcode attribution: where the executor wall went, per backend. *)
   List.iter
-    (fun (name, _, _, _, _, ei, ec, _) ->
+    (fun (name, cells, rows, _) ->
       Printf.printf "\n  %s per-opcode executor wall (median of %d runs):\n" name pairs;
       Printf.printf "    %-12s %10s %12s %12s %12s\n" "opcode" "count" "interp(us)"
         "compiled(us)" "sim(us)";
-      let wall_of e n =
-        match List.find_opt (fun (o, _, _, _) -> o = n) e.per_opcode with
-        | Some (_, _, _, w) -> Some w
-        | None -> None
-      in
+      let wall side op = (find rows (side ^ ".exec." ^ op ^ ".wall_ns")).value in
       List.iter
-        (fun (opcode, count, sim, wi) ->
-          let wc = Option.value (wall_of ec opcode) ~default:0 in
-          Printf.printf "    %-12s %10d %12.1f %12.1f %12.1f\n" opcode count
-            (float_of_int wi /. 1e3) (float_of_int wc /. 1e3)
-            (float_of_int sim /. 1e3))
-        ei.per_opcode)
-    rows;
-  let path = "BENCH_7.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"bench\": \"backend\",\n  \"quick\": %b,\n  \"scenarios\": [\n"
-        quick;
-      List.iteri
-        (fun i (name, mi, mc, speedup, digest_match, ei, ec, exec_speedup) ->
-          Printf.fprintf oc
-            "    { \"name\": \"%s\",\n      \"interp\": %s,\n      \"compiled\": %s,\n\
-            \      \"interp_exec\": %s,\n      \"compiled_exec\": %s,\n\
-            \      \"speedup_commands_per_sec\": %.3f,\n\
-            \      \"speedup_executor_wall\": %.3f,\n      \"digest_match\": %b }%s\n"
-            name (json_of_measure mi) (json_of_measure mc) (json_of_exec ei)
-            (json_of_exec ec) speedup exec_speedup digest_match
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n");
-  Printf.printf "\n  wrote %s\n" path;
-  (* Regression gate (CI fails with us): compiled must win at the
-     executor-attributed layer on every golden scenario, and spin-heavy
-     — a pure-executor scenario — must hold the headline whole-wall
-     speedup. *)
-  let failures = ref [] in
-  List.iter
-    (fun (name, _, _, speedup, _, _, _, exec_speedup) ->
-      if exec_speedup < 1.0 then
-        failures :=
-          Printf.sprintf "%s: executor-attributed speedup %.3fx < 1.0x" name
-            exec_speedup
-          :: !failures;
-      if name = "spin-heavy" && speedup < 1.5 then
-        failures :=
-          Printf.sprintf "spin-heavy: whole-scenario speedup %.2fx < 1.5x" speedup
-          :: !failures)
-    rows;
-  (match !failures with
-  | [] -> Printf.printf "  regression gate: PASS\n\n"
-  | fs ->
-      List.iter (fun f -> Printf.printf "  regression gate: FAIL %s\n" f) fs;
-      failwith "backend bench regression gate failed");
-  ()
+        (fun (op, count, sim_ns, _) ->
+          Printf.printf "    %-12s %10d %12.1f %12.1f %12.1f\n" op count
+            (wall "interp" op /. 1e3) (wall "compiled" op /. 1e3) (float sim_ns /. 1e3))
+        cells)
+    results;
+  report ~bench:"backend" ~quick
+    (List.concat_map (fun (_, _, rows, _) -> rows) results)
+    (List.concat_map (fun (_, _, _, checks) -> checks) results)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics: per-scenario latency percentile tables (BENCH_4.json)      *)
+(* Metrics: per-scenario latency percentile tables                     *)
 (* ------------------------------------------------------------------ *)
 
-module Mx = Hipec_metrics.Metrics
 module St = Hipec_sim.Stats
 
 (* Every scenario runs once under a fresh metrics registry; the
    percentile tables come straight out of the log-bucketed latency
    histograms the kernel's emit sites populate. *)
-let metrics_bench ~quick:_ () =
-  header "Metrics: fault-service latency percentiles per scenario (BENCH_4.json)";
-  let scenarios = [ "policy"; "join-small"; "aim-small"; "chaos-smoke" ] in
-  let rows =
-    List.map
-      (fun name ->
-        let scenario =
-          match Trace_run.scenario_of_name name with
-          | Some s -> s
-          | None -> failwith ("unknown scenario " ^ name)
-        in
-        let reg = Mx.install () in
-        let result =
-          Fun.protect
-            ~finally:(fun () -> ignore (Mx.uninstall ()))
-            (fun () -> Trace_run.run_scenario scenario)
-        in
-        (match result with Ok () -> () | Error e -> failwith (name ^ ": " ^ e));
-        (name, reg))
-      scenarios
+let metrics_bench ~quick () =
+  header "Metrics: fault-service latency percentiles per scenario (BENCH_metrics.json)";
+  let scenario name =
+    let reg = Mp.install () in
+    Fun.protect ~finally:(fun () -> ignore (Mp.uninstall ())) (fun () -> run_named name);
+    let faults = Option.value (Mp.Registry.counter_value reg "vm.fault.count") ~default:0 in
+    Printf.printf "\n  %s (%d faults)\n" name faults;
+    Printf.printf "    %-26s %8s %12s %12s %12s %12s\n" "latency histogram (ns)" "n" "p50" "p90"
+      "p99" "max";
+    sim name "faults" (float faults)
+    :: List.concat_map
+         (fun (hname, h) ->
+           let n = St.Histogram.count h in
+           if n = 0 then []
+           else
+             let pct p = int_of_float (St.Histogram.percentile h p) in
+             let max = int_of_float (St.Histogram.max h) in
+             Printf.printf "    %-26s %8d %12d %12d %12d %12d\n" hname n (pct 50.) (pct 90.)
+               (pct 99.) max;
+             sim name (hname ^ ".count") (float n)
+             :: List.map
+                  (fun (m, v) -> sim ~unit:"ns" name (hname ^ "." ^ m) (float v))
+                  [ ("p50", pct 50.); ("p90", pct 90.); ("p99", pct 99.); ("max", max) ])
+         (Mp.Registry.histogram_list reg)
   in
-  let pct h p = int_of_float (St.Histogram.percentile h p) in
-  List.iter
-    (fun (name, reg) ->
-      Printf.printf "\n  %s (%d faults)\n" name
-        (Option.value (Mx.Registry.counter_value reg "vm.fault.count") ~default:0);
-      Printf.printf "    %-26s %8s %12s %12s %12s %12s\n" "latency histogram (ns)" "n" "p50"
-        "p90" "p99" "max";
-      List.iter
-        (fun (hname, h) ->
-          if St.Histogram.count h > 0 then
-            Printf.printf "    %-26s %8d %12d %12d %12d %12d\n" hname (St.Histogram.count h)
-              (pct h 50.) (pct h 90.) (pct h 99.)
-              (int_of_float (St.Histogram.max h)))
-        (Mx.Registry.histogram_list reg))
-    rows;
-  let path = "BENCH_4.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"bench\": \"metrics\",\n  \"scenarios\": [\n";
-      List.iteri
-        (fun i (name, reg) ->
-          Printf.fprintf oc "    { \"name\": \"%s\",\n      \"faults\": %d,\n      \"latency_ns\": {" name
-            (Option.value (Mx.Registry.counter_value reg "vm.fault.count") ~default:0);
-          let first = ref true in
-          List.iter
-            (fun (hname, h) ->
-              if St.Histogram.count h > 0 then begin
-                if not !first then Printf.fprintf oc ",";
-                first := false;
-                Printf.fprintf oc
-                  "\n        \"%s\": { \"count\": %d, \"p50\": %d, \"p90\": %d, \"p99\": %d, \
-                   \"max\": %d }"
-                  hname (St.Histogram.count h) (pct h 50.) (pct h 90.) (pct h 99.)
-                  (int_of_float (St.Histogram.max h))
-              end)
-            (Mx.Registry.histogram_list reg);
-          Printf.fprintf oc "\n      } }%s\n" (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n");
-  Printf.printf "\n  wrote %s\n\n" path
+  let rows = List.concat_map scenario [ "policy"; "join-small"; "aim-small"; "chaos-smoke" ] in
+  report ~bench:"metrics" ~quick rows []
 
 (* ------------------------------------------------------------------ *)
-(* Storm: multi-tenant overload protection (BENCH_5.json)              *)
+(* Storm: multi-tenant overload protection                             *)
 (* ------------------------------------------------------------------ *)
 
 let storm_bench ~quick () =
-  header "Storm: multi-tenant overload protection and isolation (BENCH_5.json)";
+  header "Storm: multi-tenant overload protection and isolation (BENCH_storm.json)";
   (* digest checks only make sense when each run owns its collector; an
      outer --trace collector makes the digests cumulative *)
-  let own_digests = not (Hipec_trace.Trace.on ()) in
-  let scales =
-    if quick then [ Storm.smoke ] else [ Storm.smoke; Storm.full ]
-  in
+  let own_digests = not (Tr.on ()) in
+  let scales = if quick then [ Storm.smoke ] else [ Storm.smoke; Storm.full ] in
   Printf.printf "  %-8s %-10s %12s %14s %14s %10s %10s  %s\n" "tenants" "variant"
     "faults/sec" "honest p99 ns" "isolation" "throttles" "seizures" "digest";
-  let rows =
-    List.map
-      (fun config ->
-        let timed f =
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          (r, (Unix.gettimeofday () -. t0) *. 1e9)
-        in
-        let run_on b config = Executor.with_backend b (fun () -> Storm.run config) in
-        let r1, wall_ns = timed (fun () -> run_on Executor.Interp config) in
-        let r2 = run_on Executor.Interp config in
-        let rc = run_on Executor.Compiled config in
-        let baseline =
-          run_on Executor.Interp { config with Storm.greedy_every = 0; erring_every = 0 }
-        in
-        let digest_stable = (not own_digests) || r1.Storm.digest = r2.Storm.digest in
-        let backend_match = (not own_digests) || r1.Storm.digest = rc.Storm.digest in
-        (* honest tail latency relative to the greedy-free control run:
-           the isolation ratio the storm suite bounds at 3x *)
-        let isolation_ratio =
-          if baseline.Storm.honest_p99_ns > 0 then
-            float_of_int r1.Storm.honest_p99_ns
-            /. float_of_int baseline.Storm.honest_p99_ns
-          else 0.
-        in
-        List.iter
-          (fun (variant, (r : Storm.result)) ->
-            Printf.printf "  %-8d %-10s %12.0f %14d %13.2fx %10d %10d  %s\n"
-              r.Storm.tenants variant r.Storm.faults_per_sec r.Storm.honest_p99_ns
-              (if variant = "storm" then isolation_ratio else 1.0)
-              r.Storm.throttles_entered r.Storm.emergency_seizures r.Storm.digest)
-          [ ("storm", r1); ("baseline", baseline) ];
-        if own_digests then
-          Printf.printf "  %-8s %-10s digest %s across runs, %s across backends\n" ""
-            ""
-            (if digest_stable then "STABLE" else "UNSTABLE")
-            (if backend_match then "MATCH" else "MISMATCH");
-        Printf.printf "  %-8s %-10s slo: %d tracked, %d over budget, %d violations%s\n" ""
-          "" r1.Storm.slo_tracked r1.Storm.slo_over_budget r1.Storm.slo_violations
-          (match r1.Storm.slo_worst with
-          | [] -> ""
-          | o :: _ ->
-              Printf.sprintf "; worst t%04d (%s) burn %.2fx" o.Storm.o_index
-                (Storm.kind_name o.Storm.o_kind) o.Storm.o_burn);
-        if not digest_stable then
-          failwith
-            (Printf.sprintf "storm digest unstable across runs at %d tenants"
-               config.Storm.tenants);
-        if not backend_match then
-          failwith
-            (Printf.sprintf "storm digest diverged across backends at %d tenants"
-               config.Storm.tenants);
-        (config, r1, baseline, isolation_ratio, digest_stable, backend_match, wall_ns))
-      scales
+  let scale config =
+    let run_on b config = Executor.with_backend b (fun () -> Storm.run config) in
+    let runs, walls = sampled 2 (fun () -> run_on Executor.Interp config) in
+    let r1 = List.hd runs in
+    let rc = run_on Executor.Compiled config in
+    let baseline =
+      run_on Executor.Interp { config with Storm.greedy_every = 0; erring_every = 0 }
+    in
+    let digest_stable =
+      (not own_digests) || List.for_all (fun r -> r.Storm.digest = r1.Storm.digest) runs
+    in
+    let backend_match = (not own_digests) || r1.Storm.digest = rc.Storm.digest in
+    (* honest tail latency relative to the greedy-free control run: the
+       isolation ratio the storm suite bounds at 3x *)
+    let isolation_ratio =
+      if baseline.Storm.honest_p99_ns > 0 then
+        float_of_int r1.Storm.honest_p99_ns /. float_of_int baseline.Storm.honest_p99_ns
+      else 0.
+    in
+    List.iter
+      (fun (variant, (r : Storm.result)) ->
+        Printf.printf "  %-8d %-10s %12.0f %14d %13.2fx %10d %10d  %s\n" r.Storm.tenants
+          variant r.Storm.faults_per_sec r.Storm.honest_p99_ns
+          (if variant = "storm" then isolation_ratio else 1.0)
+          r.Storm.throttles_entered r.Storm.emergency_seizures r.Storm.digest)
+      [ ("storm", r1); ("baseline", baseline) ];
+    if own_digests then
+      Printf.printf "  %-8s %-10s digest %s across runs, %s across backends\n" "" ""
+        (if digest_stable then "STABLE" else "UNSTABLE")
+        (if backend_match then "MATCH" else "MISMATCH");
+    Printf.printf "  %-8s %-10s slo: %d tracked, %d over budget, %d violations%s\n" "" ""
+      r1.Storm.slo_tracked r1.Storm.slo_over_budget r1.Storm.slo_violations
+      (match r1.Storm.slo_worst with
+      | [] -> ""
+      | o :: _ ->
+          Printf.sprintf "; worst t%04d (%s) burn %.2fx" o.Storm.o_index
+            (Storm.kind_name o.Storm.o_kind) o.Storm.o_burn);
+    let sc = Printf.sprintf "storm-%d" config.Storm.tenants in
+    let count m v = sim sc m (float v) and ns m v = sim ~unit:"ns" sc m (float v) in
+    let rows =
+      [
+        count "admitted" r1.Storm.admitted;
+        count "shed" r1.Storm.shed;
+        count "honest_alive" r1.Storm.honest_alive;
+        count "faults" r1.Storm.total_faults;
+        sim ~unit:"1/s" sc "faults_per_sec" r1.Storm.faults_per_sec;
+        timed_row sc "wall_ns" walls;
+        ns "honest_p50_ns" r1.Storm.honest_p50_ns;
+        ns "honest_p99_ns" r1.Storm.honest_p99_ns;
+        ns "greedy_p99_ns" r1.Storm.greedy_p99_ns;
+        ns "baseline.honest_p99_ns" baseline.Storm.honest_p99_ns;
+        sim ~unit:"x" sc "isolation_ratio" isolation_ratio;
+        ns "slo_ns" r1.Storm.slo_ns;
+        sim ~unit:"ratio" sc "slo_budget" r1.Storm.slo_budget;
+        count "slo_tracked" r1.Storm.slo_tracked;
+        count "slo_over_budget" r1.Storm.slo_over_budget;
+        count "slo_violations" r1.Storm.slo_violations;
+      ]
+      @ List.concat_map
+          (fun (o : Storm.offender) ->
+            let m =
+              Printf.sprintf "slo_worst.t%04d.%s." o.Storm.o_index (Storm.kind_name o.Storm.o_kind)
+            in
+            [
+              count (m ^ "samples") o.Storm.o_samples;
+              count (m ^ "violations") o.Storm.o_violations;
+              sim ~unit:"ratio" sc (m ^ "burn") o.Storm.o_burn;
+              ns (m ^ "worst_ns") o.Storm.o_worst_ns;
+            ])
+          r1.Storm.slo_worst
+      @ [
+          count "throttles_entered" r1.Storm.throttles_entered;
+          count "throttles_exited" r1.Storm.throttles_exited;
+          count "emergency_seizures" r1.Storm.emergency_seizures;
+          count "emergency_frames" r1.Storm.emergency_frames;
+          count "admissions_rejected" r1.Storm.admissions_rejected;
+          count "demotions" r1.Storm.demotions;
+          count "pressure_changes" r1.Storm.pressure_changes;
+          count "audit_violations" r1.Storm.audit_violations;
+        ]
+    in
+    let checks =
+      [
+        check (sc ^ ": digest stable across runs") digest_stable r1.Storm.digest;
+        check (sc ^ ": digests match across backends") backend_match
+          (Printf.sprintf "interp %s, compiled %s" r1.Storm.digest rc.Storm.digest);
+        check (sc ^ ": frame conservation") r1.Storm.conservation_ok "";
+        check (sc ^ ": peak pressure level") true r1.Storm.peak_level;
+      ]
+    in
+    (rows, checks)
   in
-  let json_of_offender (o : Storm.offender) =
-    Printf.sprintf
-      "{ \"tenant\": %d, \"kind\": \"%s\", \"samples\": %d, \"violations\": %d, \
-       \"burn\": %.3f, \"worst_ns\": %d }"
-      o.Storm.o_index
-      (Storm.kind_name o.Storm.o_kind)
-      o.Storm.o_samples o.Storm.o_violations o.Storm.o_burn o.Storm.o_worst_ns
-  in
-  let path = "BENCH_5.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"bench\": \"storm\",\n  \"quick\": %b,\n  \"scales\": [\n"
-        quick;
-      List.iteri
-        (fun i
-             ( (config : Storm.config),
-               (r : Storm.result),
-               (b : Storm.result),
-               ratio,
-               stable,
-               bmatch,
-               wall_ns ) ->
-          Printf.fprintf oc
-            "    { \"tenants\": %d,\n\
-            \      \"admitted\": %d, \"shed\": %d, \"honest_alive\": %d,\n\
-            \      \"faults\": %d, \"faults_per_sec\": %.0f, \"wall_ns\": %.0f,\n\
-            \      \"honest_p50_ns\": %d, \"honest_p99_ns\": %d, \"greedy_p99_ns\": %d,\n\
-            \      \"baseline_honest_p99_ns\": %d, \"isolation_ratio\": %.3f,\n\
-            \      \"slo_ns\": %d, \"slo_budget\": %.3f, \"slo_tracked\": %d,\n\
-            \      \"slo_over_budget\": %d, \"slo_violations\": %d,\n\
-            \      \"slo_worst\": [%s],\n\
-            \      \"throttles_entered\": %d, \"throttles_exited\": %d,\n\
-            \      \"emergency_seizures\": %d, \"emergency_frames\": %d,\n\
-            \      \"admissions_rejected\": %d, \"demotions\": %d,\n\
-            \      \"pressure_changes\": %d, \"peak_level\": \"%s\",\n\
-            \      \"audit_violations\": %d, \"conservation_ok\": %b,\n\
-            \      \"digest\": \"%s\", \"digest_stable\": %b, \"backend_match\": %b }%s\n"
-            config.Storm.tenants r.Storm.admitted r.Storm.shed r.Storm.honest_alive
-            r.Storm.total_faults r.Storm.faults_per_sec wall_ns r.Storm.honest_p50_ns
-            r.Storm.honest_p99_ns r.Storm.greedy_p99_ns b.Storm.honest_p99_ns ratio
-            r.Storm.slo_ns r.Storm.slo_budget r.Storm.slo_tracked r.Storm.slo_over_budget
-            r.Storm.slo_violations
-            (String.concat ", " (List.map json_of_offender r.Storm.slo_worst))
-            r.Storm.throttles_entered r.Storm.throttles_exited r.Storm.emergency_seizures
-            r.Storm.emergency_frames r.Storm.admissions_rejected r.Storm.demotions
-            r.Storm.pressure_changes r.Storm.peak_level r.Storm.audit_violations
-            r.Storm.conservation_ok r.Storm.digest stable bmatch
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n");
-  Printf.printf "\n  wrote %s\n\n" path
+  let results = List.map scale scales in
+  report ~bench:"storm" ~quick (List.concat_map fst results) (List.concat_map snd results)
 
 (* ------------------------------------------------------------------ *)
-(* Adversary: anomaly-witness search throughput and gate (BENCH_6.json)*)
+(* Adversary: anomaly-witness search throughput and gate               *)
 (* ------------------------------------------------------------------ *)
 
 let adversary_bench ~quick () =
-  header "Adversary: Belady-anomaly witness search and the adaptive gate (BENCH_6.json)";
+  header "Adversary: Belady-anomaly witness search and the adaptive gate (BENCH_adversary.json)";
   let cfg = if quick then Adversary.smoke else Adversary.default in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+  Printf.printf "  %-10s %8s %10s %12s %8s %8s  %s\n" "policy" "traces" "traces/s" "best gap"
+    "f(lo)" "f(hi)" "verdict";
+  (* each search runs twice, so its wall has a spread *)
+  let search policy =
+    let outcomes, walls = sampled 2 (fun () -> Adversary.search { cfg with Adversary.policy }) in
+    let o = List.hd outcomes in
+    let rate =
+      timed_row ~unit:"1/s" ~better:"higher" policy "traces_per_sec"
+        (List.map (fun w -> float o.Adversary.o_traces_scored /. (w /. 1e9)) walls)
+    in
+    let lo, hi, verdict, witness_rows =
+      match o.Adversary.o_witness with
+      | None -> ("-", "-", "no witness at this budget", [])
+      | Some w ->
+          ( string_of_int w.Adversary.w_faults_lo,
+            string_of_int w.Adversary.w_faults_hi,
+            Printf.sprintf "witness (ratio %.3f)" (Adversary.anomaly_ratio w),
+            [
+              sim policy "witness.faults_lo" (float w.Adversary.w_faults_lo);
+              sim policy "witness.faults_hi" (float w.Adversary.w_faults_hi);
+              sim ~unit:"ratio" policy "witness.anomaly_ratio" (Adversary.anomaly_ratio w);
+            ] )
+    in
+    Printf.printf "  %-10s %8d %10.0f %12d %8s %8s  %s\n" policy o.Adversary.o_traces_scored
+      rate.value o.Adversary.o_best_gap lo hi verdict;
+    ( o,
+      [
+        sim policy "traces_scored" (float o.Adversary.o_traces_scored);
+        timed_row policy "wall_ns" walls;
+        rate;
+        sim policy "best_gap" (float o.Adversary.o_best_gap);
+      ]
+      @ witness_rows )
   in
-  let rate o wall =
-    if wall > 0. then float_of_int o.Adversary.o_traces_scored /. wall else 0.
-  in
-  (* the attacked policy must fall, and the witness must confirm *)
-  let o_fifo, wall_fifo = timed (fun () -> Adversary.search cfg) in
-  let w =
+  (* the attacked policy must fall, and its witness must confirm end to
+     end; the adaptive policy must stand at the same budget *)
+  let o_fifo, fifo_rows = search "fifo" in
+  let o_ad, ad_rows = search "adaptive" in
+  let found = check "fifo: the search finds a witness" (o_fifo.Adversary.o_witness <> None) in
+  let confirmed = check "fifo: the witness is confirmed end to end" in
+  let witness_checks =
     match o_fifo.Adversary.o_witness with
-    | Some w -> w
-    | None -> failwith "adversary bench: the search no longer finds a FIFO witness"
+    | None -> [ found "none at this budget" ]
+    | Some w -> (
+        let found = found (Format.asprintf "%a" Adversary.pp_accesses w.Adversary.w_accesses) in
+        match Adversary.confirm w with
+        | Error e -> [ found; confirmed false e ]
+        | Ok c ->
+            let digest_hex l = Tr.digest_hex l.Adversary.cl_interp.Adversary.x_digest in
+            [
+              found;
+              confirmed (Adversary.confirmed c)
+                (Printf.sprintf "digest lo %s, hi %s" (digest_hex c.Adversary.c_lo)
+                   (digest_hex c.Adversary.c_hi));
+              check "fifo: the witness replays alike on both backends"
+                (Adversary.backends_agree c) "";
+              check "fifo: the witness matches the oracle" (Adversary.matches_oracle c) "";
+            ])
   in
-  let c =
-    match Adversary.confirm w with
-    | Ok c -> c
-    | Error e -> failwith ("adversary bench: confirmation failed: " ^ e)
+  let config_rows =
+    List.map
+      (fun (m, v) -> sim "config" m (float v))
+      [
+        ("seed", cfg.Adversary.seed);
+        ("frames_lo", cfg.Adversary.frames_lo);
+        ("frames_hi", cfg.Adversary.frames_hi);
+        ("pages", cfg.Adversary.npages);
+        ("length", cfg.Adversary.length);
+        ("random_rounds", cfg.Adversary.random_rounds);
+        ("mutation_rounds", cfg.Adversary.mutation_rounds);
+      ]
   in
-  if not (Adversary.confirmed c) then
-    failwith "adversary bench: FIFO witness failed end-to-end confirmation";
-  (* ...and the adaptive policy must stand at the same budget *)
-  let o_ad, wall_ad =
-    timed (fun () -> Adversary.search { cfg with Adversary.policy = "adaptive" })
-  in
-  if o_ad.Adversary.o_witness <> None then
-    failwith "adversary bench: the adaptive policy fell to the search";
-  Printf.printf "  %-10s %8s %10s %12s %8s %8s  %s\n" "policy" "traces" "traces/s"
-    "best gap" "f(lo)" "f(hi)" "verdict";
-  Printf.printf "  %-10s %8d %10.0f %12d %8d %8d  witness confirmed (ratio %.3f)\n"
-    "fifo" o_fifo.Adversary.o_traces_scored (rate o_fifo wall_fifo)
-    o_fifo.Adversary.o_best_gap w.Adversary.w_faults_lo w.Adversary.w_faults_hi
-    (Adversary.anomaly_ratio w);
-  Printf.printf "  %-10s %8d %10.0f %12d %8s %8s  resists the same budget\n" "adaptive"
-    o_ad.Adversary.o_traces_scored (rate o_ad wall_ad) o_ad.Adversary.o_best_gap "-" "-";
-  let digest_hex r = Hipec_trace.Trace.digest_hex r.Adversary.x_digest in
-  let path = "BENCH_6.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"bench\": \"adversary\",\n  \"quick\": %b,\n\
-        \  \"config\": { \"seed\": %d, \"frames_lo\": %d, \"frames_hi\": %d,\n\
-        \    \"pages\": %d, \"length\": %d, \"random_rounds\": %d, \"mutation_rounds\": %d },\n"
-        quick cfg.Adversary.seed cfg.Adversary.frames_lo cfg.Adversary.frames_hi
-        cfg.Adversary.npages cfg.Adversary.length cfg.Adversary.random_rounds
-        cfg.Adversary.mutation_rounds;
-      Printf.fprintf oc
-        "  \"fifo\": {\n\
-        \    \"traces_scored\": %d, \"wall_ns\": %.0f, \"traces_per_sec\": %.0f,\n\
-        \    \"best_gap\": %d,\n\
-        \    \"witness\": {\n\
-        \      \"accesses\": \"%s\",\n\
-        \      \"faults_lo\": %d, \"faults_hi\": %d, \"anomaly_ratio\": %.4f,\n\
-        \      \"digest_lo\": \"%s\", \"digest_hi\": \"%s\",\n\
-        \      \"backend_match\": %b, \"oracle_match\": %b, \"confirmed\": %b\n\
-        \    }\n  },\n"
-        o_fifo.Adversary.o_traces_scored (wall_fifo *. 1e9) (rate o_fifo wall_fifo)
-        o_fifo.Adversary.o_best_gap
-        (Format.asprintf "%a" Adversary.pp_accesses w.Adversary.w_accesses)
-        w.Adversary.w_faults_lo w.Adversary.w_faults_hi (Adversary.anomaly_ratio w)
-        (digest_hex c.Adversary.c_lo.Adversary.cl_interp)
-        (digest_hex c.Adversary.c_hi.Adversary.cl_interp)
-        (Adversary.backends_agree c) (Adversary.matches_oracle c) (Adversary.confirmed c);
-      Printf.fprintf oc
-        "  \"adaptive\": {\n\
-        \    \"traces_scored\": %d, \"wall_ns\": %.0f, \"traces_per_sec\": %.0f,\n\
-        \    \"best_gap\": %d, \"witness_found\": %b\n  }\n}\n"
-        o_ad.Adversary.o_traces_scored (wall_ad *. 1e9) (rate o_ad wall_ad)
-        o_ad.Adversary.o_best_gap
-        (o_ad.Adversary.o_witness <> None));
-  Printf.printf "\n  wrote %s\n\n" path
+  report ~bench:"adversary" ~quick
+    (config_rows @ fifo_rows @ ad_rows)
+    (witness_checks
+    @ [
+        check "adaptive: no witness at the same budget" (o_ad.Adversary.o_witness = None)
+          (Printf.sprintf "best gap %d" o_ad.Adversary.o_best_gap);
+      ])
 
 (* ------------------------------------------------------------------ *)
-(* Spans: fault-lifecycle reconstruction overhead (BENCH_8.json)       *)
+(* Spans: fault-lifecycle reconstruction overhead                      *)
 (* ------------------------------------------------------------------ *)
 
 module Sp = Hipec_trace.Span
+
+(* trace-only and with-spans walls over the pairs, and each pair's
+   overhead *)
+let span_wall_rows sc offs ons =
+  let overhead off on = (on -. off) /. off *. 100. in
+  [
+    timed_row sc "trace_only.wall_ns" offs;
+    timed_row sc "with_spans.wall_ns" ons;
+    timed_row ~unit:"%" sc "overhead_percent" (List.map2 overhead offs ons);
+  ]
 
 (* Two gates on the span layer.  First, attaching the online span
    builder must not perturb the simulation at all: the traced event
    stream (digest and count) with the consumer attached must be
    bit-identical to the stream without it.  Second, the wall-clock cost
-   of building spans online must stay under 10% of the trace-only run.
-   Repeats are interleaved so allocator/GC drift lands on both variants
-   alike, and each variant keeps its fastest repeat. *)
+   of building spans online must stay under 10% of the trace-only run,
+   over the whole run (all scenarios) — the policy micro-scenario is
+   nearly pure event emission with almost no simulated work behind it,
+   so any proportional per-event cost is a large share of its tiny
+   wall. *)
 let spans_bench ~quick () =
-  header "Spans: fault-lifecycle reconstruction overhead (BENCH_8.json)";
+  header "Spans: fault-lifecycle reconstruction overhead (BENCH_spans.json)";
   let pairs = gate_pairs ~quick in
-  let scenarios = [ "policy"; "chaos-smoke"; "storm-smoke" ] in
   Printf.printf "  (medians of %d interleaved trace-only / +spans pairs)\n" pairs;
   Printf.printf "  %-12s %12s %12s %10s %8s  %s\n" "scenario" "trace (ms)" "+spans (ms)"
     "overhead" "faults" "span digest";
-  let rows =
-    List.map
-      (fun name ->
-        let scenario =
-          match Trace_run.scenario_of_name name with
-          | Some s -> s
-          | None -> failwith ("unknown scenario " ^ name)
-        in
-        let once ~with_spans () =
-          let b = if with_spans then Some (Sp.create ()) else None in
-          let t0 = Unix.gettimeofday () in
-          let c = Tr.start ~store:false () in
-          (match b with Some b -> Tr.set_consumer (Some (Sp.feed b)) | None -> ());
-          let result = Trace_run.run_scenario scenario in
-          ignore (Tr.stop ());
-          let wall = (Unix.gettimeofday () -. t0) *. 1e9 in
-          (match result with Ok () -> () | Error e -> failwith (name ^ ": " ^ e));
-          (wall, Tr.digest_hex (Tr.digest c), Tr.events_seen c, b)
-        in
-        let runs = interleave ~pairs (once ~with_spans:false) (once ~with_spans:true) in
-        let wall (w, _, _, _) = w in
-        let w_off, _ = median_iqr (List.map (fun (off, _) -> wall off) runs) in
-        let w_on, _ = median_iqr (List.map (fun (_, on) -> wall on) runs) in
-        let overhead, _ =
-          median_iqr
-            (List.map (fun (off, on) -> (wall on -. wall off) /. wall off *. 100.) runs)
-        in
-        (* the span consumer must not perturb the traced stream, in any
-           pair *)
-        let stream_identical =
-          List.for_all
-            (fun ((_, d_off, ev_off, _), (_, d_on, ev_on, _)) -> d_off = d_on && ev_off = ev_on)
-            runs
-        in
-        let b =
-          match runs with
-          | (_, (_, _, _, Some b)) :: _ -> b
-          | _ -> failwith "spans bench: no span builder"
-        in
-        let span_digest = Sp.digest b in
-        (* the cross-backend witness: same spans, bit for bit *)
-        let _, _, _, bc =
-          Executor.with_backend Executor.Compiled (fun () -> once ~with_spans:true ())
-        in
-        let backend_match = Int64.equal span_digest (Sp.digest (Option.get bc)) in
-        let agg = Sp.Agg.compute (Sp.spans b) in
-        Printf.printf "  %-12s %12.2f %12.2f %9.2f%% %8d  %016Lx %s\n" name
-          (w_off /. 1e6) (w_on /. 1e6) overhead (Sp.fault_count b) span_digest
-          (if backend_match then "MATCH" else "MISMATCH");
-        ( (name, w_off, w_on, overhead, stream_identical, backend_match, span_digest, agg,
-           Sp.fault_count b),
-          List.map (fun (off, on) -> (wall off, wall on)) runs ))
-      scenarios
+  let scenario name =
+    let once ~with_spans () =
+      let b = if with_spans then Some (Sp.create ()) else None in
+      let c, wall =
+        timed (fun () ->
+            let c = Tr.start ~store:false () in
+            Option.iter (fun b -> Tr.set_consumer (Some (Sp.feed b))) b;
+            run_named name;
+            ignore (Tr.stop ());
+            c)
+      in
+      (wall, Tr.digest_hex (Tr.digest c), Tr.events_seen c, b)
+    in
+    let runs = interleave ~pairs (once ~with_spans:false) (once ~with_spans:true) in
+    let wall (w, _, _, _) = w in
+    let offs = List.map (fun (off, _) -> wall off) runs in
+    let ons = List.map (fun (_, on) -> wall on) runs in
+    (* the span consumer must not perturb the traced stream, in any pair *)
+    let stream_identical =
+      List.for_all
+        (fun ((_, d_off, ev_off, _), (_, d_on, ev_on, _)) -> d_off = d_on && ev_off = ev_on)
+        runs
+    in
+    let (_, stream_digest, _, _), (_, _, _, b) = List.hd runs in
+    let b = Option.get b in
+    let span_digest = Sp.digest b in
+    (* the cross-backend witness: same spans, bit for bit *)
+    let _, _, _, bc = Executor.with_backend Executor.Compiled (once ~with_spans:true) in
+    let backend_match = Int64.equal span_digest (Sp.digest (Option.get bc)) in
+    let agg = Sp.Agg.compute (Sp.spans b) in
+    let ns m v = sim ~unit:"ns" name m (float v) in
+    let rows =
+      sim name "faults" (float (Sp.fault_count b))
+      :: span_wall_rows name offs ons
+      @ [ ns "total_latency_ns" agg.Sp.Agg.total_latency_ns; ns "lat_p99_ns" agg.Sp.Agg.lat_p99_ns ]
+      @ List.concat_map
+          (fun (r : Sp.Agg.row) ->
+            let m = "segment." ^ Sp.segment_kind_name r.Sp.Agg.kind ^ "." in
+            [
+              ns (m ^ "total_ns") r.Sp.Agg.total_ns;
+              sim name (m ^ "faults") (float r.Sp.Agg.faults_touched);
+              ns (m ^ "p50_ns") r.Sp.Agg.p50_ns;
+              ns (m ^ "p90_ns") r.Sp.Agg.p90_ns;
+              ns (m ^ "p99_ns") r.Sp.Agg.p99_ns;
+            ])
+          agg.Sp.Agg.rows
+    in
+    let value m = (find rows m).value in
+    Printf.printf "  %-12s %12.2f %12.2f %9.2f%% %8d  %016Lx %s\n" name
+      (value "trace_only.wall_ns" /. 1e6)
+      (value "with_spans.wall_ns" /. 1e6)
+      (value "overhead_percent") (Sp.fault_count b) span_digest
+      (if backend_match then "MATCH" else "MISMATCH");
+    let checks =
+      [
+        check (name ^ ": the span consumer leaves the traced stream identical") stream_identical
+          stream_digest;
+        check (name ^ ": span digests match across backends") backend_match
+          (Printf.sprintf "%016Lx" span_digest);
+      ]
+    in
+    (rows, checks, offs, ons)
   in
+  let results = List.map scenario [ "policy"; "chaos-smoke"; "storm-smoke" ] in
   (* whole-run overhead per pair: pair k's trace-only walls summed over
      the scenarios against its with-spans walls *)
-  let per_pair = List.map snd rows in
-  let rows = List.map fst rows in
-  let whole =
-    List.init pairs (fun k ->
-        let off = List.fold_left (fun acc walls -> acc +. fst (List.nth walls k)) 0. per_pair in
-        let on = List.fold_left (fun acc walls -> acc +. snd (List.nth walls k)) 0. per_pair in
-        (off, on))
+  let whole walls =
+    List.fold_left (List.map2 ( +. )) (List.init pairs (fun _ -> 0.)) (List.map walls results)
   in
-  let total_overhead, total_iqr =
-    median_iqr (List.map (fun (off, on) -> (on -. off) /. off *. 100.) whole)
-  in
-  let sum f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
-  let total_off = sum (fun (_, w, _, _, _, _, _, _, _) -> w) in
-  let total_on = sum (fun (_, _, w, _, _, _, _, _, _) -> w) in
-  let path = "BENCH_8.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"bench\": \"spans\",\n  \"quick\": %b,\n  \"scenarios\": [\n"
-        quick;
-      List.iteri
-        (fun i (name, w_off, w_on, overhead, stream_identical, backend_match, sd, agg, faults) ->
-          let seg_rows =
-            String.concat ",\n"
-              (List.map
-                 (fun (r : Sp.Agg.row) ->
-                   Printf.sprintf
-                     "        { \"kind\": \"%s\", \"total_ns\": %d, \"faults\": %d, \
-                      \"p50_ns\": %d, \"p90_ns\": %d, \"p99_ns\": %d }"
-                     (Sp.segment_kind_name r.Sp.Agg.kind)
-                     r.Sp.Agg.total_ns r.Sp.Agg.faults_touched r.Sp.Agg.p50_ns
-                     r.Sp.Agg.p90_ns r.Sp.Agg.p99_ns)
-                 agg.Sp.Agg.rows)
-          in
-          Printf.fprintf oc
-            "    { \"name\": \"%s\", \"faults\": %d,\n\
-            \      \"wall_trace_only_ns\": %.0f, \"wall_with_spans_ns\": %.0f,\n\
-            \      \"overhead_percent\": %.3f,\n\
-            \      \"stream_identical\": %b, \"span_digest\": \"%016Lx\", \
-             \"backend_match\": %b,\n\
-            \      \"total_latency_ns\": %d, \"lat_p99_ns\": %d,\n\
-            \      \"segments\": [\n%s\n      ] }%s\n"
-            name faults w_off w_on overhead stream_identical sd backend_match
-            agg.Sp.Agg.total_latency_ns agg.Sp.Agg.lat_p99_ns seg_rows
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc
-        "  ],\n\
-        \  \"whole_run_trace_only_ns\": %.0f, \"whole_run_with_spans_ns\": %.0f,\n\
-        \  \"whole_run_overhead_percent\": %.3f, \"whole_run_overhead_iqr\": %.3f,\n\
-        \  \"pairs\": %d\n}\n"
-        total_off total_on total_overhead total_iqr pairs);
-  Printf.printf "\n  wrote %s\n" path;
-  (* The regression gate CI fails with.  Stream identity and backend
-     agreement are per scenario; the 10% wall bound is over the whole
-     run (all scenarios) — the policy micro-scenario is nearly pure
-     event emission with almost no simulated work behind it, so any
-     proportional per-event cost is a large share of its tiny wall. *)
-  let failures = ref [] in
-  List.iter
-    (fun (name, _, _, _, stream_identical, backend_match, _, _, _) ->
-      if not stream_identical then
-        failures :=
-          Printf.sprintf "%s: span consumer perturbed the traced event stream" name
-          :: !failures;
-      if not backend_match then
-        failures :=
-          Printf.sprintf "%s: span digests diverged across backends" name :: !failures)
-    rows;
+  let offs = whole (fun (_, _, offs, _) -> offs) and ons = whole (fun (_, _, _, ons) -> ons) in
+  let rows = span_wall_rows "whole-run" offs ons in
+  let total = find rows "overhead_percent" in
   Printf.printf
     "  whole-run overhead: %.2f%% median of %d pairs, IQR %.2f (medians %.2f ms -> %.2f ms)\n"
-    total_overhead pairs total_iqr (total_off /. 1e6) (total_on /. 1e6);
-  if total_overhead >= 10.0 then
-    failures :=
-      Printf.sprintf "online span building costs %.2f%% >= 10%% of the whole run"
-        total_overhead
-      :: !failures;
-  (match !failures with
-  | [] -> Printf.printf "  regression gate: PASS\n\n"
-  | fs ->
-      List.iter (fun f -> Printf.printf "  regression gate: FAIL %s\n" f) fs;
-      failwith "spans bench regression gate failed")
+    total.value pairs total.spread
+    ((find rows "trace_only.wall_ns").value /. 1e6)
+    ((find rows "with_spans.wall_ns").value /. 1e6);
+  report ~bench:"spans" ~quick
+    (List.concat_map (fun (rows, _, _, _) -> rows) results @ rows)
+    (List.concat_map (fun (_, checks, _, _) -> checks) results
+    @ [
+        check "whole-run: online span building < 10% of the run" (total.value < 10.0)
+          (Printf.sprintf "%.2f%%" total.value);
+      ])
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel: wall-clock micro-benchmarks of this implementation        *)
+(* compare OLD NEW: the regression check between two bench files       *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel ~quick () =
-  header "Bechamel: wall-clock micro-benchmarks of the substrate itself";
-  let open Bechamel in
-  let open Toolkit in
-  let word =
-    Instr.encode
-      (Instr.Comp (Operand.Std.free_count, Operand.Std.reserved_target, Opcode.Comp_op.Gt))
+(* The fields of one flat JSON object on one line, the way [write] puts
+   each row and check. *)
+let fields line =
+  let ib = Scanf.Scanning.from_string line in
+  let rec go acc =
+    let key = Scanf.bscanf ib " %S :" Fun.id in
+    let value =
+      Scanf.bscanf ib " %0c" (function
+        | '"' -> Scanf.bscanf ib "%S" Fun.id
+        | _ -> Scanf.bscanf ib "%[^,} ]" Fun.id)
+    in
+    if Scanf.bscanf ib " %c" Fun.id = ',' then go ((key, value) :: acc) else (key, value) :: acc
   in
-  let t_decode =
-    Test.make ~name:"instr-decode" (Staged.stage (fun () -> ignore (Instr.decode word)))
+  Scanf.bscanf ib " {" ();
+  go []
+
+let load path =
+  let lines = In_channel.with_open_bin path In_channel.input_all |> String.split_on_char '\n' in
+  let objects key =
+    List.filter_map
+      (fun l ->
+        let l = String.trim l in
+        if String.starts_with ~prefix:("{\"" ^ key ^ "\"") l then Some (fields l) else None)
+      lines
   in
-  let t_encode =
-    Test.make ~name:"instr-encode"
-      (Staged.stage (fun () ->
-           ignore
-             (Instr.encode
-                (Instr.Comp
-                   (Operand.Std.free_count, Operand.Std.reserved_target, Opcode.Comp_op.Gt)))))
+  let get f k = List.assoc k f in
+  let row f =
+    let num k = float_of_string (get f k) in
+    let repeats = int_of_string (get f "repeats") and better = List.assoc_opt "better" f in
+    let scenario = get f "scenario" and measure = get f "measure" and unit = get f "unit" in
+    { scenario; measure; value = num "value"; unit; repeats; spread = num "spread"; better }
+  and check f = { name = get f "name"; ok = get f "ok" = "true"; detail = get f "detail" } in
+  (List.map row (objects "scenario"), List.map check (objects "name"))
+
+(* One line per row and per check found in both files.  Fails when a
+   simulated row moved at all, when a timed row got worse in its
+   [better] direction by more than the larger of its two spreads, or
+   when a check that passed in OLD fails in NEW. *)
+let compare_files old_path new_path =
+  let (old_rows, old_checks), (new_rows, new_checks) =
+    try (load old_path, load new_path)
+    with e ->
+      Printf.eprintf "compare: %s\n" (Printexc.to_string e);
+      exit 2
   in
-  (* the full executor fast path on a live container *)
-  let config = { Kernel.default_config with Kernel.hipec_kernel = true } in
-  let k = Kernel.create ~config () in
-  let sys = Api.init ~start_checker:false k in
-  let task = Kernel.create_task k () in
-  let container =
-    match
-      Api.vm_allocate_hipec sys task ~npages:16
-        (Api.default_spec ~policy:(Policies.fifo_second_chance ()) ~min_frames:4_096)
-    with
-    | Ok (_, c) -> c
-    | Error e -> failwith e
-  in
-  let manager = Api.manager sys in
-  let t_fast_path =
-    Test.make ~name:"executor-fast-path"
-      (Staged.stage (fun () ->
-           match Frame_manager.page_fault manager container ~fault_va:0 with
-           | Ok page ->
-               (* hand the slot straight back so the bench is steady state *)
-               Page_queue.enqueue_head (Container.free_queue container) page
-           | Error e -> failwith e))
-  in
-  let tbl = Hipec_machine.Frame.Table.create ~total:4 in
-  let q = Page_queue.create "bench" in
-  let page = Vm_page.create ~frame:(Option.get (Hipec_machine.Frame.Table.alloc tbl)) in
-  let t_queue =
-    Test.make ~name:"page-queue-cycle"
-      (Staged.stage (fun () ->
-           Page_queue.enqueue_tail q page;
-           ignore (Page_queue.dequeue_head q)))
-  in
-  let tests = [ t_decode; t_encode; t_fast_path; t_queue ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if quick then 0.25 else 1.0))
-      ~kde:(Some 1000) ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
+  let regressions = ref 0 in
   List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analysis =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-24s %12.1f ns/op\n" name est
-          | Some _ | None -> Printf.printf "  %-24s (no estimate)\n" name)
-        analysis)
-    tests;
-  print_newline ()
+    (fun n ->
+      match List.find_opt (fun o -> o.scenario = n.scenario && o.measure = n.measure) old_rows with
+      | None -> ()
+      | Some o ->
+          let verdict =
+            match n.better with
+            | None -> if n.value = o.value then "" else "  CHANGED"
+            | Some better ->
+                let worse = if better = "higher" then o.value -. n.value else n.value -. o.value in
+                if worse > Float.max o.spread n.spread then "  WORSE" else ""
+          in
+          if verdict <> "" then incr regressions;
+          Printf.printf "  %-14s %-44s %16s %16s %s%s\n" n.scenario n.measure
+            (json_number o.value) (json_number n.value) n.unit verdict)
+    new_rows;
+  let status ok = if ok then "pass" else "FAIL" in
+  List.iter
+    (fun n ->
+      match List.find_opt (fun o -> o.name = n.name) old_checks with
+      | None -> ()
+      | Some o ->
+          let regressed = o.ok && not n.ok in
+          if regressed then incr regressions;
+          Printf.printf "  check %-62s %s -> %s%s\n" n.name (status o.ok) (status n.ok)
+            (if regressed then "  REGRESSED" else ""))
+    new_checks;
+  Printf.printf "compare: %d regression(s)\n" !regressions;
+  exit (if !regressions = 0 then 0 else 1)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -1386,49 +1293,40 @@ let all_benches =
     ("spans", spans_bench);
     ("backend", backend_bench);
     ("metrics", metrics_bench);
-    ("bechamel", bechamel);
   ]
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args || List.mem "--smoke" args in
-  let trace = List.mem "--trace" args in
-  (* --metrics: run the percentile-table bench (BENCH_4.json) after the
-     selected benches, whatever they are *)
-  let metrics = List.mem "--metrics" args in
-  let selected =
-    List.filter
-      (fun a ->
-        a <> "--quick" && a <> "--smoke" && a <> "--trace" && a <> "--metrics" && a <> "--")
-      args
-  in
-  let to_run =
-    match selected with
-    | [] -> all_benches
-    | names ->
-        List.map
-          (fun name ->
-            match List.assoc_opt name all_benches with
-            | Some f -> (name, f)
-            | None ->
-                Printf.eprintf "unknown bench %S; available: %s\n" name
-                  (String.concat ", " (List.map fst all_benches));
-                exit 2)
-          names
-  in
-  (* --trace: collect the structured event stream across every selected
-     bench and report the per-category totals and stream digest at the
-     end — the cheap way to see what a figure actually exercised. *)
-  let to_run =
-    if metrics && not (List.exists (fun (n, _) -> n = "metrics") to_run) then
-      to_run @ [ ("metrics", metrics_bench) ]
-    else to_run
-  in
-  let collector = if trace then Some (Hipec_trace.Trace.start ()) else None in
-  List.iter (fun (_, f) -> f ~quick ()) to_run;
-  match collector with
-  | None -> ()
-  | Some c ->
-      ignore (Hipec_trace.Trace.stop ());
-      header "Trace collector summary (--trace)";
-      Format.printf "%a@." Hipec_trace.Trace.pp_summary c
+  match List.filter (fun a -> a <> "--") (List.tl (Array.to_list Sys.argv)) with
+  | [ "compare"; old_path; new_path ] -> compare_files old_path new_path
+  | "compare" :: _ ->
+      prerr_endline "usage: hipec-bench compare OLD NEW";
+      exit 2
+  | args ->
+      let quick = List.mem "--quick" args in
+      let trace = List.mem "--trace" args in
+      let to_run =
+        match List.filter (fun a -> a <> "--quick" && a <> "--trace") args with
+        | [] -> all_benches
+        | names ->
+            List.map
+              (fun name ->
+                match List.assoc_opt name all_benches with
+                | Some f -> (name, f)
+                | None ->
+                    Printf.eprintf "unknown bench %S; available: %s\n" name
+                      (String.concat ", " (List.map fst all_benches));
+                    exit 2)
+              names
+      in
+      (* --trace: collect the structured event stream across every
+         selected bench and report the per-category totals and stream
+         digest at the end — the cheap way to see what a figure actually
+         exercised. *)
+      let collector = if trace then Some (Tr.start ()) else None in
+      List.iter (fun (_, f) -> f ~quick ()) to_run;
+      Option.iter
+        (fun c ->
+          ignore (Tr.stop ());
+          header "Trace collector summary (--trace)";
+          Format.printf "%a@." Tr.pp_summary c)
+        collector
