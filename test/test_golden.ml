@@ -12,17 +12,27 @@
    instead of regenerable scenarios — the adversary's anomaly witnesses.
    Each must load with the pinned digest and replay digest-identically on
    both executor backends, and a lo/hi pair of the same witness must
-   still fault more at the larger grant. *)
+   still fault more at the larger grant.
+
+   Lines named "metrics:NAME" (two fields, no event count) pin the
+   metrics snapshot of scenario NAME: the digest of
+   [Metrics.Registry.to_json ~wall:false] after one run under a fresh
+   registry.  The run is checked twice, with the registry alone and
+   beside a recording collector; both must give the pinned digest.  A
+   failing check prints the digest to pin. *)
 
 open Hipec_trace
 open Hipec_workloads
 open Hipec_core
+module Mx = Hipec_metrics.Metrics
 
 (* found whether we run under `dune runtest` (cwd = test/) or by hand
    from the repository root *)
 let golden_file =
   if Sys.file_exists "golden/digests.txt" then "golden/digests.txt"
   else "test/golden/digests.txt"
+
+let metrics_prefix = "metrics:"
 
 let read_golden () =
   let ic = open_in golden_file in
@@ -37,15 +47,15 @@ let read_golden () =
         else
           match String.split_on_char ' ' line with
           | [ name; digest; events ] -> go ((name, digest, int_of_string events) :: acc)
+          | [ name; digest ] when String.starts_with ~prefix:metrics_prefix name ->
+              go ((name, digest, 0) :: acc)
           | _ -> failwith (golden_file ^ ": malformed line: " ^ line))
   in
   go []
 
 let trace_prefix = "trace:"
-
-let is_trace_line (name, _, _) =
-  String.length name > String.length trace_prefix
-  && String.sub name 0 (String.length trace_prefix) = trace_prefix
+let is_trace_line (name, _, _) = String.starts_with ~prefix:trace_prefix name
+let is_metrics_line (name, _, _) = String.starts_with ~prefix:metrics_prefix name
 
 let trace_path name =
   let base = String.sub name (String.length trace_prefix)
@@ -130,9 +140,33 @@ let check_scenario (name, digest, events) () =
       Alcotest.(check int) (name ^ ": event count") events
         (Array.length r.Trace.Recorded.events)
 
+let metrics_digest run =
+  let reg = Mx.install () in
+  (match Fun.protect ~finally:(fun () -> ignore (Mx.uninstall ())) run with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let json = Mx.Registry.to_json ~wall:false reg in
+  let d = Encoder.digest () in
+  Encoder.digest_add_string d json ~pos:0 ~len:(String.length json);
+  Trace.digest_hex (Encoder.digest_value d)
+
+let check_metrics (name, digest, _) () =
+  let base = String.sub name (String.length metrics_prefix)
+      (String.length name - String.length metrics_prefix) in
+  let scenario =
+    match Trace_run.scenario_of_name base with
+    | Some s -> s
+    | None -> Alcotest.fail ("unknown golden scenario " ^ base)
+  in
+  Alcotest.(check string) (name ^ ": registry alone") digest
+    (metrics_digest (fun () -> Trace_run.run_scenario scenario));
+  Alcotest.(check string) (name ^ ": beside a recording collector") digest
+    (metrics_digest (fun () -> Trace_run.record scenario))
+
 let () =
   let goldens = read_golden () in
   if goldens = [] then failwith (golden_file ^ " lists no scenarios");
+  let metrics, goldens = List.partition is_metrics_line goldens in
   let traces, scenarios = List.partition is_trace_line goldens in
   Alcotest.run "golden"
     [
@@ -148,4 +182,8 @@ let () =
             (fun stem ->
               Alcotest.test_case (stem ^ ": anomaly") `Quick (check_anomaly stem))
             (witness_pairs goldens) );
+      ( "metrics",
+        List.map
+          (fun ((name, _, _) as g) -> Alcotest.test_case name `Quick (check_metrics g))
+          metrics );
     ]
