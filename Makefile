@@ -29,7 +29,9 @@ backend-bench:
 # aim-small recordings must diff equal (the *-interp.trace and
 # *-compiled.trace files stay behind for inspection), and `hipec stat`
 # fails unless both executors attribute the same per-opcode simulated
-# cycles (join-small) and charge the same per-tenant fuel (storm-smoke)
+# cycles (join-small) and charge the same per-tenant fuel and build the
+# same spans (storm-smoke, one run per backend with the metrics
+# registry, the trace collector and the span consumer all attached)
 backend-check:
 	for s in join-small aim-small; do \
 	  dune exec bin/hipec_cli.exe -- trace record \
@@ -40,7 +42,7 @@ backend-check:
 	    $$s-interp.trace $$s-compiled.trace || exit 1; \
 	done
 	dune exec bin/hipec_cli.exe -- stat --json --scenario join-small
-	dune exec bin/hipec_cli.exe -- stat --json --scenario storm-smoke
+	dune exec bin/hipec_cli.exe -- stat --spans --json --scenario storm-smoke
 
 # per-scenario latency percentile tables; rewrites BENCH_metrics.json
 metrics-bench:

@@ -81,6 +81,11 @@ let median_iqr xs =
 
 let gate_pairs ~quick = if quick then 7 else 11
 
+(* Repeats of the chaos and storm timed rows: five give a spread that is
+   an interquartile range, where two gave half the gap of two
+   readings. *)
+let timed_repeats = 5
+
 (* run one of [Trace_run]'s named scenarios, failing on any error *)
 let run_named name =
   match Option.map Trace_run.run_scenario (Trace_run.scenario_of_name name) with
@@ -400,13 +405,14 @@ let chaos ~quick () =
     config.Chaos.bad_swap_blocks
     (if quick then " [smoke scale]" else "");
   let clean = Chaos.run ~faults:false config in
-  (* twice, so the second run can show the seed reproduces the first *)
-  let runs, on_walls = sampled 2 (fun () -> Chaos.run config) in
+  (* repeated, so the second run can show the seed reproduces the first *)
+  let runs, on_walls = sampled timed_repeats (fun () -> Chaos.run config) in
   let faulty = List.hd runs and again = List.nth runs 1 in
   (* the same run with the audit period past its end: one sweep, at the
      end *)
   let _, end_walls =
-    sampled 2 (fun () -> Chaos.run { config with Chaos.audit_period = T.sec 1_000_000 })
+    sampled timed_repeats (fun () ->
+        Chaos.run { config with Chaos.audit_period = T.sec 1_000_000 })
   in
   Format.printf "%a@." Chaos.pp_result faulty;
   Printf.printf "\n%s\n" faulty.Chaos.kstat;
@@ -889,13 +895,13 @@ let storm_bench ~quick () =
   header "Storm: multi-tenant overload protection and isolation (BENCH_storm.json)";
   (* digest checks only make sense when each run owns its collector; an
      outer --trace collector makes the digests cumulative *)
-  let own_digests = not (Tr.on ()) in
+  let own_digests = Option.is_none (Tr.active ()) in
   let scales = if quick then [ Storm.smoke ] else [ Storm.smoke; Storm.full ] in
   Printf.printf "  %-8s %-10s %12s %14s %14s %10s %10s  %s\n" "tenants" "variant"
     "faults/sec" "honest p99 ns" "isolation" "throttles" "seizures" "digest";
   let scale config =
     let run_on b config = Executor.with_backend b (fun () -> Storm.run config) in
-    let runs, walls = sampled 2 (fun () -> run_on Executor.Interp config) in
+    let runs, walls = sampled timed_repeats (fun () -> run_on Executor.Interp config) in
     let r1 = List.hd runs in
     let rc = run_on Executor.Compiled config in
     let baseline =
@@ -997,7 +1003,8 @@ let adversary_bench ~quick () =
   let cfg = if quick then Adversary.smoke else Adversary.default in
   Printf.printf "  %-10s %8s %10s %12s %8s %8s  %s\n" "policy" "traces" "traces/s" "best gap"
     "f(lo)" "f(hi)" "verdict";
-  (* each search runs twice, so its wall has a spread *)
+  (* each search runs twice, so its wall has a spread, but one that is
+     half the gap of two readings: compare reads this row as noise *)
   let search policy =
     let outcomes, walls = sampled 2 (fun () -> Adversary.search { cfg with Adversary.policy }) in
     let o = List.hd outcomes in

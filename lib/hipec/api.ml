@@ -7,8 +7,6 @@ type t = {
   manager : Frame_manager.t;
   checker : Checker.t;
   buffers : (int, Vm_map.region) Hashtbl.t;  (* container id -> command buffer *)
-  analyses : (int, Analysis.t Lazy.t) Hashtbl.t;
-      (* container id -> analysis of the operands as installed *)
 }
 
 let init ?burst_fraction ?max_steps ?checker_timeout ?checker_wakeup
@@ -19,7 +17,7 @@ let init ?burst_fraction ?max_steps ?checker_timeout ?checker_wakeup
       ()
   in
   if start_checker then Checker.start checker;
-  { kernel; manager; checker; buffers = Hashtbl.create 16; analyses = Hashtbl.create 16 }
+  { kernel; manager; checker; buffers = Hashtbl.create 16 }
 
 let kernel t = t.kernel
 let manager t = t.manager
@@ -147,34 +145,11 @@ let install_hook t container =
   let on_task_terminated ~task =
     if Task.id task = Task.id (Container.task container) then begin
       Frame_manager.remove_container manager container ~flush_dirty:false;
-      Hashtbl.remove t.buffers (Container.id container);
-      Hashtbl.remove t.analyses (Container.id container)
+      Hashtbl.remove t.buffers (Container.id container)
     end
   in
   Kernel.set_manager t.kernel (Container.obj container)
     { Kernel.on_fault; on_resolved; on_task_terminated }
-
-(* What the analysis reads of an operand array is fixed at install
-   (slot kinds, queue identities and names) except [Int] values, which
-   caller-owned [extra_operands] cells can change later.  Keeping those
-   values from install, and analysing a copy of the array that holds
-   them, keeps a deferred analysis equal to one run at install. *)
-let int_values operands =
-  let ints = ref [] in
-  for ix = Operand.size - 1 downto 0 do
-    match Operand.get operands ix with
-    | Some (Operand.Int r) -> ints := (ix, !r) :: !ints
-    | _ -> ()
-  done;
-  !ints
-
-let as_installed operands ints =
-  let ops = Operand.create () in
-  for ix = 0 to Operand.size - 1 do
-    Option.iter (Operand.set ops ix) (Operand.get operands ix)
-  done;
-  List.iter (fun (ix, v) -> Operand.set ops ix (Operand.Int (ref v))) ints;
-  ops
 
 let hipec_region_of_spec t task region spec =
   let fail msg =
@@ -202,12 +177,6 @@ let hipec_region_of_spec t task region spec =
               Executor.precompile (Frame_manager.executor t.manager) container;
               install_command_buffer t task container;
               install_hook t container;
-              (* abstract interpretation of the program as installed:
-                 static fuel bounds for the per-tenant throttle and
-                 trap-class proofs, computed on first request *)
-              let ints = int_values operands in
-              Hashtbl.replace t.analyses (Container.id container)
-                (lazy (Analysis.analyze ~ops:(as_installed operands ints) spec.policy));
               Ok (region, container)))
 
 let vm_allocate_hipec t task ~npages spec =
@@ -236,7 +205,6 @@ let migrate_frames t ~src ~dst ~n =
 
 let vm_deallocate_hipec t task container =
   Kernel.null_syscall t.kernel;
-  Hashtbl.remove t.analyses (Container.id container);
   Frame_manager.remove_container t.manager container ~flush_dirty:true;
   (match command_buffer_region t container with
   | Some buffer ->
@@ -247,58 +215,3 @@ let vm_deallocate_hipec t task container =
   let region = Container.region container in
   if List.memq region (Vm_map.regions (Task.vm_map task)) then
     Kernel.vm_deallocate t.kernel task region
-
-(* ------------------------------------------------------------------ *)
-(* Install-time analysis results                                       *)
-(* ------------------------------------------------------------------ *)
-
-let analysis t container =
-  Option.map Lazy.force (Hashtbl.find_opt t.analyses (Container.id container))
-
-let static_fuel t container ~event =
-  Option.bind (analysis t container) (fun a -> Analysis.fuel a ~event)
-
-let unbounded_events t container =
-  match analysis t container with
-  | None -> []
-  | Some a ->
-      List.filter_map
-        (fun (event, f) ->
-          match f with Analysis.Unbounded reason -> Some (event, reason) | _ -> None)
-        (Analysis.fuel_table a)
-
-(* Compare every event's proven worst case against the per-tenant fuel
-   quota (PR 6's throttle budget, measured in commands per window).
-   [`Within n] = the costliest provably-bounded entry needs [n]
-   commands, inside quota; [`Exceeds (ev, n)] = one entry of [ev] could
-   alone overrun the whole window's budget; [`Unproven evs] = no bound
-   exists for [evs], so the runtime ledger is the only line of defense
-   (exactly the events worth tagging for tighter throttling). *)
-let fuel_verdict t container =
-  match analysis t container with
-  | None -> `Unproven []
-  | Some a ->
-      let quota = Frame_manager.fuel_quota t.manager in
-      let table = Analysis.fuel_table a in
-      let unproven =
-        List.filter_map
-          (fun (ev, f) ->
-            match f with Analysis.Bounded _ -> None | _ -> Some ev)
-          table
-      in
-      if unproven <> [] then `Unproven unproven
-      else
-        let worst =
-          List.fold_left
-            (fun acc (ev, f) ->
-              match f with
-              | Analysis.Bounded n -> (
-                  match acc with
-                  | Some (_, m) when m >= n -> acc
-                  | _ -> Some (ev, n))
-              | _ -> acc)
-            None table
-        in
-        match worst with
-        | None -> `Within 0
-        | Some (ev, n) -> if quota > 0 && n > quota then `Exceeds (ev, n) else `Within n

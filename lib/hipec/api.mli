@@ -96,34 +96,3 @@ val demotion_reason : t -> Container.t -> string option
     here so applications can poll their region's fate after a fallback
     (paper's kernel would post a notification port message). *)
 
-(** {1 Install-time analysis}
-
-    Each accepted install keeps what {!Analysis.analyze} needs: the
-    program and a copy of its operand array as installed, with every
-    [Int] cell's value copied.  The analysis runs on the first query
-    and the result is kept for the container's lifetime, so it equals
-    an analysis run at install even if a caller-owned extra operand has
-    changed since. *)
-
-val analysis : t -> Container.t -> Analysis.t option
-(** The abstract-interpretation results for this container's program,
-    computed against its operand array as installed.  [None] after
-    teardown or for containers not installed through this [t]. *)
-
-val static_fuel : t -> Container.t -> event:int -> Analysis.fuel option
-(** Proven worst-case commands per entry of [event] (see
-    {!Analysis.fuel}). *)
-
-val unbounded_events : t -> Container.t -> (int * string) list
-(** Events with no static termination proof, with the reason — the
-    ones the per-tenant fuel throttle should watch hardest. *)
-
-val fuel_verdict :
-  t -> Container.t ->
-  [ `Within of int  (** worst provably-bounded entry, within quota *)
-  | `Exceeds of int * int  (** (event, bound): one entry can overrun the window quota *)
-  | `Unproven of int list  (** events with no static bound *) ]
-(** Compare every event's static fuel bound against the frame manager's
-    per-tenant window quota ({!Frame_manager.fuel_quota}, PR 6's
-    throttle).  A policy whose every event is [Bounded] within quota
-    can never be throttled mid-window by its own per-entry cost alone. *)

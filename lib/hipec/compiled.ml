@@ -80,7 +80,7 @@ let make_free_slot services container page =
   match Vm_page.binding page with
   | None -> ()
   | Some (oid, offset) -> (
-      if Hipec_trace.Trace.on () then
+      if Hipec_trace.Trace.takes Hipec_trace.Event.Cat.evict then
         Hipec_trace.Trace.evict ~source:Hipec_trace.Event.Policy ~obj:oid ~offset
           ~dirty:(Vm_page.dirty page);
       flush services container page;

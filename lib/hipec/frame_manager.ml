@@ -83,7 +83,8 @@ let burst_limit t =
 (* Partition accounting gauges: the container's free-list depth and the
    manager's remaining partition_burst headroom, refreshed wherever
    frames change hands.  Off the per-instruction hot path, so building
-   the per-container name on each (enabled) emit is fine. *)
+   the per-container name on each (enabled) emit is fine.  Direct: no
+   event carries a queue depth or the partition totals. *)
 let note_gauges t container =
   if Mx.on () then begin
     Mx.gauge_set
@@ -304,8 +305,7 @@ let enter_throttle t container =
           Container.pp container (Container.fuel_used container) t.fuel_quota T.pp
           cooldown);
     Tr.throttle ~container:(Container.id container) ~entered:true
-      ~fuel:(Container.fuel_used container);
-    if Mx.on () then Mx.incr "hipec.manager.throttles.entered"
+      ~fuel:(Container.fuel_used container)
   end
   (* could not restore the floor: leave the tenant active and retry on
      the next charge rather than enter an invariant-violating throttle *)
@@ -314,8 +314,7 @@ let exit_throttle t container =
   Container.clear_throttled container;
   Container.reset_fuel_window container ~at:(Kernel.now t.kernel);
   t.stats.throttles_exited <- t.stats.throttles_exited + 1;
-  Tr.throttle ~container:(Container.id container) ~entered:false ~fuel:0;
-  if Mx.on () then Mx.incr "hipec.manager.throttles.exited"
+  Tr.throttle ~container:(Container.id container) ~entered:false ~fuel:0
 
 (* A throttle recovers by elapsed simulated time, checked wherever the
    manager is about to act on the container. *)
@@ -336,6 +335,8 @@ let charge_fuel t container ~delta =
       Container.reset_fuel_window container ~at:now
     end;
     Container.burn_fuel container delta;
+    (* direct: Policy_run carries no backend, and is also emitted for
+       runs no fuel is charged for *)
     if Mx.on () && delta > 0 then
       Mx.add
         ("hipec.fuel." ^ Executor.backend_name (Executor.backend (executor t))
@@ -347,7 +348,8 @@ let charge_fuel t container ~delta =
   end
 
 let run_event_raw t container ~event =
-  let metered = fuel_enabled t || Tr.on () in
+  let traced = Tr.takes Hipec_trace.Event.Cat.policy in
+  let metered = fuel_enabled t || traced in
   if not metered then Executor.run (executor t) container ~event
   else begin
     let before = Container.commands_interpreted container in
@@ -355,7 +357,7 @@ let run_event_raw t container ~event =
     let delta = Container.commands_interpreted container - before in
     (* Policy_run lands at the instant the executor's sim-time charge
        closes: Span attributes the interval ending here as [Policy] *)
-    if Tr.on () then
+    if traced then
       Tr.policy_run ~container:(Container.id container) ~event
         ~outcome:
           (match outcome with
@@ -438,7 +440,6 @@ let demote t container ~reason =
     Option.iter (fun e -> Executor.forget e container) t.executor;
     t.stats.demotions <- t.stats.demotions + 1;
     Tr.demote ~container:(Container.id container) ~reason;
-    if Mx.on () then Mx.incr "hipec.manager.demotions";
     note_gauges t container
   end
 
@@ -641,11 +642,7 @@ let emergency_seize t ~level =
           Log.warn (fun m ->
               m "emergency seizure: took %d frames from %a" !taken Container.pp c);
           Tr.seize ~container:(Container.id c) ~frames:!taken
-            ~level:(Pressure.severity level);
-          if Mx.on () then begin
-            Mx.incr "hipec.manager.emergency_seizures";
-            Mx.add "hipec.manager.emergency_frames" !taken
-          end
+            ~level:(Pressure.severity level)
         end
       end)
     victims
@@ -688,11 +685,13 @@ let try_admit ?(queue = true) t container =
       Log.info (fun m ->
           m "admission of %a queued (pressure %s)" Container.pp container
             (Pressure.level_name level));
+      (* direct: no event marks an admission *)
       if Mx.on () then Mx.incr "hipec.manager.admissions.queued";
       Ok `Queued
     end
     else begin
       t.stats.admissions_rejected <- t.stats.admissions_rejected + 1;
+      (* direct: no event marks an admission *)
       if Mx.on () then Mx.incr "hipec.manager.admissions.rejected";
       Error (Overloaded level)
     end
@@ -701,6 +700,7 @@ let try_admit ?(queue = true) t container =
     | Ok () -> Ok `Admitted
     | Error e ->
         t.stats.admissions_rejected <- t.stats.admissions_rejected + 1;
+        (* direct: no event marks an admission *)
         if Mx.on () then Mx.incr "hipec.manager.admissions.rejected";
         Error e
 
@@ -726,6 +726,7 @@ let drain_admissions t =
             Log.info (fun m -> m "queued admission of %a granted" Container.pp container)
         | Error e ->
             t.stats.admissions_rejected <- t.stats.admissions_rejected + 1;
+            (* direct: no event marks an admission *)
             if Mx.on () then Mx.incr "hipec.manager.admissions.rejected";
             Log.info (fun m ->
                 m "queued admission of %a rejected: %s" Container.pp container

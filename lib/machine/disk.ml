@@ -197,7 +197,8 @@ let spike_delay t =
 let queue_depth t = Queue.length t.queue + if t.busy then 1 else 0
 
 (* Controller introspection: current queue depth (including the request
-   in service) as a gauge plus a sim-tick series. *)
+   in service) as a gauge plus a sim-tick series.  Direct: no event
+   carries the queue depth. *)
 let note_queue_depth t =
   if Hipec_metrics.Metrics.on () then begin
     let qd = queue_depth t in
@@ -209,6 +210,7 @@ let rec start t req =
   t.busy <- true;
   let finish d result =
     t.busy_time <- Sim_time.add t.busy_time d;
+    (* direct: Disk_io carries no transfer time *)
     if Hipec_metrics.Metrics.on () then
       Hipec_metrics.Metrics.observe "machine.disk.transfer_ns" (Sim_time.to_ns d);
     ignore
@@ -253,6 +255,7 @@ let sync_done ~charge ~is_write ~block ~nblocks d result =
   (* a sync transfer's Disk_io precedes the charge of [d]: Span
      attributes the interval starting at a read as [Disk_read] *)
   Hipec_trace.Trace.disk_io ~block ~nblocks ~write:is_write ~ok:(Result.is_ok result);
+  (* direct: Disk_io carries no transfer time *)
   if Hipec_metrics.Metrics.on () then
     Hipec_metrics.Metrics.observe "machine.disk.transfer_ns" (Sim_time.to_ns d);
   charge d;

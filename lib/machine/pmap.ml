@@ -21,7 +21,7 @@ let enter t ~vpn ~frame ~prot =
   Hashtbl.replace t.entries vpn { frame; prot }
 
 let remove t ~vpn =
-  if Hipec_trace.Trace.on () && Hashtbl.mem t.entries vpn then
+  if Hipec_trace.Trace.takes Hipec_trace.Event.Cat.map && Hashtbl.mem t.entries vpn then
     Hipec_trace.Trace.map_op ~vpn ~enter:false;
   Hashtbl.remove t.entries vpn
 let remove_all t = Hashtbl.reset t.entries

@@ -1,11 +1,13 @@
 (* Typed metrics registry for the simulated kernel.
 
-   Mirrors the trace sink's zero-cost-when-disabled design
-   (lib/trace/trace.ml): a global [current] registry plus a cached
-   [enabled] bool, so every emit site in the kernel is a single load and
-   branch when no registry is installed — no closure, no allocation, no
-   hashing.  With a registry installed, emits pay one hashtable lookup
-   on an interned literal name.
+   An installed registry is a stage of the trace sink
+   (lib/trace/trace.ml): every metric whose value a trace event carries
+   is derived from that event ([derive]).  The rest are emitted
+   directly, from a global [current] registry plus a cached [enabled]
+   bool, so a direct emit site is a single load and branch when no
+   registry is installed — no closure, no allocation, no hashing.  With
+   a registry installed, every observation pays one hashtable lookup on
+   an interned literal name.
 
    Everything the registry accumulates is split into two worlds:
 
@@ -624,56 +626,99 @@ module Registry = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Metrics derived from trace events *)
+
+module Tr = Hipec_trace.Trace
+module Ev = Hipec_trace.Event
+
+(* Fault-service latency histograms, one per fault kind plus an
+   aggregate. *)
+let fault_metric = function
+  | Ev.Soft -> "vm.fault.soft.ns"
+  | Ev.Zero_fill -> "vm.fault.zero_fill.ns"
+  | Ev.File_pagein -> "vm.fault.pagein.ns"
+  | Ev.Cow -> "vm.fault.cow.ns"
+  | Ev.Hipec -> "vm.fault.hipec.ns"
+
+(* The registry's stage of the trace sink: every metric an event
+   carries the value of is counted here, not at the emit site. *)
+let derived =
+  Ev.Cat.[ fault; pressure; throttle; demote; seize; io_retry ]
+
+let derive r (ev : Ev.t) =
+  match ev.Ev.payload with
+  | Ev.Fault { kind; latency_ns; _ } ->
+      Registry.observe r (fault_metric kind) latency_ns;
+      Registry.observe r "vm.fault.all.ns" latency_ns;
+      Registry.counter_add r "vm.fault.count" 1
+  | Ev.Pressure_change { level; _ } ->
+      Registry.gauge_set r "vm.pressure.level" level;
+      Registry.counter_add r "vm.pressure.changes" 1
+  | Ev.Throttle { entered = true; _ } ->
+      Registry.counter_add r "hipec.manager.throttles.entered" 1
+  | Ev.Throttle { entered = false; _ } ->
+      Registry.counter_add r "hipec.manager.throttles.exited" 1
+  | Ev.Demote _ -> Registry.counter_add r "hipec.manager.demotions" 1
+  | Ev.Seize { frames; _ } ->
+      Registry.counter_add r "hipec.manager.emergency_seizures" 1;
+      Registry.counter_add r "hipec.manager.emergency_frames" frames
+  | Ev.Io_retry { gave_up = false; attempt; _ } ->
+      Registry.observe r "vm.io_retry.attempt" attempt
+  | Ev.Io_retry { gave_up = true; _ } -> Registry.counter_add r "vm.io_retry.giveups" 1
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Global install point and zero-cost emit sites *)
 
-let current : Registry.t option ref = ref None
+let current : (Registry.t * Tr.stage) option ref = ref None
 let enabled = ref false
 
-(* Simulated clock for series sampling; [Kernel.create] points it at its
-   engine, exactly like [Trace.set_clock]. *)
-let clock : (unit -> Sim_time.t) ref = ref (fun () -> Sim_time.zero)
-
-let set_clock f = clock := f
+let uninstall () =
+  match !current with
+  | None -> None
+  | Some (r, stage) ->
+      Tr.detach stage;
+      current := None;
+      enabled := false;
+      Some r
 
 let install ?tick_ns ?series_cap () =
+  ignore (uninstall ());
   let r = Registry.create ?tick_ns ?series_cap () in
-  current := Some r;
+  current := Some (r, Tr.attach ~categories:derived (derive r));
   enabled := true;
   r
 
-let uninstall () =
-  let r = !current in
-  current := None;
-  enabled := false;
-  r
-
-let active () = !current
+let active () = Option.map fst !current
 let on () = !enabled
 
 (* Dense per-registry alias for a process-global container id, for emit
    sites that bake the id into a metric name.  Identity when disabled. *)
 let container_id raw =
-  match !current with None -> raw | Some r -> Registry.norm_container r raw
+  match !current with None -> raw | Some (r, _) -> Registry.norm_container r raw
 
 (* The emit helpers pattern-match [!current] directly (no closure) so a
    disabled emit is a load, a branch and a return. *)
 
-let incr name = match !current with None -> () | Some r -> Registry.counter_add r name 1
-let add name n = match !current with None -> () | Some r -> Registry.counter_add r name n
-let gauge_set name v = match !current with None -> () | Some r -> Registry.gauge_set r name v
-let observe name v = match !current with None -> () | Some r -> Registry.observe r name v
+let incr name = match !current with None -> () | Some (r, _) -> Registry.counter_add r name 1
+let add name n = match !current with None -> () | Some (r, _) -> Registry.counter_add r name n
+
+let gauge_set name v =
+  match !current with None -> () | Some (r, _) -> Registry.gauge_set r name v
+
+let observe name v = match !current with None -> () | Some (r, _) -> Registry.observe r name v
 
 let sample name v =
   match !current with
   | None -> ()
-  | Some r -> Registry.sample r name ~now_ns:(Sim_time.to_ns (!clock ())) v
+  | Some (r, _) -> Registry.sample r name ~now_ns:(Sim_time.to_ns (Tr.now ())) v
 
 (* Profiler entry points for the executor backends. *)
 
 let profile_begin ~backend ~container ~sim_ns =
   match !current with
   | None -> None
-  | Some r -> Profile.begin_run (Registry.profile r ~backend ~container) ~sim_ns
+  | Some (r, _) -> Profile.begin_run (Registry.profile r ~backend ~container) ~sim_ns
 
 let profile_step run ~opcode ~sim_ns = Profile.step run ~opcode ~sim_ns
 let profile_end run ~sim_ns = Profile.finish run ~sim_ns

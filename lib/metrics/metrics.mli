@@ -1,10 +1,14 @@
-(** Typed metrics registry with zero-cost-when-disabled emit sites.
+(** Typed metrics registry, a stage of the trace sink.
 
-    Mirrors the trace sink's design ({!Hipec_trace.Trace}): a global
-    registry slot plus a cached bool, so kernel emit sites compile to a
-    single load-and-branch while no registry is installed.  Callers on
-    hot paths guard with [if Metrics.on () then ...] and pass literal
-    metric names, so the disabled path allocates nothing.
+    An installed registry is attached to {!Hipec_trace.Trace} as a stage
+    taking the fault, pressure, throttle, demote, seize and io-retry
+    categories: the metrics those events carry the value of are derived
+    from the events (METRICS.md lists them).  The other metrics are
+    emitted directly through the functions below, from a global registry
+    slot plus a cached bool, so a direct emit site compiles to a single
+    load-and-branch while no registry is installed.  Callers on hot
+    paths guard with [if Metrics.on () then ...] and pass literal metric
+    names, so the disabled path allocates nothing.
 
     Deterministic by construction in simulated-time terms: counters,
     gauges, histogram buckets, series points and the profiler's [sim_ns]
@@ -132,9 +136,11 @@ end
 
 val install : ?tick_ns:int -> ?series_cap:int -> unit -> Registry.t
 (** Install a fresh registry as the process-wide sink (replacing any
-    prior one) and return it. *)
+    prior one), attach its stage to the trace sink, and return it. *)
 
 val uninstall : unit -> Registry.t option
+(** Detach the registry's stage and return the registry. *)
+
 val active : unit -> Registry.t option
 
 val on : unit -> bool
@@ -144,10 +150,6 @@ val container_id : int -> int
 (** Dense alias for a raw container id in the active registry (see
     {!Registry.norm_container}); identity when no registry is installed.
     For emit sites that bake the id into a metric name. *)
-
-val set_clock : (unit -> Sim_time.t) -> unit
-(** Point {!sample} at the simulation clock; [Kernel.create] calls this
-    with its engine's [now]. *)
 
 (** {1 Emit sites}
 
@@ -163,7 +165,7 @@ val observe : string -> int -> unit
 
 val sample : string -> int -> unit
 (** Append to a sim-tick-downsampled time series, stamped with the
-    current simulated time. *)
+    trace sink's simulated clock ({!Hipec_trace.Trace.now}). *)
 
 (** {1 Profiler entry points} (used by the executor backends) *)
 

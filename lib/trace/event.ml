@@ -39,23 +39,42 @@ let category_names =
 let num_categories = Array.length category_names
 let category_name i = category_names.(i)
 
+module Cat = struct
+  let access = 0
+  let fault = 1
+  let pagein = 2
+  let pageout = 3
+  let evict = 4
+  let grant = 5
+  let reclaim = 6
+  let policy = 7
+  let demote = 8
+  let io_retry = 9
+  let disk = 10
+  let map = 11
+  let kill = 12
+  let pressure = 13
+  let throttle = 14
+  let seize = 15
+end
+
 let tag = function
-  | Access _ -> 0
-  | Fault _ -> 1
-  | Pagein _ -> 2
-  | Pageout _ -> 3
-  | Evict _ -> 4
-  | Grant _ -> 5
-  | Reclaim _ -> 6
-  | Policy_run _ -> 7
-  | Demote _ -> 8
-  | Io_retry _ -> 9
-  | Disk_io _ -> 10
-  | Map_op _ -> 11
-  | Task_kill _ -> 12
-  | Pressure_change _ -> 13
-  | Throttle _ -> 14
-  | Seize _ -> 15
+  | Access _ -> Cat.access
+  | Fault _ -> Cat.fault
+  | Pagein _ -> Cat.pagein
+  | Pageout _ -> Cat.pageout
+  | Evict _ -> Cat.evict
+  | Grant _ -> Cat.grant
+  | Reclaim _ -> Cat.reclaim
+  | Policy_run _ -> Cat.policy
+  | Demote _ -> Cat.demote
+  | Io_retry _ -> Cat.io_retry
+  | Disk_io _ -> Cat.disk
+  | Map_op _ -> Cat.map
+  | Task_kill _ -> Cat.kill
+  | Pressure_change _ -> Cat.pressure
+  | Throttle _ -> Cat.throttle
+  | Seize _ -> Cat.seize
 
 (* ------------------------------------------------------------------ *)
 (* Binary codec: unsigned LEB128 varints, one tag byte per event       *)

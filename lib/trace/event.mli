@@ -65,6 +65,27 @@ val tag : payload -> int
 
 val category_name : int -> string
 
+(** Category indices, as {!tag} returns them, in {!category_name}
+    order. *)
+module Cat : sig
+  val access : int
+  val fault : int
+  val pagein : int
+  val pageout : int
+  val evict : int
+  val grant : int
+  val reclaim : int
+  val policy : int
+  val demote : int
+  val io_retry : int
+  val disk : int
+  val map : int
+  val kill : int
+  val pressure : int
+  val throttle : int
+  val seize : int
+end
+
 val pressure_level_name : int -> string
 (** ["normal" | "elevated" | "critical" | "emergency"] for 0..3. *)
 

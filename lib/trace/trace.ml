@@ -37,74 +37,49 @@ let grow ids =
   done;
   ids.cells <- cells
 
-(* Fills ring slots no event has reached yet; its [seq] matches none. *)
-let no_event =
-  { Event.seq = -1; time = Sim_time.zero; payload = Event.Map_op { vpn = 0; enter = false } }
+(* ------------------------------------------------------------------ *)
+(* The dispatcher                                                      *)
+(* ------------------------------------------------------------------ *)
 
-type collector = {
-  mutable seq : int;
-  counts : int array;
-  fault_latency : int array;  (* 16 x 1ms buckets *)
-  mutable fault_latency_overflow : int;
-  ring : Event.t array;
-  digest : Encoder.digest;
-  scratch : Encoder.t;  (* the current event's bytes *)
-  store : Buffer.t option;
-  mutable clock : unit -> Sim_time.t;
-  norm : ids array;  (* one table per id space *)
-  (* online span building and other live consumers hang here; [None]
-     costs one match per push *)
-  mutable consumer : (Event.t -> unit) option;
-}
+(* A stage takes a set of categories, one bit per [Event.tag]. *)
+type stage = { takes : int; feed : Event.t -> unit }
 
-let current : collector option ref = ref None
-let enabled = ref false
-let on () = !enabled
-let active () = !current
+let clock : (unit -> Sim_time.t) ref = ref (fun () -> Sim_time.zero)
+let seq = ref 0
+let norm_tables = Array.init 3 (fun _ -> ids_create ())  (* one per id space *)
+let stages : stage list ref = ref []
+let taken = ref 0  (* the union of the attached stages' categories *)
 
-let start ?(ring = 512) ?(store = false) ?clock () =
-  let c =
-    {
-      seq = 0;
-      counts = Array.make Event.num_categories 0;
-      fault_latency = Array.make 16 0;
-      fault_latency_overflow = 0;
-      ring = Array.make (max 1 ring) no_event;
-      digest = Encoder.digest ();
-      scratch = Encoder.create 64;
-      store = (if store then Some (Buffer.create 4096) else None);
-      clock = Option.value clock ~default:(fun () -> Sim_time.zero);
-      norm = Array.init 3 (fun _ -> ids_create ());
-      consumer = None;
-    }
-  in
-  current := Some c;
-  enabled := true;
-  c
+let set_clock f = clock := f
+let now () = !clock ()
+let on () = !taken <> 0
+let takes cat = !taken land (1 lsl cat) <> 0
 
-let stop () =
-  let c = !current in
-  current := None;
-  enabled := false;
-  c
+let attach ~categories feed =
+  let s = { takes = List.fold_left (fun m cat -> m lor (1 lsl cat)) 0 categories; feed } in
+  stages := !stages @ [ s ];
+  taken := !taken lor s.takes;
+  s
 
-let set_clock f = match !current with Some c -> c.clock <- f | None -> ()
-let set_consumer f = match !current with Some c -> c.consumer <- f | None -> ()
+let detach s =
+  stages := List.filter (fun x -> x != s) !stages;
+  taken := List.fold_left (fun m x -> m lor x.takes) 0 !stages
 
-let push c payload =
-  let ev = { Event.seq = c.seq; time = c.clock (); payload } in
-  c.seq <- c.seq + 1;
-  let tag = Event.tag payload in
-  c.counts.(tag) <- c.counts.(tag) + 1;
-  Encoder.clear c.scratch;
-  Event.encode c.scratch ev;
-  Encoder.digest_add c.digest c.scratch;
-  (match c.store with Some b -> Encoder.add_to_buffer b c.scratch | None -> ());
-  c.ring.(ev.Event.seq mod Array.length c.ring) <- ev;
-  match c.consumer with Some f -> f ev | None -> ()
+let every_category = List.init Event.num_categories Fun.id
 
-let norm c space raw =
-  let ids = c.norm.(space) in
+let rec feed_stages ev bit = function
+  | [] -> ()
+  | s :: rest ->
+      if s.takes land bit <> 0 then s.feed ev;
+      feed_stages ev bit rest
+
+let push cat payload =
+  let ev = { Event.seq = !seq; time = !clock (); payload } in
+  incr seq;
+  feed_stages ev (1 lsl cat) !stages
+
+let norm space raw =
+  let ids = norm_tables.(space) in
   let cells = ids.cells in
   let i = find_slot cells raw (home cells raw) in
   if cells.(i) = raw then cells.(i + 1)
@@ -117,122 +92,142 @@ let norm c space raw =
     dense
   end
 
-(* Every emitter matches [!current] itself rather than passing a closure
-   to a helper, so with no collector installed a call allocates
-   nothing. *)
+(* ------------------------------------------------------------------ *)
+(* The collector and the consumer                                      *)
+(* ------------------------------------------------------------------ *)
+
+type collector = {
+  counts : int array;
+  digest : Encoder.digest;
+  scratch : Encoder.t;  (* the current event's bytes *)
+  store : Buffer.t option;
+}
+
+let collect c ev =
+  let tag = Event.tag ev.Event.payload in
+  c.counts.(tag) <- c.counts.(tag) + 1;
+  Encoder.clear c.scratch;
+  Event.encode c.scratch ev;
+  Encoder.digest_add c.digest c.scratch;
+  match c.store with Some b -> Encoder.add_to_buffer b c.scratch | None -> ()
+
+let current : (collector * stage) option ref = ref None
+let consumer : stage option ref = ref None
+let active () = Option.map fst !current
+
+let set_consumer f =
+  Option.iter detach !consumer;
+  consumer := Option.map (attach ~categories:every_category) f
+
+let stop () =
+  set_consumer None;
+  match !current with
+  | None -> None
+  | Some (c, s) ->
+      detach s;
+      current := None;
+      Some c
+
+let start ?(store = false) () =
+  ignore (stop ());
+  seq := 0;
+  Array.iteri (fun i _ -> norm_tables.(i) <- ids_create ()) norm_tables;
+  let c =
+    {
+      counts = Array.make Event.num_categories 0;
+      digest = Encoder.digest ();
+      scratch = Encoder.create 64;
+      store = (if store then Some (Buffer.create 4096) else None);
+    }
+  in
+  current := Some (c, attach ~categories:every_category (collect c));
+  c
+
+(* ------------------------------------------------------------------ *)
+(* Emitters                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Each emitter tests its category's bit before it builds anything, so
+   with no stage taking the category a call allocates nothing. *)
 
 let access ~task ~vpn ~write =
-  match !current with
-  | None -> ()
-  | Some c -> push c (Event.Access { task = norm c space_task task; vpn; write })
+  if takes Event.Cat.access then
+    push Event.Cat.access (Event.Access { task = norm space_task task; vpn; write })
 
 let fault ~task ~vpn ~kind ~latency_ns =
-  match !current with
-  | None -> ()
-  | Some c ->
-      let bucket = latency_ns / 1_000_000 in
-      if bucket < 16 then c.fault_latency.(bucket) <- c.fault_latency.(bucket) + 1
-      else c.fault_latency_overflow <- c.fault_latency_overflow + 1;
-      push c (Event.Fault { task = norm c space_task task; vpn; kind; latency_ns })
+  if takes Event.Cat.fault then
+    push Event.Cat.fault (Event.Fault { task = norm space_task task; vpn; kind; latency_ns })
 
 let pagein ~task ~block =
-  match !current with
-  | None -> ()
-  | Some c -> push c (Event.Pagein { task = norm c space_task task; block })
+  if takes Event.Cat.pagein then
+    push Event.Cat.pagein (Event.Pagein { task = norm space_task task; block })
 
 let pageout ~obj ~offset ~block =
-  match !current with
-  | None -> ()
-  | Some c -> push c (Event.Pageout { obj_id = norm c space_obj obj; offset; block })
+  if takes Event.Cat.pageout then
+    push Event.Cat.pageout (Event.Pageout { obj_id = norm space_obj obj; offset; block })
 
 let evict ~source ~obj ~offset ~dirty =
-  match !current with
-  | None -> ()
-  | Some c ->
-      push c (Event.Evict { source; obj_id = norm c space_obj obj; offset; dirty })
+  if takes Event.Cat.evict then
+    push Event.Cat.evict (Event.Evict { source; obj_id = norm space_obj obj; offset; dirty })
 
 let grant ~container ~frames =
-  match !current with
-  | None -> ()
-  | Some c ->
-      push c (Event.Grant { container = norm c space_container container; frames })
+  if takes Event.Cat.grant then
+    push Event.Cat.grant
+      (Event.Grant { container = norm space_container container; frames })
 
 let reclaim ~container ~frames ~forced =
-  match !current with
-  | None -> ()
-  | Some c ->
-      push c
-        (Event.Reclaim { container = norm c space_container container; frames; forced })
+  if takes Event.Cat.reclaim then
+    push Event.Cat.reclaim
+      (Event.Reclaim { container = norm space_container container; frames; forced })
 
 let policy_run ~container ~event ~outcome ~commands =
-  match !current with
-  | None -> ()
-  | Some c ->
-      push c
-        (Event.Policy_run
-           { container = norm c space_container container; event; outcome; commands })
+  if takes Event.Cat.policy then
+    push Event.Cat.policy
+      (Event.Policy_run
+         { container = norm space_container container; event; outcome; commands })
 
 let demote ~container ~reason =
-  match !current with
-  | None -> ()
-  | Some c ->
-      push c (Event.Demote { container = norm c space_container container; reason })
+  if takes Event.Cat.demote then
+    push Event.Cat.demote
+      (Event.Demote { container = norm space_container container; reason })
 
 let io_retry ~block ~write ~attempt ~gave_up =
-  match !current with
-  | None -> ()
-  | Some c -> push c (Event.Io_retry { block; write; attempt; gave_up })
+  if takes Event.Cat.io_retry then
+    push Event.Cat.io_retry (Event.Io_retry { block; write; attempt; gave_up })
 
 let disk_io ~block ~nblocks ~write ~ok =
-  match !current with
-  | None -> ()
-  | Some c -> push c (Event.Disk_io { block; nblocks; write; ok })
+  if takes Event.Cat.disk then
+    push Event.Cat.disk (Event.Disk_io { block; nblocks; write; ok })
 
 let map_op ~vpn ~enter =
-  match !current with None -> () | Some c -> push c (Event.Map_op { vpn; enter })
+  if takes Event.Cat.map then push Event.Cat.map (Event.Map_op { vpn; enter })
 
 let kill ~task ~reason =
-  match !current with
-  | None -> ()
-  | Some c -> push c (Event.Task_kill { task = norm c space_task task; reason })
+  if takes Event.Cat.kill then
+    push Event.Cat.kill (Event.Task_kill { task = norm space_task task; reason })
 
 let pressure ~level ~free =
-  match !current with
-  | None -> ()
-  | Some c -> push c (Event.Pressure_change { level; free })
+  if takes Event.Cat.pressure then
+    push Event.Cat.pressure (Event.Pressure_change { level; free })
 
 let throttle ~container ~entered ~fuel =
-  match !current with
-  | None -> ()
-  | Some c ->
-      push c
-        (Event.Throttle { container = norm c space_container container; entered; fuel })
+  if takes Event.Cat.throttle then
+    push Event.Cat.throttle
+      (Event.Throttle { container = norm space_container container; entered; fuel })
 
 let seize ~container ~frames ~level =
-  match !current with
-  | None -> ()
-  | Some c ->
-      push c
-        (Event.Seize { container = norm c space_container container; frames; level })
+  if takes Event.Cat.seize then
+    push Event.Cat.seize
+      (Event.Seize { container = norm space_container container; frames; level })
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let events_seen c = c.seq
+let events_seen c = Array.fold_left ( + ) 0 c.counts
 let counts c = Array.copy c.counts
 let digest c = Encoder.digest_value c.digest
 let digest_hex d = Printf.sprintf "%016Lx" d
-
-let recent c =
-  let cap = Array.length c.ring in
-  let first = max 0 (c.seq - cap) in
-  let out = ref [] in
-  for s = c.seq - 1 downto first do
-    let ev = c.ring.(s mod cap) in
-    if ev.Event.seq = s then out := ev :: !out
-  done;
-  !out
 
 let decode_stream s count =
   let pos = ref 0 in
@@ -241,13 +236,10 @@ let decode_stream s count =
 let events c =
   match c.store with
   | None -> invalid_arg "Trace.events: collector was started without ~store:true"
-  | Some b -> decode_stream (Buffer.contents b) c.seq
+  | Some b -> decode_stream (Buffer.contents b) (events_seen c)
 
-let fault_latency_buckets c = (Array.copy c.fault_latency, c.fault_latency_overflow)
-
-(* Shared category-count and latency-bucket formatting: [pp_summary] and
-   [Kstat.pp] print the same strings, built here exactly once so the two
-   surfaces cannot drift apart. *)
+(* [pp_summary] and [Kstat.pp] print the same counts string, built here
+   once so the two surfaces cannot drift apart. *)
 let counts_summary c =
   let parts = ref [] in
   for i = Event.num_categories - 1 downto 0 do
@@ -256,18 +248,11 @@ let counts_summary c =
   done;
   String.concat ", " !parts
 
-let fault_latency_summary c =
-  Printf.sprintf "[%s | >16ms %d]"
-    (String.concat " " (Array.to_list (Array.map string_of_int c.fault_latency)))
-    c.fault_latency_overflow
-
 let pp_summary fmt c =
-  Format.fprintf fmt "@[<v>trace: %d events, digest %s@," c.seq (digest_hex (digest c));
+  Format.fprintf fmt "@[<v>trace: %d events, digest %s@," (events_seen c)
+    (digest_hex (digest c));
   let counts = counts_summary c in
   Format.fprintf fmt "  counts: %s@," (if counts = "" then "(empty)" else counts);
-  let total_faults = Array.fold_left ( + ) c.fault_latency_overflow c.fault_latency in
-  if total_faults > 0 then
-    Format.fprintf fmt "  fault latency (1ms buckets): %s@," (fault_latency_summary c);
   Format.fprintf fmt "@]"
 
 (* ------------------------------------------------------------------ *)

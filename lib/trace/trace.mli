@@ -1,48 +1,71 @@
-(** The global trace sink.
+(** The one emit path: a dispatcher of typed events to stages.
 
-    Instrumented code calls the per-category emit functions below on its
-    hot paths; when no collector is installed each call is one match on
-    the global sink and allocates nothing.  Call sites that must
-    {e compute} an argument (a binding lookup, a stats snapshot) guard
-    on {!on} first.
+    Instrumented code calls the per-category emitters below on its hot
+    paths.  The dispatcher owns the simulated clock ({!Kernel.create}
+    sets it), the sequence number and the id normalization, and a list
+    of attached stages, each taking a set of event categories.  An
+    emitter builds an event only when some attached stage takes its
+    category; otherwise the call is one load and one branch and
+    allocates nothing.  Call sites that must {e compute} an argument (a
+    binding lookup) guard on {!takes} first.
 
-    A collector stamps every event with the registered simulation clock,
-    keeps per-category counters, a fault-latency histogram, a bounded
-    ring of recent events, a streaming FNV-1a digest of the encoded
-    event bytes, and (optionally) the full stream for {!Recorded}
-    serialization.  Beyond the event record itself, recording an event
-    allocates nothing: it is encoded into one reusable {!Encoder.t}
-    that the digest and the store both read.  Task/object/container ids are normalized to dense
-    first-seen order so digests are independent of global id counters
-    left behind by earlier runs in the same process. *)
+    Three stages exist: the collector ({!start}/{!stop}: category
+    counts, a streaming FNV-1a digest of the encoded event bytes and
+    optionally the full stream for {!Recorded} serialization), the live
+    consumer ({!set_consumer}), both taking every category, and the
+    metrics registry ([Metrics.install]), which takes only the
+    categories it derives metrics from.  Beyond the event record
+    itself, collecting an event allocates nothing: it is encoded into
+    one reusable {!Encoder.t} that the digest and the store both read.
+    Task/object/container ids are normalized to dense first-seen order,
+    restarted by each {!start}, so digests are independent of global id
+    counters left behind by earlier runs in the same process. *)
 
 open Hipec_sim
 
-type collector
+(** {1 The dispatcher} *)
 
-val start : ?ring:int -> ?store:bool -> ?clock:(unit -> Sim_time.t) -> unit -> collector
-(** Install a fresh collector as the global sink (replacing any current
-    one).  [ring] bounds the recent-event buffer (default 512);
-    [store] (default false) retains the full encoded stream, required
-    for {!Recorded.of_collector}.  The clock defaults to a constant
-    zero until {!set_clock} is called — {!Kernel.create} registers its
-    engine automatically. *)
+type stage
 
-val stop : unit -> collector option
-(** Uninstall and return the current collector. *)
+val attach : categories:int list -> (Event.t -> unit) -> stage
+(** Attach a stage that is fed every event of [categories] (indices as
+    {!Event.tag} returns them), after the stages attached before it. *)
+
+val detach : stage -> unit
 
 val on : unit -> bool
-val active : unit -> collector option
+(** Some stage is attached. *)
+
+val takes : int -> bool
+(** Some attached stage takes this category. *)
+
 val set_clock : (unit -> Sim_time.t) -> unit
-(** No-op when no collector is installed. *)
+(** The simulated clock every event is stamped with, and the one
+    [Metrics] series read; a constant zero until first set. *)
+
+val now : unit -> Sim_time.t
+
+(** {1 The collector and the consumer} *)
+
+type collector
+
+val start : ?store:bool -> unit -> collector
+(** Attach a fresh collector (replacing any current one and its
+    consumer) and restart the sequence numbers and id normalization.
+    [store] (default false) retains the full encoded stream, required
+    for {!Recorded.of_collector}. *)
+
+val stop : unit -> collector option
+(** Detach and return the current collector, and detach the consumer. *)
+
+val active : unit -> collector option
 
 val set_consumer : (Event.t -> unit) option -> unit
-(** Install (or clear, with [None]) a live event consumer on the
-    current collector: it observes every pushed event after the digest
-    and ring updates, in stream order, with ids already normalized —
-    exactly the events a recording would replay, which is what makes
-    online and offline span reconstruction bit-identical.  One [match]
-    per event when unset; a no-op when no collector is installed. *)
+(** Attach (or detach, with [None]) the live event consumer, replacing
+    any current one: it observes every event in stream order, with ids
+    already normalized — exactly the events a recording would replay,
+    which is what makes online and offline span reconstruction
+    bit-identical.  {!stop} detaches it. *)
 
 (** {1 Emitters} *)
 
@@ -79,26 +102,14 @@ val counts : collector -> int array
 
 val digest : collector -> int64
 val digest_hex : int64 -> string
-val recent : collector -> Event.t list
-(** Up to [ring] most recent events, oldest first. *)
-
 val events : collector -> Event.t array
 (** The full stream; raises [Invalid_argument] unless the collector was
     started with [~store:true]. *)
-
-val fault_latency_buckets : collector -> int array * int
-(** 16 uniform 1 ms buckets over [0, 16 ms) of fault service latency,
-    plus the overflow count.  A latency of exactly 16 ms lands in the
-    overflow count, not in the last bucket. *)
 
 val counts_summary : collector -> string
 (** ["access 12, fault 3, ..."] in category order; [""] when no events
     have been recorded.  Shared by {!pp_summary} and [Kstat.pp] so the
     two surfaces print identical strings. *)
-
-val fault_latency_summary : collector -> string
-(** ["[c0 c1 ... c15 | >16ms n]"] — the bucket counts of
-    {!fault_latency_buckets} in display form. *)
 
 val pp_summary : Format.formatter -> collector -> unit
 

@@ -53,11 +53,10 @@ let submit_write ?(policy = default_policy) stats disk ~remap ~block ~nblocks on
                 Hipec_trace.Trace.io_retry ~block:b ~write:true ~attempt:(tries + 1)
                   ~gave_up:false;
                 let delay = backoff policy ~attempt:(tries + 1) in
-                if Hipec_metrics.Metrics.on () then begin
-                  Hipec_metrics.Metrics.observe "vm.io_retry.attempt" (tries + 1);
+                (* direct: no event carries the backoff *)
+                if Hipec_metrics.Metrics.on () then
                   Hipec_metrics.Metrics.observe "vm.io_retry.backoff_ns"
-                    (Sim_time.to_ns delay)
-                end;
+                    (Sim_time.to_ns delay);
                 ignore
                   (Engine.schedule engine ~after:delay (fun _ ->
                        attempt ~block:b ~tries:(tries + 1)))
@@ -65,8 +64,6 @@ let submit_write ?(policy = default_policy) stats disk ~remap ~block ~nblocks on
                 stats.io_giveups <- stats.io_giveups + 1;
                 Hipec_trace.Trace.io_retry ~block ~write:true ~attempt:tries
                   ~gave_up:true;
-                if Hipec_metrics.Metrics.on () then
-                  Hipec_metrics.Metrics.incr "vm.io_retry.giveups";
                 on_done engine (Error err)))
   in
   attempt ~block ~tries:0
@@ -86,18 +83,15 @@ let rec sync_attempt policy stats ~charge disk ~block ~nblocks tries =
         Hipec_trace.Trace.io_retry ~block ~write:false ~attempt:(tries + 1)
           ~gave_up:false;
         let delay = backoff policy ~attempt:(tries + 1) in
-        if Hipec_metrics.Metrics.on () then begin
-          Hipec_metrics.Metrics.observe "vm.io_retry.attempt" (tries + 1);
-          Hipec_metrics.Metrics.observe "vm.io_retry.backoff_ns" (Sim_time.to_ns delay)
-        end;
+        (* direct: no event carries the backoff *)
+        if Hipec_metrics.Metrics.on () then
+          Hipec_metrics.Metrics.observe "vm.io_retry.backoff_ns" (Sim_time.to_ns delay);
         charge delay;
         sync_attempt policy stats ~charge disk ~block ~nblocks (tries + 1)
       end
       else begin
         stats.io_giveups <- stats.io_giveups + 1;
         Hipec_trace.Trace.io_retry ~block ~write:false ~attempt:tries ~gave_up:true;
-        if Hipec_metrics.Metrics.on () then
-          Hipec_metrics.Metrics.incr "vm.io_retry.giveups";
         Error err
       end
 

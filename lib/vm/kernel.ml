@@ -7,16 +7,6 @@ module Log = (val Logs.src_log log : Logs.LOG)
 module Tr = Hipec_trace.Trace
 module Mx = Hipec_metrics.Metrics
 
-(* Fault-service latency histograms, one per fault kind plus an
-   aggregate; constant names so a disabled registry costs one branch and
-   an enabled one never allocates on the fault path. *)
-let fault_metric = function
-  | Hipec_trace.Event.Soft -> "vm.fault.soft.ns"
-  | Hipec_trace.Event.Zero_fill -> "vm.fault.zero_fill.ns"
-  | Hipec_trace.Event.File_pagein -> "vm.fault.pagein.ns"
-  | Hipec_trace.Event.Cow -> "vm.fault.cow.ns"
-  | Hipec_trace.Event.Hipec -> "vm.fault.hipec.ns"
-
 exception Task_terminated of Task.t * string
 
 type config = {
@@ -109,10 +99,8 @@ let alloc_extent disk next_block ~npages =
 
 let create ?(config = default_config) () =
   let engine = Engine.create () in
-  (* an active collector stamps events with this kernel's clock; a no-op
-     otherwise *)
+  (* events and metric series are stamped with this kernel's clock *)
   Tr.set_clock (fun () -> Engine.now engine);
-  Mx.set_clock (fun () -> Engine.now engine);
   let rng = Rng.create ~seed:config.seed in
   let disk =
     Disk.create ?params:config.disk_params ?faults:config.disk_faults ~engine
@@ -204,6 +192,8 @@ let check_pressure t =
       ignore
         (Pressure.evaluate p ~free ~free_target:(Pageout.free_target t.pageout)
            ~reserved:(Pageout.reserved t.pageout) ~now:(now t));
+      (* direct: a series samples the level at every check, not only on
+         a change *)
       if Mx.on () then Mx.sample "vm.pressure.level.ts" (Pressure.severity (Pressure.level p))
 
 let enable_pressure ?window ?rate_threshold t =
@@ -212,15 +202,12 @@ let enable_pressure ?window ?rate_threshold t =
   | None ->
       let p = Pressure.create ?window ?rate_threshold () in
       (* the kernel's own listener runs before any later subscriber
-         (frame-manager seizure hooks): pageout urgency, trace, metrics *)
+         (frame-manager seizure hooks): pageout urgency, then the trace
+         event the metrics registry also counts *)
       Pressure.subscribe p (fun ~prev:_ ~next ->
           Pageout.set_urgency t.pageout (Pressure.severity next);
           Tr.pressure ~level:(Pressure.severity next)
-            ~free:(Frame.Table.free_count t.frame_table);
-          if Mx.on () then begin
-            Mx.gauge_set "vm.pressure.level" (Pressure.severity next);
-            Mx.incr "vm.pressure.changes"
-          end);
+            ~free:(Frame.Table.free_count t.frame_table));
       t.pressure <- Some p;
       p
 
@@ -457,20 +444,16 @@ let fault t task region ~vpn ~write =
   | None -> ());
   let t0 = now t in
   let emit kind =
-    if Tr.on () || Mx.on () then begin
-      let lat = Sim_time.to_ns (Sim_time.sub (now t) t0) in
-      (* the Fault must be the last event of its service window and its
-         latency must span back exactly to t0: Span tiles the window
-         [time - latency, time] from the events between the two *)
-      if Tr.on () then Tr.fault ~task:(Task.id task) ~vpn ~kind ~latency_ns:lat;
-      if Mx.on () then begin
-        Mx.observe (fault_metric kind) lat;
-        Mx.observe "vm.fault.all.ns" lat;
-        Mx.incr "vm.fault.count";
-        let free = Frame.Table.free_count t.frame_table in
-        Mx.gauge_set "vm.free_frames" free;
-        Mx.sample "vm.free_frames.ts" free
-      end
+    (* the Fault must be the last event of its service window and its
+       latency must span back exactly to t0: Span tiles the window
+       [time - latency, time] from the events between the two *)
+    Tr.fault ~task:(Task.id task) ~vpn ~kind
+      ~latency_ns:(Sim_time.to_ns (Sim_time.sub (now t) t0));
+    (* direct: no event carries the free-frame count *)
+    if Mx.on () then begin
+      let free = Frame.Table.free_count t.frame_table in
+      Mx.gauge_set "vm.free_frames" free;
+      Mx.sample "vm.free_frames.ts" free
     end
   in
   charge t t.costs.Costs.fault_trap;
@@ -561,16 +544,8 @@ let resolve_cow_write t task region ~vpn =
   | None -> ());
   charge t t.costs.Costs.pmap_enter;
   Pmap.protect (Task.pmap task) ~vpn ~prot:region.Vm_map.prot;
-  if Tr.on () || Mx.on () then begin
-    let lat = Sim_time.to_ns (Sim_time.sub (now t) t0) in
-    if Tr.on () then
-      Tr.fault ~task:(Task.id task) ~vpn ~kind:Hipec_trace.Event.Cow ~latency_ns:lat;
-    if Mx.on () then begin
-      Mx.observe (fault_metric Hipec_trace.Event.Cow) lat;
-      Mx.observe "vm.fault.all.ns" lat;
-      Mx.incr "vm.fault.count"
-    end
-  end
+  Tr.fault ~task:(Task.id task) ~vpn ~kind:Hipec_trace.Event.Cow
+    ~latency_ns:(Sim_time.to_ns (Sim_time.sub (now t) t0))
 
 let set_access_recorder t tap = t.access_recorder <- tap
 

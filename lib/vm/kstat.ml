@@ -52,10 +52,7 @@ let pp fmt k =
       line "trace" "%d events, digest %s" (Tr.events_seen c)
         (Tr.digest_hex (Tr.digest c));
       let counts = Tr.counts_summary c in
-      if counts <> "" then line "trace counts" "%s" counts;
-      let buckets, overflow = Tr.fault_latency_buckets c in
-      if Array.fold_left ( + ) overflow buckets > 0 then
-        line "trace fault latency" "1ms buckets %s" (Tr.fault_latency_summary c));
+      if counts <> "" then line "trace counts" "%s" counts);
   (* likewise: the metrics section only appears while a registry is
      installed *)
   (match Hipec_metrics.Metrics.active () with

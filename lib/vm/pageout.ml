@@ -91,6 +91,8 @@ let launder t ctx page =
   Vm_object.disconnect obj page;
   t.laundry <- t.laundry + 1;
   t.pageout_writes <- t.pageout_writes + 1;
+  (* direct: policy flushes emit Pageout too, and no event carries the
+     laundry depth *)
   if Hipec_metrics.Metrics.on () then begin
     Hipec_metrics.Metrics.incr "vm.pageout.laundered";
     Hipec_metrics.Metrics.gauge_set "vm.pageout.laundry" t.laundry
@@ -118,6 +120,7 @@ let evict_clean ctx page =
    the inactive queue is drained. *)
 let reclaim_step t ctx =
   Engine.advance ctx.engine ctx.costs.Costs.queue_op;
+  (* direct: no event marks a scan step or carries the inactive depth *)
   if Hipec_metrics.Metrics.on () then begin
     Hipec_metrics.Metrics.incr "vm.pageout.scans";
     Hipec_metrics.Metrics.sample "vm.pageout.inactive_depth.ts"
@@ -131,15 +134,18 @@ let reclaim_step t ctx =
         Vm_page.clear_referenced page;
         Page_queue.enqueue_tail t.active page;
         t.reactivations <- t.reactivations + 1;
+        (* direct: no event marks a second chance *)
         if Hipec_metrics.Metrics.on () then
           Hipec_metrics.Metrics.incr "vm.pageout.reactivations";
         `Progress
       end
       else begin
         t.evictions <- t.evictions + 1;
+        (* direct: a daemon Evict is emitted only for bound pages, and
+           also by the frame manager's default-policy take *)
         if Hipec_metrics.Metrics.on () then
           Hipec_metrics.Metrics.incr "vm.pageout.evictions";
-        (if Hipec_trace.Trace.on () then
+        (if Hipec_trace.Trace.takes Hipec_trace.Event.Cat.evict then
            match Vm_page.binding page with
            | Some (oid, offset) ->
                Hipec_trace.Trace.evict ~source:Hipec_trace.Event.Daemon ~obj:oid

@@ -164,11 +164,7 @@ let run config =
   let own_collector =
     match Hipec_trace.Trace.active () with
     | Some _ -> None
-    | None ->
-        Some
-          (Hipec_trace.Trace.start ~ring:256 ~store:false
-             ~clock:(fun () -> Kernel.now kernel)
-             ())
+    | None -> Some (Hipec_trace.Trace.start ())
   in
   let auditor =
     Audit.create ~period:config.audit_period ~raise_on_violation:false kernel

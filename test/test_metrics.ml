@@ -179,15 +179,6 @@ let test_log_histogram_bucket_edges () =
   let lo, hi = St.Histogram.bucket_bounds h 3 in
   Alcotest.(check (pair (float 0.0) (float 0.0))) "bucket 3 = [4,8)" (4., 8.) (lo, hi)
 
-let test_trace_fault_latency_top_edge () =
-  let c = Trace.start () in
-  Trace.fault ~task:1 ~vpn:0 ~kind:Hipec_trace.Event.Hipec ~latency_ns:15_999_999;
-  Trace.fault ~task:1 ~vpn:1 ~kind:Hipec_trace.Event.Hipec ~latency_ns:16_000_000;
-  ignore (Trace.stop ());
-  let buckets, overflow = Trace.fault_latency_buckets c in
-  Alcotest.(check int) "just under 16ms in last bucket" 1 buckets.(15);
-  Alcotest.(check int) "exactly 16ms overflows" 1 overflow
-
 (* ------------------------------------------------------------------ *)
 (* Deterministic snapshots                                             *)
 (* ------------------------------------------------------------------ *)
@@ -505,8 +496,6 @@ let () =
           Alcotest.test_case "fixed histogram top edge" `Quick test_fixed_histogram_top_edge;
           Alcotest.test_case "log histogram bucket edges" `Quick
             test_log_histogram_bucket_edges;
-          Alcotest.test_case "trace fault latency top edge" `Quick
-            test_trace_fault_latency_top_edge;
         ] );
       ( "determinism",
         [ Alcotest.test_case "seeded snapshot byte-stable" `Quick test_snapshot_deterministic ] );

@@ -194,14 +194,12 @@ let test_exporters () =
 
 (* --- zero cost when disabled ---------------------------------------- *)
 
-(* The emit contract: call sites guard on [Trace.on ()], a single
-   mutable-bool read.  With no collector installed the guarded pattern
-   must not allocate at all — this pins the spans layer (and any future
-   consumer) to the same bargain. *)
+(* The emit contract: with no stage attached to the sink, a guarded
+   emit must not allocate at all — this pins the spans layer (and any
+   future consumer) to the same bargain. *)
 let test_disabled_alloc () =
   Alcotest.(check bool) "no collector installed" false (Trace.on ());
   Trace.set_consumer None;
-  (* a no-op without a collector *)
   let probe () =
     for i = 0 to 9_999 do
       if Trace.on () then Trace.fault ~task:0 ~vpn:i ~kind:Event.Soft ~latency_ns:i

@@ -200,8 +200,8 @@ let test_disabled_sink_is_inert () =
   Trace.demote ~container:0 ~reason:"x";
   Alcotest.(check bool) "still off" false (Trace.on ())
 
-let test_collector_counts_and_ring () =
-  let c = Trace.start ~ring:4 () in
+let test_collector_counts () =
+  let c = Trace.start ~store:true () in
   Trace.access ~task:7 ~vpn:1 ~write:false;
   Trace.access ~task:7 ~vpn:2 ~write:true;
   Trace.pagein ~task:7 ~block:99;
@@ -209,17 +209,16 @@ let test_collector_counts_and_ring () =
   Alcotest.(check int) "events" 3 (Trace.events_seen c);
   Alcotest.(check int) "access count" 2
     (Trace.counts c).(Event.tag (Event.Access { task = 0; vpn = 0; write = false }));
-  Alcotest.(check int) "ring holds all" 3 (List.length (Trace.recent c));
   (* normalization: first-seen task id 7 becomes 0 *)
-  match (List.hd (Trace.recent c)).Event.payload with
+  match (Trace.events c).(0).Event.payload with
   | Event.Access { task; vpn; write } ->
       Alcotest.(check int) "task normalized" 0 task;
       Alcotest.(check int) "vpn raw" 1 vpn;
       Alcotest.(check bool) "read" false write
   | _ -> Alcotest.fail "wrong payload"
 
-(* With no collector installed every emitter is one match on the sink
-   and allocates nothing, guarded by [Trace.on] or not. *)
+(* With no stage attached every emitter is one bit test and allocates
+   nothing, guarded by [Trace.on] or not. *)
 let test_disabled_emitters_allocate_nothing () =
   Alcotest.(check bool) "no collector installed" false (Trace.on ());
   let probe () =
@@ -247,23 +246,6 @@ let test_disabled_emitters_allocate_nothing () =
   probe ();
   let w1 = Gc.minor_words () in
   Alcotest.(check (float 0.)) "minor words" 0. (w1 -. w0)
-
-(* Once the ring wraps it holds exactly the last [ring] events, and
-   [recent] returns them oldest first. *)
-let test_ring_wraps () =
-  let c = Trace.start ~ring:4 () in
-  for vpn = 0 to 9 do
-    Trace.map_op ~vpn ~enter:true
-  done;
-  ignore (Trace.stop ());
-  let recent = Trace.recent c in
-  Alcotest.(check (list int)) "sequence numbers" [ 6; 7; 8; 9 ]
-    (List.map (fun ev -> ev.Event.seq) recent);
-  Alcotest.(check (list int)) "payloads" [ 6; 7; 8; 9 ]
-    (List.map
-       (fun ev ->
-         match ev.Event.payload with Event.Map_op { vpn; _ } -> vpn | _ -> -1)
-       recent)
 
 (* Each id space numbers its raw ids densely in first-seen order, however
    the raw ids are spread: clustered, strided onto the same slots,
@@ -446,8 +428,7 @@ let () =
           Alcotest.test_case "disabled sink inert" `Quick test_disabled_sink_is_inert;
           Alcotest.test_case "disabled emitters allocate nothing" `Quick
             test_disabled_emitters_allocate_nothing;
-          Alcotest.test_case "counts and ring" `Quick test_collector_counts_and_ring;
-          Alcotest.test_case "ring wraps" `Quick test_ring_wraps;
+          Alcotest.test_case "counts" `Quick test_collector_counts;
           Alcotest.test_case "ids normalize in first-seen order" `Quick
             test_ids_normalize_first_seen;
           Alcotest.test_case "stop restores silence" `Quick test_stop_restores_silence;

@@ -647,6 +647,25 @@ let test_kernel_hit_allocates_nothing () =
   Alcotest.(check (float 0.)) "write hits" 0. (minor_words_of writes);
   Alcotest.(check int) "one fault per page" 2 (Task.faults task)
 
+(* The registry is a trace stage taking only the categories it derives
+   metrics from, so a hit builds no Access event for it. *)
+let test_kernel_hit_under_metrics_allocates_nothing () =
+  let reg = Hipec_metrics.Metrics.install () in
+  Fun.protect ~finally:(fun () -> ignore (Hipec_metrics.Metrics.uninstall ())) @@ fun () ->
+  let k = small_kernel () in
+  let task = Kernel.create_task k () in
+  let region = Kernel.vm_allocate k task ~npages:1 in
+  Kernel.touch_region k task region ~write:false;
+  let hits () =
+    for _ = 1 to 10_000 do
+      Kernel.access_vpn k task ~vpn:region.Vm_map.start_vpn ~write:false
+    done
+  in
+  hits ();
+  Alcotest.(check (float 0.)) "read hits" 0. (minor_words_of hits);
+  Alcotest.(check (option int)) "the registry counted the fault" (Some 1)
+    (Hipec_metrics.Metrics.Registry.counter_value reg "vm.fault.count")
+
 let test_kernel_null_ops_cost () =
   let k = small_kernel () in
   let t0 = Kernel.now k in
@@ -1004,6 +1023,8 @@ let () =
             test_kernel_hit_allocates_no_more_than_pmap;
           Alcotest.test_case "resident hit allocates nothing" `Quick
             test_kernel_hit_allocates_nothing;
+          Alcotest.test_case "resident hit under a metrics registry allocates nothing"
+            `Quick test_kernel_hit_under_metrics_allocates_nothing;
         ] );
       ( "cow",
         [
