@@ -901,7 +901,16 @@ let storm_bench ~quick () =
     "faults/sec" "honest p99 ns" "isolation" "throttles" "seizures" "digest";
   let scale config =
     let run_on b config = Executor.with_backend b (fun () -> Storm.run config) in
-    let runs, walls = sampled timed_repeats (fun () -> run_on Executor.Interp config) in
+    (* each timed run's allocation per simulated fault, read on the
+       same runs as the wall *)
+    let words = ref [] in
+    let runs, walls =
+      sampled timed_repeats (fun () ->
+          let w0 = Gc.minor_words () in
+          let r = run_on Executor.Interp config in
+          words := ((Gc.minor_words () -. w0) /. float r.Storm.total_faults) :: !words;
+          r)
+    in
     let r1 = List.hd runs in
     let rc = run_on Executor.Compiled config in
     let baseline =
@@ -946,6 +955,7 @@ let storm_bench ~quick () =
         count "faults" r1.Storm.total_faults;
         sim ~unit:"1/s" sc "faults_per_sec" r1.Storm.faults_per_sec;
         timed_row sc "wall_ns" walls;
+        timed_row ~unit:"words" sc "minor_words_per_fault" !words;
         ns "honest_p50_ns" r1.Storm.honest_p50_ns;
         ns "honest_p99_ns" r1.Storm.honest_p99_ns;
         ns "greedy_p99_ns" r1.Storm.greedy_p99_ns;

@@ -755,25 +755,30 @@ let attach_pressure t =
    closure: the manager's specific accounting must agree with the sum of
    container balances, and a throttled tenant must still own its
    guaranteed floor (emergency seizure and forced reclaim both stop at
-   [min_frames]).  Violations name the offending container. *)
-let audit_check t () =
-  let violations = ref [] in
-  let add check detail = violations := (check, detail) :: !violations in
-  let sum =
-    List.fold_left (fun acc c -> acc + Container.frames_held c) 0 t.containers
-  in
-  if sum <> t.specific_total then
-    add "hipec-specific-total"
-      (Printf.sprintf "specific_total=%d but containers hold %d" t.specific_total sum);
-  List.iter
-    (fun c ->
-      if Container.throttled c && Container.frames_held c < Container.min_frames c
-      then
-        add "hipec-throttle-floor"
-          (Format.asprintf "%a holds %d < min %d while throttled" Container.pp c
-             (Container.frames_held c) (Container.min_frames c)))
-    t.containers;
-  List.rev !violations
+   [min_frames]).  Violations name the offending container.  One walk
+   sums the balances and collects floor violations in container order;
+   the total's violation comes first. *)
+let rec audit_walk t held floors = function
+  | c :: rest ->
+      let floors =
+        if Container.throttled c && Container.frames_held c < Container.min_frames c then
+          ( "hipec-throttle-floor",
+            Format.asprintf "%a holds %d < min %d while throttled" Container.pp c
+              (Container.frames_held c) (Container.min_frames c) )
+          :: floors
+        else floors
+      in
+      audit_walk t (held + Container.frames_held c) floors rest
+  | [] ->
+      (* [List.rev []] is [[]]: a clean walk allocates nothing *)
+      let floors = List.rev floors in
+      if held <> t.specific_total then
+        ( "hipec-specific-total",
+          Printf.sprintf "specific_total=%d but containers hold %d" t.specific_total held )
+        :: floors
+      else floors
+
+let audit_check t () = audit_walk t 0 [] t.containers
 
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)

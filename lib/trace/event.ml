@@ -105,73 +105,128 @@ let outcome_of_code = function
   | 2 -> Policy_timeout
   | n -> failwith (Printf.sprintf "Event.decode: bad outcome %d" n)
 
-let encode b ev =
-  E.put_byte b (tag ev.payload);
-  E.put_varint b (ev.time :> int);
-  match ev.payload with
-  | Access { task; vpn; write } ->
-      E.put_varint b task;
-      E.put_varint b vpn;
-      E.put_bool b write
-  | Fault { task; vpn; kind; latency_ns } ->
-      E.put_varint b task;
-      E.put_varint b vpn;
-      E.put_byte b (fault_kind_code kind);
-      E.put_varint b latency_ns
-  | Pagein { task; block } ->
-      E.put_varint b task;
-      E.put_varint b block
-  | Pageout { obj_id; offset; block } ->
-      E.put_varint b obj_id;
-      E.put_varint b offset;
-      E.put_varint b block
-  | Evict { source; obj_id; offset; dirty } ->
-      E.put_byte b (match source with Policy -> 0 | Daemon -> 1);
-      E.put_varint b obj_id;
-      E.put_varint b offset;
-      E.put_bool b dirty
-  | Grant { container; frames } ->
-      E.put_varint b container;
-      E.put_varint b frames
-  | Reclaim { container; frames; forced } ->
-      E.put_varint b container;
-      E.put_varint b frames;
-      E.put_bool b forced
+(* One writer per category: the tag byte, the time, then the fields in
+   declaration order.  [encode] and the collector's emitters both call
+   these, so there is one byte layout. *)
+let head b cat (time : Sim_time.t) =
+  E.put_byte b cat;
+  E.put_varint b (time :> int)
+
+let put_access b ~time ~task ~vpn ~write =
+  head b Cat.access time;
+  E.put_varint b task;
+  E.put_varint b vpn;
+  E.put_bool b write
+
+let put_fault b ~time ~task ~vpn ~kind ~latency_ns =
+  head b Cat.fault time;
+  E.put_varint b task;
+  E.put_varint b vpn;
+  E.put_byte b (fault_kind_code kind);
+  E.put_varint b latency_ns
+
+let put_pagein b ~time ~task ~block =
+  head b Cat.pagein time;
+  E.put_varint b task;
+  E.put_varint b block
+
+let put_pageout b ~time ~obj_id ~offset ~block =
+  head b Cat.pageout time;
+  E.put_varint b obj_id;
+  E.put_varint b offset;
+  E.put_varint b block
+
+let put_evict b ~time ~source ~obj_id ~offset ~dirty =
+  head b Cat.evict time;
+  E.put_byte b (match source with Policy -> 0 | Daemon -> 1);
+  E.put_varint b obj_id;
+  E.put_varint b offset;
+  E.put_bool b dirty
+
+let put_grant b ~time ~container ~frames =
+  head b Cat.grant time;
+  E.put_varint b container;
+  E.put_varint b frames
+
+let put_reclaim b ~time ~container ~frames ~forced =
+  head b Cat.reclaim time;
+  E.put_varint b container;
+  E.put_varint b frames;
+  E.put_bool b forced
+
+let put_policy_run b ~time ~container ~event ~outcome ~commands =
+  head b Cat.policy time;
+  E.put_varint b container;
+  E.put_varint b event;
+  E.put_byte b (outcome_code outcome);
+  E.put_varint b commands
+
+let put_demote b ~time ~container ~reason =
+  head b Cat.demote time;
+  E.put_varint b container;
+  E.put_string b reason
+
+let put_io_retry b ~time ~block ~write ~attempt ~gave_up =
+  head b Cat.io_retry time;
+  E.put_varint b block;
+  E.put_bool b write;
+  E.put_varint b attempt;
+  E.put_bool b gave_up
+
+let put_disk_io b ~time ~block ~nblocks ~write ~ok =
+  head b Cat.disk time;
+  E.put_varint b block;
+  E.put_varint b nblocks;
+  E.put_bool b write;
+  E.put_bool b ok
+
+let put_map_op b ~time ~vpn ~enter =
+  head b Cat.map time;
+  E.put_varint b vpn;
+  E.put_bool b enter
+
+let put_kill b ~time ~task ~reason =
+  head b Cat.kill time;
+  E.put_varint b task;
+  E.put_string b reason
+
+let put_pressure b ~time ~level ~free =
+  head b Cat.pressure time;
+  E.put_byte b level;
+  E.put_varint b free
+
+let put_throttle b ~time ~container ~entered ~fuel =
+  head b Cat.throttle time;
+  E.put_varint b container;
+  E.put_bool b entered;
+  E.put_varint b fuel
+
+let put_seize b ~time ~container ~frames ~level =
+  head b Cat.seize time;
+  E.put_varint b container;
+  E.put_varint b frames;
+  E.put_byte b level
+
+let encode b { seq = _; time; payload } =
+  match payload with
+  | Access { task; vpn; write } -> put_access b ~time ~task ~vpn ~write
+  | Fault { task; vpn; kind; latency_ns } -> put_fault b ~time ~task ~vpn ~kind ~latency_ns
+  | Pagein { task; block } -> put_pagein b ~time ~task ~block
+  | Pageout { obj_id; offset; block } -> put_pageout b ~time ~obj_id ~offset ~block
+  | Evict { source; obj_id; offset; dirty } -> put_evict b ~time ~source ~obj_id ~offset ~dirty
+  | Grant { container; frames } -> put_grant b ~time ~container ~frames
+  | Reclaim { container; frames; forced } -> put_reclaim b ~time ~container ~frames ~forced
   | Policy_run { container; event; outcome; commands } ->
-      E.put_varint b container;
-      E.put_varint b event;
-      E.put_byte b (outcome_code outcome);
-      E.put_varint b commands
-  | Demote { container; reason } ->
-      E.put_varint b container;
-      E.put_string b reason
+      put_policy_run b ~time ~container ~event ~outcome ~commands
+  | Demote { container; reason } -> put_demote b ~time ~container ~reason
   | Io_retry { block; write; attempt; gave_up } ->
-      E.put_varint b block;
-      E.put_bool b write;
-      E.put_varint b attempt;
-      E.put_bool b gave_up
-  | Disk_io { block; nblocks; write; ok } ->
-      E.put_varint b block;
-      E.put_varint b nblocks;
-      E.put_bool b write;
-      E.put_bool b ok
-  | Map_op { vpn; enter } ->
-      E.put_varint b vpn;
-      E.put_bool b enter
-  | Task_kill { task; reason } ->
-      E.put_varint b task;
-      E.put_string b reason
-  | Pressure_change { level; free } ->
-      E.put_byte b level;
-      E.put_varint b free
-  | Throttle { container; entered; fuel } ->
-      E.put_varint b container;
-      E.put_bool b entered;
-      E.put_varint b fuel
-  | Seize { container; frames; level } ->
-      E.put_varint b container;
-      E.put_varint b frames;
-      E.put_byte b level
+      put_io_retry b ~time ~block ~write ~attempt ~gave_up
+  | Disk_io { block; nblocks; write; ok } -> put_disk_io b ~time ~block ~nblocks ~write ~ok
+  | Map_op { vpn; enter } -> put_map_op b ~time ~vpn ~enter
+  | Task_kill { task; reason } -> put_kill b ~time ~task ~reason
+  | Pressure_change { level; free } -> put_pressure b ~time ~level ~free
+  | Throttle { container; entered; fuel } -> put_throttle b ~time ~container ~entered ~fuel
+  | Seize { container; frames; level } -> put_seize b ~time ~container ~frames ~level
 
 let get_byte s pos =
   if !pos >= String.length s then failwith "Event.decode: truncated stream";

@@ -93,9 +93,62 @@ val pressure_level_name : int -> string
 
 val encode : Encoder.t -> t -> unit
 (** Appends the event (without its sequence number, which is implied by
-    stream position) to the writer.  This is the one encoding: the
-    collector's digest, its stored stream and {!Trace.Recorded.save}
-    all read the bytes it writes. *)
+    stream position) to the writer, through the writer of its category
+    below.  {!Trace.Recorded.save} writes these bytes. *)
+
+(** One writer per category: the tag byte, the time varint, then the
+    payload's fields in declaration order.  They are the one byte
+    layout: {!encode} calls them on an event, and the trace collector
+    calls them on an emitter's arguments, so collecting builds no
+    event. *)
+
+val put_access : Encoder.t -> time:Sim_time.t -> task:int -> vpn:int -> write:bool -> unit
+
+val put_fault :
+  Encoder.t -> time:Sim_time.t -> task:int -> vpn:int -> kind:fault_kind -> latency_ns:int -> unit
+
+val put_pagein : Encoder.t -> time:Sim_time.t -> task:int -> block:int -> unit
+val put_pageout : Encoder.t -> time:Sim_time.t -> obj_id:int -> offset:int -> block:int -> unit
+
+val put_evict :
+  Encoder.t ->
+  time:Sim_time.t ->
+  source:evict_source ->
+  obj_id:int ->
+  offset:int ->
+  dirty:bool ->
+  unit
+
+val put_grant : Encoder.t -> time:Sim_time.t -> container:int -> frames:int -> unit
+
+val put_reclaim :
+  Encoder.t -> time:Sim_time.t -> container:int -> frames:int -> forced:bool -> unit
+
+val put_policy_run :
+  Encoder.t ->
+  time:Sim_time.t ->
+  container:int ->
+  event:int ->
+  outcome:policy_outcome ->
+  commands:int ->
+  unit
+
+val put_demote : Encoder.t -> time:Sim_time.t -> container:int -> reason:string -> unit
+
+val put_io_retry :
+  Encoder.t -> time:Sim_time.t -> block:int -> write:bool -> attempt:int -> gave_up:bool -> unit
+
+val put_disk_io :
+  Encoder.t -> time:Sim_time.t -> block:int -> nblocks:int -> write:bool -> ok:bool -> unit
+
+val put_map_op : Encoder.t -> time:Sim_time.t -> vpn:int -> enter:bool -> unit
+val put_kill : Encoder.t -> time:Sim_time.t -> task:int -> reason:string -> unit
+val put_pressure : Encoder.t -> time:Sim_time.t -> level:int -> free:int -> unit
+
+val put_throttle :
+  Encoder.t -> time:Sim_time.t -> container:int -> entered:bool -> fuel:int -> unit
+
+val put_seize : Encoder.t -> time:Sim_time.t -> container:int -> frames:int -> level:int -> unit
 
 val decode : string -> pos:int ref -> seq:int -> t
 (** Reads one event starting at [!pos], advancing [pos].

@@ -44,28 +44,47 @@ let grow ids =
 (* A stage takes a set of categories, one bit per [Event.tag]. *)
 type stage = { takes : int; feed : Event.t -> unit }
 
+(* The collector is the dispatcher's byte sink, not a stage: an emitter
+   writes its event's bytes into [scratch] and the collector folds them
+   in, so collecting builds no [Event.t]. *)
+type collector = {
+  counts : int array;
+  digest : Encoder.digest;
+  store : Buffer.t option;
+}
+
 let clock : (unit -> Sim_time.t) ref = ref (fun () -> Sim_time.zero)
 let seq = ref 0
 let norm_tables = Array.init 3 (fun _ -> ids_create ())  (* one per id space *)
 let stages : stage list ref = ref []
-let taken = ref 0  (* the union of the attached stages' categories *)
+let staged = ref 0  (* the union of the attached stages' categories *)
+let current : collector option ref = ref None
+let scratch = Encoder.create 64  (* the current event's bytes; empty between events *)
+let taken = ref 0  (* [!staged], or every category while a collector runs *)
 
 let set_clock f = clock := f
 let now () = !clock ()
 let on () = !taken <> 0
 let takes cat = !taken land (1 lsl cat) <> 0
+let staged_takes cat = !staged land (1 lsl cat) <> 0
+let collecting () = match !current with Some _ -> true | None -> false
+
+let every_category = List.init Event.num_categories Fun.id
+let mask categories = List.fold_left (fun m cat -> m lor (1 lsl cat)) 0 categories
+
+let retake () =
+  staged := List.fold_left (fun m s -> m lor s.takes) 0 !stages;
+  taken := if collecting () then mask every_category else !staged
 
 let attach ~categories feed =
-  let s = { takes = List.fold_left (fun m cat -> m lor (1 lsl cat)) 0 categories; feed } in
+  let s = { takes = mask categories; feed } in
   stages := !stages @ [ s ];
-  taken := !taken lor s.takes;
+  retake ();
   s
 
 let detach s =
   stages := List.filter (fun x -> x != s) !stages;
-  taken := List.fold_left (fun m x -> m lor x.takes) 0 !stages
-
-let every_category = List.init Event.num_categories Fun.id
+  retake ()
 
 let rec feed_stages ev bit = function
   | [] -> ()
@@ -73,10 +92,23 @@ let rec feed_stages ev bit = function
       if s.takes land bit <> 0 then s.feed ev;
       feed_stages ev bit rest
 
-let push cat payload =
-  let ev = { Event.seq = !seq; time = !clock (); payload } in
+(* Build the event for the stages that take its category.  It takes the
+   next sequence number, as an event only the collector sees does. *)
+let push cat time payload =
+  let ev = { Event.seq = !seq; time; payload } in
   incr seq;
   feed_stages ev (1 lsl cat) !stages
+
+(* The collector's work once an emitter has written an event into
+   [scratch]: count it, fold it into the digest and the store. *)
+let collected cat =
+  (match !current with
+  | Some c -> (
+      c.counts.(cat) <- c.counts.(cat) + 1;
+      Encoder.digest_add c.digest scratch;
+      match c.store with Some b -> Encoder.add_to_buffer b scratch | None -> ())
+  | None -> ());
+  Encoder.clear scratch
 
 let norm space raw =
   let ids = norm_tables.(space) in
@@ -96,24 +128,8 @@ let norm space raw =
 (* The collector and the consumer                                      *)
 (* ------------------------------------------------------------------ *)
 
-type collector = {
-  counts : int array;
-  digest : Encoder.digest;
-  scratch : Encoder.t;  (* the current event's bytes *)
-  store : Buffer.t option;
-}
-
-let collect c ev =
-  let tag = Event.tag ev.Event.payload in
-  c.counts.(tag) <- c.counts.(tag) + 1;
-  Encoder.clear c.scratch;
-  Event.encode c.scratch ev;
-  Encoder.digest_add c.digest c.scratch;
-  match c.store with Some b -> Encoder.add_to_buffer b c.scratch | None -> ()
-
-let current : (collector * stage) option ref = ref None
 let consumer : stage option ref = ref None
-let active () = Option.map fst !current
+let active () = !current
 
 let set_consumer f =
   Option.iter detach !consumer;
@@ -121,12 +137,10 @@ let set_consumer f =
 
 let stop () =
   set_consumer None;
-  match !current with
-  | None -> None
-  | Some (c, s) ->
-      detach s;
-      current := None;
-      Some c
+  let c = !current in
+  current := None;
+  retake ();
+  c
 
 let start ?(store = false) () =
   ignore (stop ());
@@ -136,89 +150,213 @@ let start ?(store = false) () =
     {
       counts = Array.make Event.num_categories 0;
       digest = Encoder.digest ();
-      scratch = Encoder.create 64;
       store = (if store then Some (Buffer.create 4096) else None);
     }
   in
-  current := Some (c, attach ~categories:every_category (collect c));
+  current := Some c;
+  retake ();
   c
 
 (* ------------------------------------------------------------------ *)
 (* Emitters                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Each emitter tests its category's bit before it builds anything, so
-   with no stage taking the category a call allocates nothing. *)
+(* Each emitter tests its category's bit before it does anything, so
+   with nothing taking the category a call allocates nothing.  Past the
+   test it normalizes its ids and reads the clock once; a running
+   collector gets the event's bytes from the category's [Event.put_*]
+   writer, and an [Event.t] is built only for the stages. *)
 
 let access ~task ~vpn ~write =
-  if takes Event.Cat.access then
-    push Event.Cat.access (Event.Access { task = norm space_task task; vpn; write })
+  if takes Event.Cat.access then begin
+    let task = norm space_task task and time = !clock () in
+    if collecting () then begin
+      Event.put_access scratch ~time ~task ~vpn ~write;
+      collected Event.Cat.access
+    end;
+    if staged_takes Event.Cat.access then
+      push Event.Cat.access time (Event.Access { task; vpn; write })
+    else incr seq
+  end
 
 let fault ~task ~vpn ~kind ~latency_ns =
-  if takes Event.Cat.fault then
-    push Event.Cat.fault (Event.Fault { task = norm space_task task; vpn; kind; latency_ns })
+  if takes Event.Cat.fault then begin
+    let task = norm space_task task and time = !clock () in
+    if collecting () then begin
+      Event.put_fault scratch ~time ~task ~vpn ~kind ~latency_ns;
+      collected Event.Cat.fault
+    end;
+    if staged_takes Event.Cat.fault then
+      push Event.Cat.fault time (Event.Fault { task; vpn; kind; latency_ns })
+    else incr seq
+  end
 
 let pagein ~task ~block =
-  if takes Event.Cat.pagein then
-    push Event.Cat.pagein (Event.Pagein { task = norm space_task task; block })
+  if takes Event.Cat.pagein then begin
+    let task = norm space_task task and time = !clock () in
+    if collecting () then begin
+      Event.put_pagein scratch ~time ~task ~block;
+      collected Event.Cat.pagein
+    end;
+    if staged_takes Event.Cat.pagein then
+      push Event.Cat.pagein time (Event.Pagein { task; block })
+    else incr seq
+  end
 
 let pageout ~obj ~offset ~block =
-  if takes Event.Cat.pageout then
-    push Event.Cat.pageout (Event.Pageout { obj_id = norm space_obj obj; offset; block })
+  if takes Event.Cat.pageout then begin
+    let obj_id = norm space_obj obj and time = !clock () in
+    if collecting () then begin
+      Event.put_pageout scratch ~time ~obj_id ~offset ~block;
+      collected Event.Cat.pageout
+    end;
+    if staged_takes Event.Cat.pageout then
+      push Event.Cat.pageout time (Event.Pageout { obj_id; offset; block })
+    else incr seq
+  end
 
 let evict ~source ~obj ~offset ~dirty =
-  if takes Event.Cat.evict then
-    push Event.Cat.evict (Event.Evict { source; obj_id = norm space_obj obj; offset; dirty })
+  if takes Event.Cat.evict then begin
+    let obj_id = norm space_obj obj and time = !clock () in
+    if collecting () then begin
+      Event.put_evict scratch ~time ~source ~obj_id ~offset ~dirty;
+      collected Event.Cat.evict
+    end;
+    if staged_takes Event.Cat.evict then
+      push Event.Cat.evict time (Event.Evict { source; obj_id; offset; dirty })
+    else incr seq
+  end
 
 let grant ~container ~frames =
-  if takes Event.Cat.grant then
-    push Event.Cat.grant
-      (Event.Grant { container = norm space_container container; frames })
+  if takes Event.Cat.grant then begin
+    let container = norm space_container container and time = !clock () in
+    if collecting () then begin
+      Event.put_grant scratch ~time ~container ~frames;
+      collected Event.Cat.grant
+    end;
+    if staged_takes Event.Cat.grant then
+      push Event.Cat.grant time (Event.Grant { container; frames })
+    else incr seq
+  end
 
 let reclaim ~container ~frames ~forced =
-  if takes Event.Cat.reclaim then
-    push Event.Cat.reclaim
-      (Event.Reclaim { container = norm space_container container; frames; forced })
+  if takes Event.Cat.reclaim then begin
+    let container = norm space_container container and time = !clock () in
+    if collecting () then begin
+      Event.put_reclaim scratch ~time ~container ~frames ~forced;
+      collected Event.Cat.reclaim
+    end;
+    if staged_takes Event.Cat.reclaim then
+      push Event.Cat.reclaim time (Event.Reclaim { container; frames; forced })
+    else incr seq
+  end
 
 let policy_run ~container ~event ~outcome ~commands =
-  if takes Event.Cat.policy then
-    push Event.Cat.policy
-      (Event.Policy_run
-         { container = norm space_container container; event; outcome; commands })
+  if takes Event.Cat.policy then begin
+    let container = norm space_container container and time = !clock () in
+    if collecting () then begin
+      Event.put_policy_run scratch ~time ~container ~event ~outcome ~commands;
+      collected Event.Cat.policy
+    end;
+    if staged_takes Event.Cat.policy then
+      push Event.Cat.policy time (Event.Policy_run { container; event; outcome; commands })
+    else incr seq
+  end
 
 let demote ~container ~reason =
-  if takes Event.Cat.demote then
-    push Event.Cat.demote
-      (Event.Demote { container = norm space_container container; reason })
+  if takes Event.Cat.demote then begin
+    let container = norm space_container container and time = !clock () in
+    if collecting () then begin
+      Event.put_demote scratch ~time ~container ~reason;
+      collected Event.Cat.demote
+    end;
+    if staged_takes Event.Cat.demote then
+      push Event.Cat.demote time (Event.Demote { container; reason })
+    else incr seq
+  end
 
 let io_retry ~block ~write ~attempt ~gave_up =
-  if takes Event.Cat.io_retry then
-    push Event.Cat.io_retry (Event.Io_retry { block; write; attempt; gave_up })
+  if takes Event.Cat.io_retry then begin
+    let time = !clock () in
+    if collecting () then begin
+      Event.put_io_retry scratch ~time ~block ~write ~attempt ~gave_up;
+      collected Event.Cat.io_retry
+    end;
+    if staged_takes Event.Cat.io_retry then
+      push Event.Cat.io_retry time (Event.Io_retry { block; write; attempt; gave_up })
+    else incr seq
+  end
 
 let disk_io ~block ~nblocks ~write ~ok =
-  if takes Event.Cat.disk then
-    push Event.Cat.disk (Event.Disk_io { block; nblocks; write; ok })
+  if takes Event.Cat.disk then begin
+    let time = !clock () in
+    if collecting () then begin
+      Event.put_disk_io scratch ~time ~block ~nblocks ~write ~ok;
+      collected Event.Cat.disk
+    end;
+    if staged_takes Event.Cat.disk then
+      push Event.Cat.disk time (Event.Disk_io { block; nblocks; write; ok })
+    else incr seq
+  end
 
 let map_op ~vpn ~enter =
-  if takes Event.Cat.map then push Event.Cat.map (Event.Map_op { vpn; enter })
+  if takes Event.Cat.map then begin
+    let time = !clock () in
+    if collecting () then begin
+      Event.put_map_op scratch ~time ~vpn ~enter;
+      collected Event.Cat.map
+    end;
+    if staged_takes Event.Cat.map then push Event.Cat.map time (Event.Map_op { vpn; enter })
+    else incr seq
+  end
 
 let kill ~task ~reason =
-  if takes Event.Cat.kill then
-    push Event.Cat.kill (Event.Task_kill { task = norm space_task task; reason })
+  if takes Event.Cat.kill then begin
+    let task = norm space_task task and time = !clock () in
+    if collecting () then begin
+      Event.put_kill scratch ~time ~task ~reason;
+      collected Event.Cat.kill
+    end;
+    if staged_takes Event.Cat.kill then
+      push Event.Cat.kill time (Event.Task_kill { task; reason })
+    else incr seq
+  end
 
 let pressure ~level ~free =
-  if takes Event.Cat.pressure then
-    push Event.Cat.pressure (Event.Pressure_change { level; free })
+  if takes Event.Cat.pressure then begin
+    let time = !clock () in
+    if collecting () then begin
+      Event.put_pressure scratch ~time ~level ~free;
+      collected Event.Cat.pressure
+    end;
+    if staged_takes Event.Cat.pressure then
+      push Event.Cat.pressure time (Event.Pressure_change { level; free })
+    else incr seq
+  end
 
 let throttle ~container ~entered ~fuel =
-  if takes Event.Cat.throttle then
-    push Event.Cat.throttle
-      (Event.Throttle { container = norm space_container container; entered; fuel })
+  if takes Event.Cat.throttle then begin
+    let container = norm space_container container and time = !clock () in
+    if collecting () then begin
+      Event.put_throttle scratch ~time ~container ~entered ~fuel;
+      collected Event.Cat.throttle
+    end;
+    if staged_takes Event.Cat.throttle then
+      push Event.Cat.throttle time (Event.Throttle { container; entered; fuel })
+    else incr seq
+  end
 
 let seize ~container ~frames ~level =
-  if takes Event.Cat.seize then
-    push Event.Cat.seize
-      (Event.Seize { container = norm space_container container; frames; level })
+  if takes Event.Cat.seize then begin
+    let container = norm space_container container and time = !clock () in
+    if collecting () then begin
+      Event.put_seize scratch ~time ~container ~frames ~level;
+      collected Event.Cat.seize
+    end;
+    if staged_takes Event.Cat.seize then
+      push Event.Cat.seize time (Event.Seize { container; frames; level })
+    else incr seq
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)

@@ -1,25 +1,30 @@
-(** The one emit path: a dispatcher of typed events to stages.
+(** The one emit path: a dispatcher of typed events to a byte sink and
+    to stages.
 
     Instrumented code calls the per-category emitters below on its hot
     paths.  The dispatcher owns the simulated clock ({!Kernel.create}
-    sets it), the sequence number and the id normalization, and a list
-    of attached stages, each taking a set of event categories.  An
-    emitter builds an event only when some attached stage takes its
-    category; otherwise the call is one load and one branch and
-    allocates nothing.  Call sites that must {e compute} an argument (a
-    binding lookup) guard on {!takes} first.
+    sets it), the sequence number and the id normalization, the
+    collector, and a list of attached stages, each taking a set of
+    event categories.  With no collector running and no stage taking
+    its category, an emitter is one load and one branch and allocates
+    nothing.  Call sites that must {e compute} an argument (a binding
+    lookup) guard on {!takes} first.
 
-    Three stages exist: the collector ({!start}/{!stop}: category
-    counts, a streaming FNV-1a digest of the encoded event bytes and
-    optionally the full stream for {!Recorded} serialization), the live
-    consumer ({!set_consumer}), both taking every category, and the
-    metrics registry ([Metrics.install]), which takes only the
-    categories it derives metrics from.  Beyond the event record
-    itself, collecting an event allocates nothing: it is encoded into
-    one reusable {!Encoder.t} that the digest and the store both read.
-    Task/object/container ids are normalized to dense first-seen order,
-    restarted by each {!start}, so digests are independent of global id
-    counters left behind by earlier runs in the same process. *)
+    The collector ({!start}/{!stop}) is the dispatcher's byte sink: it
+    keeps category counts, a streaming FNV-1a digest of the encoded
+    event bytes and optionally the full stream for {!Recorded}
+    serialization.  An emitter writes its event's bytes with the
+    category's [Event.put_*] writer into one reusable {!Encoder.t} that
+    the digest and the store both read, so collecting allocates
+    nothing.  Two stages exist: the live consumer ({!set_consumer}),
+    taking every category, and the metrics registry
+    ([Metrics.install]), which takes only the categories it derives
+    metrics from.  An emitter builds an {!Event.t} only when some
+    attached stage takes its category.  Every event takes the next
+    sequence number, whoever sees it.  Task/object/container ids are
+    normalized to dense first-seen order, restarted by each {!start},
+    so digests are independent of global id counters left behind by
+    earlier runs in the same process. *)
 
 open Hipec_sim
 
@@ -34,10 +39,11 @@ val attach : categories:int list -> (Event.t -> unit) -> stage
 val detach : stage -> unit
 
 val on : unit -> bool
-(** Some stage is attached. *)
+(** A collector is running or some stage is attached. *)
 
 val takes : int -> bool
-(** Some attached stage takes this category. *)
+(** A collector is running or some attached stage takes this
+    category. *)
 
 val set_clock : (unit -> Sim_time.t) -> unit
 (** The simulated clock every event is stamped with, and the one
@@ -50,13 +56,13 @@ val now : unit -> Sim_time.t
 type collector
 
 val start : ?store:bool -> unit -> collector
-(** Attach a fresh collector (replacing any current one and its
+(** Start a fresh collector (replacing any current one and its
     consumer) and restart the sequence numbers and id normalization.
     [store] (default false) retains the full encoded stream, required
     for {!Recorded.of_collector}. *)
 
 val stop : unit -> collector option
-(** Detach and return the current collector, and detach the consumer. *)
+(** Stop and return the current collector, and detach the consumer. *)
 
 val active : unit -> collector option
 

@@ -234,8 +234,14 @@ let run config =
     early_tenants
     @ List.init late (fun j -> admit_tenant (config.tenants - late + j))
   in
-  let honest_lat = ref [] and honest_n = ref 0 in
-  let greedy_lat = ref [] and greedy_n = ref 0 in
+  (* latency samples, one per access of an admitted tenant: each array
+     holds every access the storm can make, and its count those made *)
+  let samples kind =
+    let admitted = List.filter (fun tn -> tn.kind = kind && tn.region <> None) tenants in
+    Array.make (List.length admitted * config.rounds * config.pages_per_tenant) 0
+  in
+  let honest_lat = samples Honest and honest_n = ref 0 in
+  let greedy_lat = samples Greedy and greedy_n = ref 0 in
   (* per-tenant SLO books, indexed by tenant number *)
   let slo_samples = Array.make config.tenants 0 in
   let slo_violations = Array.make config.tenants 0 in
@@ -280,10 +286,10 @@ let run config =
                 slo_note tn.index dt;
                 (match tn.kind with
                 | Honest ->
-                    honest_lat := dt :: !honest_lat;
+                    honest_lat.(!honest_n) <- dt;
                     incr honest_n
                 | Greedy ->
-                    greedy_lat := dt :: !greedy_lat;
+                    greedy_lat.(!greedy_n) <- dt;
                     incr greedy_n
                 | Erring -> ());
                 note_peak ()
@@ -297,7 +303,7 @@ let run config =
   ignore (Audit.sweep auditor);
   let stats = Frame_manager.stats manager in
   let total_faults = (Kernel.stats kernel).Kernel.faults - faults0 in
-  let honest = Array.of_list !honest_lat and greedy = Array.of_list !greedy_lat in
+  let honest = Array.sub honest_lat 0 !honest_n and greedy = Array.sub greedy_lat 0 !greedy_n in
   let digest =
     match own_collector with
     | Some c ->

@@ -607,6 +607,45 @@ let test_admission_shed_and_drain () =
   Alcotest.(check bool) "frames conserved" true
     (Frame.Table.check_conservation (Kernel.frame_table kernel))
 
+(* The isolation check is one walk over the containers.  Clean, it
+   allocates nothing; with planted breaks it reports the total first,
+   then each throttled tenant below its floor, in container order. *)
+let test_audit_check_one_walk () =
+  let h = make cheap_probe in
+  let manager = Api.manager h.sys in
+  List.iter
+    (fun c ->
+      match Frame_manager.admit manager c with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail ("admit: " ^ e))
+    (List.init 2 (fun _ -> raw_container h.kernel ~min_frames:4));
+  let audit = Frame_manager.audit_check manager in
+  Alcotest.(check (list (pair string string))) "clean" [] (audit ());
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (audit ())
+  done;
+  Alcotest.(check (float 0.)) "a clean walk allocates nothing" 0. (Gc.minor_words () -. w0);
+  let total = Frame_manager.specific_total manager in
+  let now = Kernel.now h.kernel in
+  let all = Frame_manager.containers manager in
+  Alcotest.(check int) "three containers" 3 (List.length all);
+  List.iter
+    (fun c ->
+      Container.set_throttled c ~since:now ~until:now;
+      Container.remove_frames c (Container.frames_held c))
+    all;
+  let floor c =
+    ( "hipec-throttle-floor",
+      Format.asprintf "%a holds 0 < min %d while throttled" Container.pp c
+        (Container.min_frames c) )
+  in
+  Alcotest.(check (list (pair string string))) "total first, then floors in container order"
+    (( "hipec-specific-total",
+       Printf.sprintf "specific_total=%d but containers hold 0" total )
+    :: List.map floor all)
+    (audit ())
+
 (* ------------------------------------------------------------------ *)
 (* Property: admissions, seizures and removals conserve frames         *)
 (* ------------------------------------------------------------------ *)
@@ -796,6 +835,8 @@ let () =
             test_fuel_window_resets;
           Alcotest.test_case "critical pressure queues and sheds admissions" `Quick
             test_admission_shed_and_drain;
+          Alcotest.test_case "audit check is one allocation-free walk" `Quick
+            test_audit_check_one_walk;
         ] );
       ( "properties",
         [

@@ -140,6 +140,41 @@ let check_scenario (name, digest, events) () =
       Alcotest.(check int) (name ^ ": event count") events
         (Array.length r.Trace.Recorded.events)
 
+(* One byte layout: beside the collector, which folds the bytes the
+   emitters write with [Event.put_*], a consumer re-encodes every event
+   it is fed with [Event.encode] into a second digest.  The two digests
+   must agree (and be the pinned one), and the stored stream must
+   decode to the consumer's events, sequence numbers and times
+   included. *)
+let check_layout (name, digest, _) () =
+  let scenario =
+    match Trace_run.scenario_of_name name with
+    | Some s -> s
+    | None -> Alcotest.fail ("unknown golden scenario " ^ name)
+  in
+  let c = Trace.start ~store:true () in
+  let seen = ref [] and e = Encoder.create 64 and d = Encoder.digest () in
+  Trace.set_consumer
+    (Some
+       (fun ev ->
+         seen := ev :: !seen;
+         Encoder.clear e;
+         Event.encode e ev;
+         Encoder.digest_add d e));
+  (match
+     Fun.protect
+       ~finally:(fun () -> ignore (Trace.stop ()))
+       (fun () -> Trace_run.run_scenario scenario)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) (name ^ ": collector digest") digest (Trace.digest_hex (Trace.digest c));
+  Alcotest.(check string) (name ^ ": re-encoded digest") digest
+    (Trace.digest_hex (Encoder.digest_value d));
+  let consumed = Array.of_list (List.rev !seen) and stored = Trace.events c in
+  Alcotest.(check int) (name ^ ": event count") (Array.length consumed) (Array.length stored);
+  Alcotest.(check bool) (name ^ ": stored events are the consumer's") true (stored = consumed)
+
 let metrics_digest run =
   let reg = Mx.install () in
   (match Fun.protect ~finally:(fun () -> ignore (Mx.uninstall ())) run with
@@ -182,6 +217,10 @@ let () =
             (fun stem ->
               Alcotest.test_case (stem ^ ": anomaly") `Quick (check_anomaly stem))
             (witness_pairs goldens) );
+      ( "layout",
+        List.map
+          (fun ((name, _, _) as g) -> Alcotest.test_case name `Quick (check_layout g))
+          scenarios );
       ( "metrics",
         List.map
           (fun ((name, _, _) as g) -> Alcotest.test_case name `Quick (check_metrics g))

@@ -217,35 +217,79 @@ let test_collector_counts () =
       Alcotest.(check bool) "read" false write
   | _ -> Alcotest.fail "wrong payload"
 
+(* Every one of the 16 emitters, 10,000 times each. *)
+let call_every_emitter () =
+  for i = 0 to 9_999 do
+    Trace.access ~task:1 ~vpn:i ~write:true;
+    Trace.fault ~task:1 ~vpn:i ~kind:Event.Soft ~latency_ns:i;
+    Trace.pagein ~task:1 ~block:i;
+    Trace.pageout ~obj:2 ~offset:i ~block:i;
+    Trace.evict ~source:Event.Daemon ~obj:2 ~offset:i ~dirty:false;
+    Trace.grant ~container:3 ~frames:i;
+    Trace.reclaim ~container:3 ~frames:i ~forced:true;
+    Trace.policy_run ~container:3 ~event:1 ~outcome:Event.Returned ~commands:i;
+    Trace.demote ~container:3 ~reason:"policy error";
+    Trace.io_retry ~block:i ~write:false ~attempt:1 ~gave_up:false;
+    Trace.disk_io ~block:i ~nblocks:1 ~write:true ~ok:true;
+    Trace.map_op ~vpn:i ~enter:true;
+    Trace.kill ~task:1 ~reason:"killed";
+    Trace.pressure ~level:2 ~free:i;
+    Trace.throttle ~container:3 ~entered:true ~fuel:i;
+    Trace.seize ~container:3 ~frames:i ~level:3
+  done
+
+(* The minor words of a second pass, after a first one warmed the id
+   tables and the encoder. *)
+let minor_words_of_second_call f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
 (* With no stage attached every emitter is one bit test and allocates
    nothing, guarded by [Trace.on] or not. *)
 let test_disabled_emitters_allocate_nothing () =
   Alcotest.(check bool) "no collector installed" false (Trace.on ());
-  let probe () =
-    for i = 0 to 9_999 do
-      Trace.access ~task:1 ~vpn:i ~write:true;
-      Trace.fault ~task:1 ~vpn:i ~kind:Event.Soft ~latency_ns:i;
-      Trace.pagein ~task:1 ~block:i;
-      Trace.pageout ~obj:2 ~offset:i ~block:i;
-      Trace.evict ~source:Event.Daemon ~obj:2 ~offset:i ~dirty:false;
-      Trace.grant ~container:3 ~frames:i;
-      Trace.reclaim ~container:3 ~frames:i ~forced:true;
-      Trace.policy_run ~container:3 ~event:1 ~outcome:Event.Returned ~commands:i;
-      Trace.demote ~container:3 ~reason:"policy error";
-      Trace.io_retry ~block:i ~write:false ~attempt:1 ~gave_up:false;
-      Trace.disk_io ~block:i ~nblocks:1 ~write:true ~ok:true;
-      Trace.map_op ~vpn:i ~enter:true;
-      Trace.kill ~task:1 ~reason:"killed";
-      Trace.pressure ~level:2 ~free:i;
-      Trace.throttle ~container:3 ~entered:true ~fuel:i;
-      Trace.seize ~container:3 ~frames:i ~level:3
-    done
+  Alcotest.(check (float 0.)) "minor words" 0. (minor_words_of_second_call call_every_emitter)
+
+(* A running collector is the dispatcher's byte sink: the emitters write
+   straight into its encoder and build no event. *)
+let test_collecting_emitters_allocate_nothing () =
+  let c = Trace.start () in
+  let words = minor_words_of_second_call call_every_emitter in
+  ignore (Trace.stop ());
+  Alcotest.(check int) "every event counted" (2 * 16 * 10_000) (Trace.events_seen c);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
+(* With [~store:true] the store's growth is the only allocation: its
+   storage is far past the minor heap's size limit, and each growth
+   replaces one small record, so the minor words stay a handful per
+   doubling where an [Event.t] per event would be 320,000 of them, and
+   everything allocated is at most four times the stored bytes. *)
+let test_storing_collector_allocates_only_its_store () =
+  let c = Trace.start ~store:true () in
+  call_every_emitter ();
+  let before = Gc.quick_stat () in
+  call_every_emitter ();
+  let after = Gc.quick_stat () in
+  ignore (Trace.stop ());
+  let stored =
+    let e = Encoder.create 4096 in
+    Array.iter (Event.encode e) (Trace.events c);
+    Encoder.length e
   in
-  probe ();
-  let w0 = Gc.minor_words () in
-  probe ();
-  let w1 = Gc.minor_words () in
-  Alcotest.(check (float 0.)) "minor words" 0. (w1 -. w0)
+  let minor = after.Gc.minor_words -. before.Gc.minor_words in
+  let direct_major =
+    after.Gc.major_words -. before.Gc.major_words
+    -. (after.Gc.promoted_words -. before.Gc.promoted_words)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f: a few per store doubling" minor)
+    true (minor <= 64.);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated for %d stored bytes" (minor +. direct_major) stored)
+    true
+    (minor +. direct_major <= float_of_int (4 * stored / (Sys.word_size / 8)))
 
 (* Each id space numbers its raw ids densely in first-seen order, however
    the raw ids are spread: clustered, strided onto the same slots,
@@ -428,6 +472,10 @@ let () =
           Alcotest.test_case "disabled sink inert" `Quick test_disabled_sink_is_inert;
           Alcotest.test_case "disabled emitters allocate nothing" `Quick
             test_disabled_emitters_allocate_nothing;
+          Alcotest.test_case "collecting emitters allocate nothing" `Quick
+            test_collecting_emitters_allocate_nothing;
+          Alcotest.test_case "a storing collector allocates only its store" `Quick
+            test_storing_collector_allocates_only_its_store;
           Alcotest.test_case "counts" `Quick test_collector_counts;
           Alcotest.test_case "ids normalize in first-seen order" `Quick
             test_ids_normalize_first_seen;
