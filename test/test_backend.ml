@@ -47,8 +47,10 @@ let read_golden () =
         else
           match String.split_on_char ' ' line with
           | [ name; digest; events ] -> go ((name, digest, int_of_string events) :: acc)
-          (* "metrics:" lines pin metrics snapshots; test_golden.ml checks them *)
+          (* "metrics:" and "span:" lines pin metrics snapshots and spans;
+             test_golden.ml checks them *)
           | [ name; _ ] when String.starts_with ~prefix:"metrics:" name -> go acc
+          | [ name; _; _; _ ] when String.starts_with ~prefix:"span:" name -> go acc
           | _ -> failwith (golden_file ^ ": malformed line: " ^ line))
   in
   go []

@@ -19,7 +19,13 @@
    [Metrics.Registry.to_json ~wall:false] after one run under a fresh
    registry.  The run is checked twice, with the registry alone and
    beside a recording collector; both must give the pinned digest.  A
-   failing check prints the digest to pin. *)
+   failing check prints the digest to pin.
+
+   Lines named "span:NAME" (four fields) pin the fault-lifecycle spans
+   of scenario NAME: the span digest, the fault count and the digest of
+   [Span.to_json].  They are checked online, with [Span.feed] as the
+   consumer beside a storing collector, and offline, with
+   [Span.of_events] on the stored events. *)
 
 open Hipec_trace
 open Hipec_workloads
@@ -33,7 +39,9 @@ let golden_file =
   else "test/golden/digests.txt"
 
 let metrics_prefix = "metrics:"
+let span_prefix = "span:"
 
+(* the fields of every non-comment line *)
 let read_golden () =
   let ic = open_in golden_file in
   let rec go acc =
@@ -44,14 +52,22 @@ let read_golden () =
     | line -> (
         let line = String.trim line in
         if line = "" || line.[0] = '#' then go acc
-        else
-          match String.split_on_char ' ' line with
-          | [ name; digest; events ] -> go ((name, digest, int_of_string events) :: acc)
-          | [ name; digest ] when String.starts_with ~prefix:metrics_prefix name ->
-              go ((name, digest, 0) :: acc)
-          | _ -> failwith (golden_file ^ ": malformed line: " ^ line))
+        else go (String.split_on_char ' ' line :: acc))
   in
   go []
+
+let malformed fields = failwith (golden_file ^ ": malformed line: " ^ String.concat " " fields)
+
+let pin = function
+  | [ name; digest; events ] -> (name, digest, int_of_string events)
+  | [ name; digest ] when String.starts_with ~prefix:metrics_prefix name -> (name, digest, 0)
+  | fields -> malformed fields
+
+let span_pin = function
+  | [ name; digest; faults; json ] -> (name, digest, int_of_string faults, json)
+  | fields -> malformed fields
+
+let is_span_line fields = String.starts_with ~prefix:span_prefix (List.hd fields)
 
 let trace_prefix = "trace:"
 let is_trace_line (name, _, _) = String.starts_with ~prefix:trace_prefix name
@@ -175,32 +191,59 @@ let check_layout (name, digest, _) () =
   Alcotest.(check int) (name ^ ": event count") (Array.length consumed) (Array.length stored);
   Alcotest.(check bool) (name ^ ": stored events are the consumer's") true (stored = consumed)
 
+let string_digest s =
+  let d = Encoder.digest () in
+  Encoder.digest_add_string d s ~pos:0 ~len:(String.length s);
+  Trace.digest_hex (Encoder.digest_value d)
+
 let metrics_digest run =
   let reg = Mx.install () in
   (match Fun.protect ~finally:(fun () -> ignore (Mx.uninstall ())) run with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  let json = Mx.Registry.to_json ~wall:false reg in
-  let d = Encoder.digest () in
-  Encoder.digest_add_string d json ~pos:0 ~len:(String.length json);
-  Trace.digest_hex (Encoder.digest_value d)
+  string_digest (Mx.Registry.to_json ~wall:false reg)
+
+let prefixed_scenario ~prefix name =
+  let base = String.sub name (String.length prefix) (String.length name - String.length prefix) in
+  match Trace_run.scenario_of_name base with
+  | Some s -> s
+  | None -> Alcotest.fail ("unknown golden scenario " ^ base)
 
 let check_metrics (name, digest, _) () =
-  let base = String.sub name (String.length metrics_prefix)
-      (String.length name - String.length metrics_prefix) in
-  let scenario =
-    match Trace_run.scenario_of_name base with
-    | Some s -> s
-    | None -> Alcotest.fail ("unknown golden scenario " ^ base)
-  in
+  let scenario = prefixed_scenario ~prefix:metrics_prefix name in
   Alcotest.(check string) (name ^ ": registry alone") digest
     (metrics_digest (fun () -> Trace_run.run_scenario scenario));
   Alcotest.(check string) (name ^ ": beside a recording collector") digest
     (metrics_digest (fun () -> Trace_run.record scenario))
 
+let check_spans (name, digest, faults, json) () =
+  let scenario = prefixed_scenario ~prefix:span_prefix name in
+  let online = Span.create () in
+  let c = Trace.start ~store:true () in
+  Trace.set_consumer (Some (Span.feed online));
+  (match
+     Fun.protect
+       ~finally:(fun () -> ignore (Trace.stop ()))
+       (fun () -> Trace_run.run_scenario scenario)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let offline = Span.of_events (Trace.events c) in
+  List.iter
+    (fun (how, b) ->
+      Alcotest.(check string) (Printf.sprintf "%s: %s span digest" name how) digest
+        (Trace.digest_hex (Span.digest b));
+      Alcotest.(check int) (Printf.sprintf "%s: %s fault count" name how) faults
+        (Span.fault_count b);
+      Alcotest.(check string) (Printf.sprintf "%s: %s to_json digest" name how) json
+        (string_digest (Span.to_json b)))
+    [ ("online", online); ("offline", offline) ]
+
 let () =
-  let goldens = read_golden () in
-  if goldens = [] then failwith (golden_file ^ " lists no scenarios");
+  let lines = read_golden () in
+  if lines = [] then failwith (golden_file ^ " lists no scenarios");
+  let spans, lines = List.partition is_span_line lines in
+  let spans = List.map span_pin spans and goldens = List.map pin lines in
   let metrics, goldens = List.partition is_metrics_line goldens in
   let traces, scenarios = List.partition is_trace_line goldens in
   Alcotest.run "golden"
@@ -225,4 +268,8 @@ let () =
         List.map
           (fun ((name, _, _) as g) -> Alcotest.test_case name `Quick (check_metrics g))
           metrics );
+      ( "spans",
+        List.map
+          (fun ((name, _, _, _) as g) -> Alcotest.test_case name `Quick (check_spans g))
+          spans );
     ]
