@@ -1124,8 +1124,10 @@ let spans_bench ~quick () =
   Printf.printf "  %-12s %12s %12s %10s %8s  %s\n" "scenario" "trace (ms)" "+spans (ms)"
     "overhead" "faults" "span digest";
   let scenario name =
+    (* each run's wall and minor words, read on the same run *)
     let once ~with_spans () =
       let b = if with_spans then Some (Sp.create ()) else None in
+      let w0 = Gc.minor_words () in
       let c, wall =
         timed (fun () ->
             let c = Tr.start ~store:false () in
@@ -1134,29 +1136,37 @@ let spans_bench ~quick () =
             ignore (Tr.stop ());
             c)
       in
-      (wall, Tr.digest_hex (Tr.digest c), Tr.events_seen c, b)
+      (wall, Gc.minor_words () -. w0, Tr.digest_hex (Tr.digest c), Tr.events_seen c, b)
     in
     let runs = interleave ~pairs (once ~with_spans:false) (once ~with_spans:true) in
-    let wall (w, _, _, _) = w in
+    let wall (w, _, _, _, _) = w in
     let offs = List.map (fun (off, _) -> wall off) runs in
     let ons = List.map (fun (_, on) -> wall on) runs in
+    (* the span stage's own allocation: the +spans run's minor words
+       over the trace-only run's, per event *)
+    let words_per_event =
+      List.map
+        (fun ((_, w_off, _, _, _), (_, w_on, _, events, _)) -> (w_on -. w_off) /. float events)
+        runs
+    in
     (* the span consumer must not perturb the traced stream, in any pair *)
     let stream_identical =
       List.for_all
-        (fun ((_, d_off, ev_off, _), (_, d_on, ev_on, _)) -> d_off = d_on && ev_off = ev_on)
+        (fun ((_, _, d_off, ev_off, _), (_, _, d_on, ev_on, _)) -> d_off = d_on && ev_off = ev_on)
         runs
     in
-    let (_, stream_digest, _, _), (_, _, _, b) = List.hd runs in
+    let (_, _, stream_digest, _, _), (_, _, _, _, b) = List.hd runs in
     let b = Option.get b in
     let span_digest = Sp.digest b in
     (* the cross-backend witness: same spans, bit for bit *)
-    let _, _, _, bc = Executor.with_backend Executor.Compiled (once ~with_spans:true) in
+    let _, _, _, _, bc = Executor.with_backend Executor.Compiled (once ~with_spans:true) in
     let backend_match = Int64.equal span_digest (Sp.digest (Option.get bc)) in
     let agg = Sp.Agg.compute (Sp.spans b) in
     let ns m v = sim ~unit:"ns" name m (float v) in
     let rows =
       sim name "faults" (float (Sp.fault_count b))
       :: span_wall_rows name offs ons
+      @ [ timed_row ~unit:"words" name "span.minor_words_per_event" words_per_event ]
       @ [ ns "total_latency_ns" agg.Sp.Agg.total_latency_ns; ns "lat_p99_ns" agg.Sp.Agg.lat_p99_ns ]
       @ List.concat_map
           (fun (r : Sp.Agg.row) ->

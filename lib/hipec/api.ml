@@ -28,10 +28,8 @@ let checker t = t.checker
    and arm the per-tenant fuel ledger.  The default quota extends the
    executor's per-run step budget into the window: a tenant may burn up
    to four full runs' worth of commands per window before throttling. *)
-let enable_overload ?pressure_window ?rate_threshold ?fuel_quota ?fuel_window
-    ?fuel_cooldown t =
-  ignore
-    (Kernel.enable_pressure ?window:pressure_window ?rate_threshold t.kernel);
+let enable_overload ?fuel_quota ?fuel_window ?fuel_cooldown t =
+  ignore (Kernel.enable_pressure t.kernel);
   Frame_manager.attach_pressure t.manager;
   let quota =
     match fuel_quota with

@@ -33,8 +33,6 @@ val manager : t -> Frame_manager.t
 val checker : t -> Checker.t
 
 val enable_overload :
-  ?pressure_window:Sim_time.t ->
-  ?rate_threshold:float ->
   ?fuel_quota:int ->
   ?fuel_window:Sim_time.t ->
   ?fuel_cooldown:Sim_time.t ->

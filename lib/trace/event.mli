@@ -20,6 +20,12 @@ type fault_kind =
   | Cow  (** copy-on-write materialization or push-down *)
   | Hipec  (** resolved by a container's policy *)
 
+val fault_kind_code : fault_kind -> int
+(** The kind's byte in the binary codec, [0 .. 4]. *)
+
+val fault_kind_name : fault_kind -> string
+(** ["soft" | "zero-fill" | "pagein" | "cow" | "hipec"]. *)
+
 type evict_source =
   | Policy  (** a HiPEC policy moved a bound page to its free queue *)
   | Daemon  (** the default pageout daemon reclaimed the page *)

@@ -17,11 +17,14 @@ open Hipec_sim
      - [Evict]/[Pageout] close reclaim-scan charges;
      - everything else is kernel bookkeeping ([Service]).
 
-   Because the intervals partition the window, their durations sum to
-   the fault's latency exactly — asserted per fault.  A HiPEC-kind
-   fault whose window contains no [Policy_run] was served by the
-   kernel-run default policy of a throttled tenant; its [Service] time
-   is reclassified [Throttled]. *)
+   The builder keeps no events: each one folds into the group of its
+   timestamp (the OR of one boundary bit per rule above, plus running
+   counts), so a window is a suffix of groups and an interval's kind is
+   bit tests on the groups at its ends.  Because the intervals partition
+   the window, their durations sum to the fault's latency exactly —
+   asserted per fault.  A HiPEC-kind fault whose window contains no
+   [Policy_run] was served by the kernel-run default policy of a
+   throttled tenant; its [Service] time is [Throttled] instead. *)
 
 type segment_kind =
   | Policy
@@ -92,8 +95,29 @@ let by_kind_ns sp =
 (* Building                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Boundary bits: what a group of same-time events says about the
+   intervals on either side of it (priority order in the header). *)
+let b_policy = 1
+let b_read = 2
+let b_retry = 4
+let b_write = 8
+let b_reclaim = 16
+
+(* Since the last fault the builder keeps one group per distinct event
+   time, [stride] ints each in [groups]: the time, the OR of its events'
+   boundary bits, then the running policy-run, disk-read and retry
+   counts since the last fault, this group's events included. *)
+let stride = 5
+let c_policy = 2
+let c_read = 3
+let c_retry = 4
+
+(* running count [k] over the first [n] groups *)
+let running g n k = if n = 0 then 0 else g.(((n - 1) * stride) + k)
+
 type builder = {
-  mutable pending : Event.t list;  (* since the last closed window, newest first *)
+  mutable groups : int array;
+  mutable ngroups : int;
   mutable spans_rev : t list;
   mutable nspans : int;
   digest : Encoder.digest;
@@ -103,7 +127,8 @@ type builder = {
 
 let create () =
   {
-    pending = [];
+    groups = Array.make (64 * stride) 0;
+    ngroups = 0;
     spans_rev = [];
     nspans = 0;
     digest = Encoder.digest ();
@@ -111,63 +136,43 @@ let create () =
     scratch = Encoder.create 128;
   }
 
-let fault_kind_code = function
-  | Event.Soft -> 0
-  | Event.Zero_fill -> 1
-  | Event.File_pagein -> 2
-  | Event.Cow -> 3
-  | Event.Hipec -> 4
+(* Fold one non-fault event at [time] into the last group, or open a
+   new one: events arrive in time order, so equal times are adjacent. *)
+let add b time bit =
+  let n = b.ngroups in
+  let o =
+    if n > 0 && b.groups.((n - 1) * stride) = time then (n - 1) * stride
+    else begin
+      let o = n * stride in
+      if o + stride > Array.length b.groups then begin
+        let g = Array.make (2 * Array.length b.groups) 0 in
+        Array.blit b.groups 0 g 0 o;
+        b.groups <- g
+      end;
+      let g = b.groups in
+      g.(o) <- time;
+      g.(o + 1) <- 0;
+      for k = c_policy to c_retry do
+        g.(o + k) <- running g n k
+      done;
+      b.ngroups <- n + 1;
+      o
+    end
+  in
+  let g = b.groups in
+  g.(o + 1) <- g.(o + 1) lor bit;
+  if bit = b_policy then g.(o + c_policy) <- g.(o + c_policy) + 1
+  else if bit = b_read then g.(o + c_read) <- g.(o + c_read) + 1
+  else if bit = b_retry then g.(o + c_retry) <- g.(o + c_retry) + 1
 
-let fault_kind_name = function
-  | Event.Soft -> "soft"
-  | Event.Zero_fill -> "zero-fill"
-  | Event.File_pagein -> "pagein"
-  | Event.Cow -> "cow"
-  | Event.Hipec -> "hipec"
-
-(* One interval, attributed from its boundary events (priority order in
-   the header comment).  These run once per segment on the online hot
-   path, so they are direct recursions rather than closure-building
-   combinators. *)
-let rec has_policy_run = function
-  | [] -> false
-  | e :: r -> (
-      match e.Event.payload with Event.Policy_run _ -> true | _ -> has_policy_run r)
-
-let rec has_disk_read = function
-  | [] -> false
-  | e :: r -> (
-      match e.Event.payload with
-      | Event.Disk_io { write = false; _ } -> true
-      | _ -> has_disk_read r)
-
-let rec has_retry = function
-  | [] -> false
-  | e :: r -> (
-      match e.Event.payload with
-      | Event.Io_retry { gave_up = false; _ } -> true
-      | _ -> has_retry r)
-
-let rec has_disk_write = function
-  | [] -> false
-  | e :: r -> (
-      match e.Event.payload with
-      | Event.Disk_io { write = true; _ } -> true
-      | _ -> has_disk_write r)
-
-let rec has_reclaim = function
-  | [] -> false
-  | e :: r -> (
-      match e.Event.payload with
-      | Event.Evict _ | Event.Pageout _ -> true
-      | _ -> has_reclaim r)
-
-let classify ~prev ~next =
-  if has_policy_run next then Policy
-  else if has_disk_read prev then Disk_read
-  else if has_retry prev then Backoff
-  else if has_disk_write next then Laundry_wait
-  else if has_reclaim next then Reclaim
+(* One interval, from the bits of the groups at its two boundaries. *)
+let classify ~throttled ~prev ~next =
+  if next land b_policy <> 0 then Policy
+  else if prev land b_read <> 0 then Disk_read
+  else if prev land b_retry <> 0 then Backoff
+  else if next land b_write <> 0 then Laundry_wait
+  else if next land b_reclaim <> 0 then Reclaim
+  else if throttled then Throttled
   else Service
 
 let digest_span b sp =
@@ -175,89 +180,56 @@ let digest_span b sp =
   Encoder.clear e;
   Encoder.put_varint e sp.task;
   Encoder.put_varint e sp.vpn;
-  Encoder.put_byte e (fault_kind_code sp.fault_kind);
+  Encoder.put_byte e (Event.fault_kind_code sp.fault_kind);
   Encoder.put_varint e sp.start_ns;
   Encoder.put_varint e sp.latency_ns;
   Encoder.put_varint e sp.policy_runs;
   Encoder.put_varint e sp.disk_reads;
   Encoder.put_varint e sp.retries;
   Encoder.put_varint e (Array.length sp.segments);
-  Array.iter
-    (fun s ->
-      Encoder.put_byte e (segment_kind_index s.seg_kind);
-      Encoder.put_varint e (seg_dur_ns s))
-    sp.segments;
+  for i = 0 to Array.length sp.segments - 1 do
+    let s = sp.segments.(i) in
+    Encoder.put_byte e (segment_kind_index s.seg_kind);
+    Encoder.put_varint e (seg_dur_ns s)
+  done;
   Encoder.digest_add b.digest e
+
+let no_segment = { seg_kind = Service; seg_start_ns = 0; seg_stop_ns = 0 }
 
 let close b ev ~task ~vpn ~kind ~latency_ns =
   let stop = Sim_time.to_ns ev.Event.time in
   let start = stop - latency_ns in
-  (* One pass over [pending] (newest first): events at or before the
-     window start belong to the inter-fault gap (accesses, async
-     completions) and carry no window time; the rest cons out oldest
-     first, with the per-span counters picked up along the way. *)
-  let policy_runs = ref 0 and disk_reads = ref 0 and retries = ref 0 in
-  let inside =
-    List.fold_left
-      (fun acc e ->
-        if Sim_time.to_ns e.Event.time > start then begin
-          (match e.Event.payload with
-          | Event.Policy_run _ -> incr policy_runs
-          | Event.Disk_io { write = false; _ } -> incr disk_reads
-          | Event.Io_retry { gave_up = false; _ } -> incr retries
-          | _ -> ());
-          e :: acc
-        end
-        else acc)
-      [] b.pending
-  in
-  let policy_runs = !policy_runs and disk_reads = !disk_reads and retries = !retries in
-  (* Streaming interval walk: group consecutive equal timestamps
-     (events arrive in time order, all <= stop) and cut the window at
-     each distinct interior timestamp.  A group's events classify the
-     interval ending at it; order within a group never matters. *)
-  let segs = ref [] in
-  let cur = ref start and prev = ref [] in
-  let push k a z =
-    segs := { seg_kind = k; seg_start_ns = a; seg_stop_ns = z } :: !segs
-  in
-  if latency_ns > 0 then begin
-    let grp = ref [] and grp_t = ref min_int in
-    let flush () =
-      match !grp with
-      | [] -> ()
-      | evs when !grp_t < stop ->
-          if !grp_t > !cur then push (classify ~prev:!prev ~next:evs) !cur !grp_t;
-          prev := evs;
-          cur := !grp_t;
-          grp := []
-      | _ -> () (* a group at [stop] merges into the closing boundary *)
-    in
-    List.iter
-      (fun e ->
-        let t = Sim_time.to_ns e.Event.time in
-        if t <> !grp_t then begin
-          flush ();
-          grp_t := t
-        end;
-        grp := e :: !grp)
-      inside;
-    flush ();
-    if stop > !cur then push (classify ~prev:!prev ~next:(ev :: !grp)) !cur stop
-  end;
-  let segments = Array.of_list (List.rev !segs) in
+  let g = b.groups and last = b.ngroups in
+  (* the window is the suffix of groups after [start]; groups at or
+     before it are the inter-fault gap and carry no window time *)
+  let first = ref last in
+  while !first > 0 && g.((!first - 1) * stride) > start do
+    decr first
+  done;
+  let first = !first in
+  let count k = running g last k - running g first k in
+  let policy_runs = count c_policy and disk_reads = count c_read and retries = count c_retry in
   (* a HiPEC fault with no policy run was served by the throttled
      tenant's kernel-run default policy *)
-  if kind = Event.Hipec && policy_runs = 0 then
-    Array.iteri
-      (fun i s ->
-        if s.seg_kind = Service then segments.(i) <- { s with seg_kind = Throttled })
-      segments;
-  let total = Array.fold_left (fun a s -> a + seg_dur_ns s) 0 segments in
-  if total <> latency_ns then
+  let throttled = kind = Event.Hipec && policy_runs = 0 in
+  (* every group before [stop] cuts the window; a group at [stop]
+     merges into the closing boundary *)
+  let cuts = if last > first && g.((last - 1) * stride) >= stop then last - 1 else last in
+  let segments = Array.make (if latency_ns > 0 then cuts - first + 1 else 0) no_segment in
+  let cur = ref start and prev = ref 0 and total = ref 0 in
+  for i = 0 to Array.length segments - 1 do
+    let j = first + i in
+    let z = if j < cuts then g.(j * stride) else stop in
+    let next = if j < last then g.((j * stride) + 1) else 0 in
+    segments.(i) <-
+      { seg_kind = classify ~throttled ~prev:!prev ~next; seg_start_ns = !cur; seg_stop_ns = z };
+    total := !total + (z - !cur);
+    cur := z;
+    prev := next
+  done;
+  if !total <> latency_ns then
     failwith
-      (Printf.sprintf
-         "Span: window tiling sums to %d ns but fault %d recorded %d ns" total
+      (Printf.sprintf "Span: window tiling sums to %d ns but fault %d recorded %d ns" !total
          ev.Event.seq latency_ns);
   let sp =
     {
@@ -279,14 +251,20 @@ let close b ev ~task ~vpn ~kind ~latency_ns =
   digest_span b sp
 
 let feed b ev =
+  let time = Sim_time.to_ns ev.Event.time in
   match ev.Event.payload with
   | Event.Fault { task; vpn; kind; latency_ns } ->
       close b ev ~task ~vpn ~kind ~latency_ns;
-      b.pending <- []
+      b.ngroups <- 0
+  | Event.Policy_run _ -> add b time b_policy
+  | Event.Disk_io { write = false; _ } -> add b time b_read
+  | Event.Disk_io { write = true; _ } -> add b time b_write
+  | Event.Io_retry { gave_up = false; _ } -> add b time b_retry
+  | Event.Evict _ | Event.Pageout _ -> add b time b_reclaim
   | Event.Task_kill _ ->
       b.kill_count <- b.kill_count + 1;
-      b.pending <- ev :: b.pending
-  | _ -> b.pending <- ev :: b.pending
+      add b time 0
+  | _ -> add b time 0
 
 let of_events events =
   let b = create () in
@@ -450,7 +428,7 @@ let to_perfetto spans =
     (fun sp ->
       emit (fun () ->
           perfetto_event b
-            ~name:("fault:" ^ fault_kind_name sp.fault_kind)
+            ~name:("fault:" ^ Event.fault_kind_name sp.fault_kind)
             ~cat:"fault" ~tid:sp.task ~start_ns:sp.start_ns ~dur_ns:sp.latency_ns
             ~args:
               [
@@ -484,7 +462,7 @@ let json_span b sp =
   Buffer.add_string b
     (Printf.sprintf
        "{\"index\":%d,\"task\":%d,\"vpn\":%d,\"kind\":\"%s\",\"start_ns\":%d,\"latency_ns\":%d,\"policy_runs\":%d,\"disk_reads\":%d,\"retries\":%d,\"segments\":["
-       sp.index sp.task sp.vpn (fault_kind_name sp.fault_kind) sp.start_ns
+       sp.index sp.task sp.vpn (Event.fault_kind_name sp.fault_kind) sp.start_ns
        sp.latency_ns sp.policy_runs sp.disk_reads sp.retries);
   Array.iteri
     (fun i s ->
@@ -541,7 +519,7 @@ let to_json ?(include_spans = true) ?only_task builder =
 
 let pp_span fmt sp =
   Format.fprintf fmt "@[<v>#%d task=%d vpn=%d %s %d ns @@%d ns" sp.index sp.task
-    sp.vpn (fault_kind_name sp.fault_kind) sp.latency_ns sp.start_ns;
+    sp.vpn (Event.fault_kind_name sp.fault_kind) sp.latency_ns sp.start_ns;
   List.iter
     (fun (kind, a, z, nsegs) ->
       Format.fprintf fmt "@,  %-13s %12d ns%s" (segment_kind_name kind) (z - a)

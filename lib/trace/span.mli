@@ -14,7 +14,10 @@
 
     Because the segments partition the window at event timestamps, their
     durations sum {e exactly} to the fault's measured latency; the
-    builder asserts this per fault.  Digests chain FNV-1a over a
+    builder asserts this per fault.  The builder keeps no events: since
+    the last fault it holds one small group per distinct timestamp in a
+    reusable array, so a non-fault event costs it no allocation once the
+    array has grown to the longest gap between faults.  Digests chain FNV-1a over a
     canonical encoding of every span, so Interp and Compiled executor
     runs of the same scenario must agree span-for-span exactly as their
     trace digests do. *)
@@ -69,9 +72,10 @@ type builder
 val create : unit -> builder
 
 val feed : builder -> Event.t -> unit
-(** Consume one event in stream order.  Non-fault events buffer; a
-    [Fault] event closes its window, tiles it, appends a span and folds
-    it into the digest.  Raises [Failure] if a window's tiling does not
+(** Consume one event in stream order.  A non-fault event folds into the
+    group of its timestamp and allocates nothing; a [Fault] event closes
+    its window (the groups after its start), tiles it, appends a span
+    and folds it into the digest.  Raises [Failure] if a window's tiling does not
     sum to the fault's recorded latency (a violated emit-order
     contract, never an expected outcome). *)
 

@@ -191,16 +191,16 @@ let check_pressure t =
       let free = Frame.Table.free_count t.frame_table in
       ignore
         (Pressure.evaluate p ~free ~free_target:(Pageout.free_target t.pageout)
-           ~reserved:(Pageout.reserved t.pageout) ~now:(now t));
+           ~reserved:(Pageout.reserved t.pageout));
       (* direct: a series samples the level at every check, not only on
          a change *)
       if Mx.on () then Mx.sample "vm.pressure.level.ts" (Pressure.severity (Pressure.level p))
 
-let enable_pressure ?window ?rate_threshold t =
+let enable_pressure t =
   match t.pressure with
   | Some p -> p
   | None ->
-      let p = Pressure.create ?window ?rate_threshold () in
+      let p = Pressure.create () in
       (* the kernel's own listener runs before any later subscriber
          (frame-manager seizure hooks): pageout urgency, then the trace
          event the metrics registry also counts *)
@@ -439,9 +439,6 @@ let prefetch t obj ~offset =
 let fault t task region ~vpn ~write =
   Task.count_fault task;
   t.stats.faults <- t.stats.faults + 1;
-  (match t.pressure with
-  | Some p -> Pressure.note_fault p ~now:(now t)
-  | None -> ());
   let t0 = now t in
   let emit kind =
     (* the Fault must be the last event of its service window and its

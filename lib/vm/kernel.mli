@@ -142,13 +142,11 @@ val managed : t -> Vm_object.t -> bool
 
 (** {1 Memory pressure (overload protection)} *)
 
-val enable_pressure : ?window:Sim_time.t -> ?rate_threshold:float -> t -> Pressure.t
+val enable_pressure : t -> Pressure.t
 (** Engage the overload-protection controller (idempotent — a second
-    call returns the existing controller; the optional parameters only
-    apply to the first).  Once engaged, every page fault feeds the
-    fault-rate window and re-evaluates the level after service; level
-    changes scale the pageout daemon's urgency, emit a [pressure] trace
-    event, and fire {!Pressure.subscribe} listeners (the HiPEC frame
+    call returns the existing controller).  Once engaged, every page
+    fault re-evaluates the level after service; level changes scale the
+    pageout daemon's urgency, emit a [pressure] trace event, and fire {!Pressure.subscribe} listeners (the HiPEC frame
     manager hangs its emergency seizure there).  A kernel that never
     calls this behaves — and traces — exactly as before. *)
 

@@ -40,9 +40,8 @@ let pp fmt k =
   (match Kernel.pressure k with
   | None -> ()
   | Some p ->
-      line "pressure" "%s, %d changes, %d faults this window"
-        (Pressure.level_name (Pressure.level p))
-        (Pressure.changes p) (Pressure.window_faults p));
+      line "pressure" "%s, %d changes" (Pressure.level_name (Pressure.level p))
+        (Pressure.changes p));
   (* only present while a trace collector is installed, so untraced runs
      keep their historical output byte-for-byte *)
   (match Hipec_trace.Trace.active () with

@@ -31,7 +31,6 @@ type config = {
   audit_period : Sim_time.t;
   max_steps : int;
   overload : bool;  (** engage {!Hipec_core.Api.enable_overload} *)
-  rate_threshold : float;
   fuel_quota : int option;
   fuel_window : Sim_time.t;
   fuel_cooldown : Sim_time.t;
@@ -57,7 +56,6 @@ let smoke =
     audit_period = Sim_time.ms 100;
     max_steps = 2_000;
     overload = true;
-    rate_threshold = infinity;
     fuel_quota = Some 200;
     fuel_window = Sim_time.ms 10;
     fuel_cooldown = Sim_time.ms 50;
@@ -154,9 +152,7 @@ let run config =
   let kernel = Kernel.create ~config:kconfig () in
   let sys = Api.init ~max_steps:config.max_steps kernel in
   if config.overload then
-    Api.enable_overload
-      ~rate_threshold:config.rate_threshold
-      ?fuel_quota:config.fuel_quota ~fuel_window:config.fuel_window
+    Api.enable_overload ?fuel_quota:config.fuel_quota ~fuel_window:config.fuel_window
       ~fuel_cooldown:config.fuel_cooldown sys;
   let manager = Api.manager sys in
   (* own trace collector only when the caller did not install one: the
@@ -251,11 +247,6 @@ let run config =
     if dt > config.slo_ns then slo_violations.(index) <- slo_violations.(index) + 1;
     if dt > slo_worst_ns.(index) then slo_worst_ns.(index) <- dt
   in
-  let peak = ref Pressure.Normal in
-  let note_peak () =
-    let l = Kernel.pressure_level kernel in
-    if Pressure.severity l > Pressure.severity !peak then peak := l
-  in
   let t0 = Kernel.now kernel in
   let faults0 = (Kernel.stats kernel).Kernel.faults in
   (* the storm proper: all tenants fault through their regions in
@@ -291,8 +282,7 @@ let run config =
                 | Greedy ->
                     greedy_lat.(!greedy_n) <- dt;
                     incr greedy_n
-                | Erring -> ());
-                note_peak ()
+                | Erring -> ())
               end)
         tenants
     done
@@ -387,7 +377,9 @@ let run config =
     slo_worst = take 5 (List.filter (fun o -> o.o_violations > 0) worst);
     pressure_changes =
       (match Kernel.pressure kernel with Some p -> Pressure.changes p | None -> 0);
-    peak_level = Pressure.level_name !peak;
+    peak_level =
+      Pressure.level_name
+        (match Kernel.pressure kernel with Some p -> Pressure.peak p | None -> Pressure.Normal);
     final_level = Pressure.level_name (Kernel.pressure_level kernel);
     audit_sweeps = Audit.sweeps auditor;
     audit_violations = Audit.violations_found auditor;

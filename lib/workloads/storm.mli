@@ -46,7 +46,6 @@ type config = {
   audit_period : Sim_time.t;
   max_steps : int;  (** per-run policy step budget *)
   overload : bool;  (** engage {!Hipec_core.Api.enable_overload} *)
-  rate_threshold : float;  (** faults/sec pressure escalation (infinity = off) *)
   fuel_quota : int option;  (** commands per window; [None] = executor-derived default *)
   fuel_window : Sim_time.t;
   fuel_cooldown : Sim_time.t;
@@ -104,7 +103,7 @@ type result = {
   slo_violations : int;  (** accesses over the objective, all tenants *)
   slo_worst : offender list;  (** descending burn, top 5, violators only *)
   pressure_changes : int;
-  peak_level : string;
+  peak_level : string;  (** the highest level a pressure transition reached *)
   final_level : string;
   audit_sweeps : int;
   audit_violations : int;

@@ -2,11 +2,14 @@
    each fault's recorded latency), online/offline equivalence (spans
    built live through [Trace.set_consumer] digest-identically to spans
    rebuilt from the recorded stream), cross-backend digest identity on
-   every golden scenario, and the zero-cost-when-disabled guard. *)
+   every golden scenario, the zero-cost-when-disabled guard, and the
+   builder's own allocation: none per non-fault event once warmed, and
+   a close whose cost does not grow with its window's events. *)
 
 open Hipec_trace
 open Hipec_workloads
 open Hipec_core
+open Hipec_sim
 
 let small_cfg =
   { Trace_run.default_policy_cfg with Trace_run.npages = 64; frames = 16; count = 800 }
@@ -213,6 +216,59 @@ let test_disabled_alloc () =
   Alcotest.(check (float 0.)) "guarded emit allocates nothing when disabled" 0.
     (w1 -. w0)
 
+(* --- the builder keeps no events ------------------------------------ *)
+
+let event seq t payload = { Event.seq; time = Sim_time.ns t; payload }
+
+let gap_payloads =
+  [|
+    Event.Access { task = 0; vpn = 1; write = false };
+    Event.Policy_run { container = 0; event = 0; outcome = Event.Returned; commands = 3 };
+    Event.Disk_io { block = 7; nblocks = 1; write = false; ok = true };
+    Event.Disk_io { block = 8; nblocks = 1; write = true; ok = true };
+    Event.Io_retry { block = 7; write = false; attempt = 1; gave_up = false };
+    Event.Evict { source = Event.Daemon; obj_id = 0; offset = 2; dirty = false };
+    Event.Map_op { vpn = 1; enter = true };
+  |]
+
+(* [n] non-fault events from time [t0], every three sharing a time *)
+let gap_events ~t0 n =
+  Array.init n (fun i -> event i (t0 + (i / 3)) gap_payloads.(i mod Array.length gap_payloads))
+
+let fault_at t latency_ns =
+  event 0 t (Event.Fault { task = 0; vpn = 1; kind = Event.Hipec; latency_ns })
+
+let feed_words b evs =
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length evs - 1 do
+    Span.feed b evs.(i)
+  done;
+  Gc.minor_words () -. w0
+
+let test_feed_alloc () =
+  let b = Span.create () in
+  let evs = gap_events ~t0:1_000 10_000 in
+  let fault = fault_at 5_000 2_500 in
+  ignore (feed_words b evs);
+  Span.feed b fault;
+  (* warmed: the group array has grown to this gap *)
+  Alcotest.(check (float 0.)) "10,000 non-fault events allocate nothing" 0. (feed_words b evs);
+  Span.feed b fault;
+  Alcotest.(check int) "both windows closed" 2 (Span.fault_count b)
+
+let test_close_alloc () =
+  let b = Span.create () in
+  let close_words nevents t =
+    ignore (feed_words b (Array.make nevents (event 0 (t - 100) gap_payloads.(1))));
+    feed_words b [| fault_at t 200 |]
+  in
+  ignore (close_words 1_000 10_000);
+  let one = close_words 1 20_000 and many = close_words 1_000 30_000 in
+  Alcotest.(check (float 0.)) "a close allocates the same for 1 and 1,000 events" one many;
+  let sp = (Span.spans b).(Span.fault_count b - 1) in
+  Alcotest.(check int) "1,000 policy runs counted" 1_000 sp.Span.policy_runs;
+  Alcotest.(check int) "two segments" 2 (Array.length sp.Span.segments)
+
 let () =
   Alcotest.run "span"
     [
@@ -236,4 +292,11 @@ let () =
           scenario_names );
       ( "exporters", [ Alcotest.test_case "perfetto and json" `Quick test_exporters ] );
       ( "disabled", [ Alcotest.test_case "allocation-free" `Quick test_disabled_alloc ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "warmed builder: non-fault events allocate nothing" `Quick
+            test_feed_alloc;
+          Alcotest.test_case "close cost is independent of window events" `Quick
+            test_close_alloc;
+        ] );
     ]

@@ -8,7 +8,9 @@
    - safety: frame conservation holds at the end and the auditor's
      isolation checks never fire;
    - isolation: honest tenants' p99 access latency stays within 3x of
-     the same storm with the greedy and erring tenants removed. *)
+     the same storm with the greedy and erring tenants removed;
+   - the reported peak pressure is the controller's own: [normal]
+     exactly when no transition happened, whoever drove it. *)
 
 open Hipec_workloads
 
@@ -47,6 +49,18 @@ let test_honest_p99_regression () =
       "honest p99 %d ns is %.2fx the greedy-free baseline %d ns (bound: 3x)"
       storm.Storm.honest_p99_ns ratio baseline.Storm.honest_p99_ns
 
+let test_peak_level () =
+  List.iter
+    (fun tenants ->
+      let r = Storm.run { Storm.smoke with Storm.tenants } in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d tenants: peak %s after %d changes" tenants r.Storm.peak_level
+           r.Storm.pressure_changes)
+        (r.Storm.pressure_changes = 0) (r.Storm.peak_level = "normal"))
+    [ 1; 100 ];
+  Alcotest.(check string) "the smoke storm peaks at emergency" "emergency"
+    (run_smoke ()).Storm.peak_level
+
 let test_percentile () =
   Alcotest.(check int) "empty" 0 (Storm.percentile [||] 0.99);
   Alcotest.(check int) "singleton" 7 (Storm.percentile [| 7 |] 0.5);
@@ -73,6 +87,8 @@ let () =
             test_storm_survives;
           Alcotest.test_case "honest p99 within 3x of greedy-free" `Quick
             test_honest_p99_regression;
+          Alcotest.test_case "peak pressure is normal iff nothing changed" `Quick
+            test_peak_level;
           Alcotest.test_case "percentile helper" `Quick test_percentile;
         ] );
     ]
