@@ -1,4 +1,4 @@
-.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench backend-check metrics-bench storm storm-sweep storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke fig6 ci
+.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench backend-check metrics-bench storm storm-sweep storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke pins fig6 ci
 
 all:
 	dune build @all
@@ -122,6 +122,23 @@ lint:
 hostbench-smoke:
 	python3 hostbench/run.py --smoke
 
+# every pinned host-benchmark fingerprint: seeds 1-10 of each workload,
+# one second each, must reproduce hostbench/pinned.json.  Fails unless
+# each run's result line reads "correct": true and "failed": 0
+pins:
+	dune build hostbench/hostbench.exe
+	for w in join-mru chaos-t3 storm-1k; do \
+	  for s in 1 2 3 4 5 6 7 8 9 10; do \
+	    last=$$(python3 hostbench/run.py --workload $$w --seed $$s \
+	      --seconds 1 --trace 0 | tail -n 1); \
+	    printf '%s\n' "$$last" | python3 -c 'import json, sys; \
+	      r = json.load(sys.stdin); \
+	      sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+	      || { echo "pins: $$w seed $$s: $$last"; exit 1; }; \
+	    echo "pins: $$w seed $$s ok"; \
+	  done; \
+	done
+
 # Figure 6 at full scale; exits nonzero unless every run's measured
 # faults equal the paper's analytic counts (PF_l for the LRU-like
 # kernel, PF_m for HiPEC MRU)
@@ -133,10 +150,11 @@ fig6:
 # gate, the chaos and storm acceptance checks at smoke scale, the
 # storm tenant sweep at 1k-2k tenants with its pinned digests, the
 # adversary regression gate, the span cross-backend gate, the
-# host-time benchmark smoke run, the full-scale Figure 6 fault-count
-# gate, the interp-vs-compiled trace and stat cross-checks, and the
-# backend equivalence benches.
-ci: all test lint oracle golden chaos storm storm-sweep adversary spans hostbench-smoke fig6 backend-bench backend-check metrics-bench storm-bench adversary-bench spans-bench
+# host-time benchmark smoke run and every pinned host-benchmark
+# fingerprint, the full-scale Figure 6 fault-count gate, the
+# interp-vs-compiled trace and stat cross-checks, and the backend
+# equivalence benches.
+ci: all test lint oracle golden chaos storm storm-sweep adversary spans hostbench-smoke pins fig6 backend-bench backend-check metrics-bench storm-bench adversary-bench spans-bench
 
 bench:
 	dune exec bench/main.exe

@@ -6,7 +6,7 @@ type t = {
   kernel : Kernel.t;
   manager : Frame_manager.t;
   checker : Checker.t;
-  buffers : (int, Vm_map.region) Hashtbl.t;  (* container id -> command buffer *)
+  buffers : Vm_map.region Int_table.t;  (* container id -> command buffer *)
 }
 
 let init ?burst_fraction ?max_steps ?checker_timeout ?checker_wakeup
@@ -17,7 +17,7 @@ let init ?burst_fraction ?max_steps ?checker_timeout ?checker_wakeup
       ()
   in
   if start_checker then Checker.start checker;
-  { kernel; manager; checker; buffers = Hashtbl.create 16 }
+  { kernel; manager; checker; buffers = Int_table.create 16 }
 
 let kernel t = t.kernel
 let manager t = t.manager
@@ -70,9 +70,9 @@ let install_command_buffer t task container =
   Kernel.wire_region t.kernel task region;
   region.Vm_map.command_buffer <- true;
   Kernel.protect_region t.kernel task region ~prot:Pmap.Read_only;
-  Hashtbl.replace t.buffers (Container.id container) region
+  Int_table.replace t.buffers (Container.id container) region
 
-let command_buffer_region t container = Hashtbl.find_opt t.buffers (Container.id container)
+let command_buffer_region t container = Int_table.find_opt t.buffers (Container.id container)
 let demotion_reason _t container = Container.degraded_reason container
 
 let build_operands spec =
@@ -143,7 +143,7 @@ let install_hook t container =
   let on_task_terminated ~task =
     if Task.id task = Task.id (Container.task container) then begin
       Frame_manager.remove_container manager container ~flush_dirty:false;
-      Hashtbl.remove t.buffers (Container.id container)
+      Int_table.remove t.buffers (Container.id container)
     end
   in
   Kernel.set_manager t.kernel (Container.obj container)
@@ -208,7 +208,7 @@ let vm_deallocate_hipec t task container =
   | Some buffer ->
       buffer.Vm_map.command_buffer <- false;
       Kernel.vm_deallocate t.kernel task buffer;
-      Hashtbl.remove t.buffers (Container.id container)
+      Int_table.remove t.buffers (Container.id container)
   | None -> ());
   let region = Container.region container in
   if List.memq region (Vm_map.regions (Task.vm_map task)) then

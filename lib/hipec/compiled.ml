@@ -135,12 +135,8 @@ let find container slot va =
   let region = Container.region container in
   let found =
     if vpn >= region.Vm_map.start_vpn && vpn < Vm_map.region_end_vpn region then
-      match
-        Vm_object.resident (Container.obj container)
-          ~offset:(Vm_map.offset_of_vpn region vpn)
-      with
-      | page -> Vm_page.some page
-      | exception Not_found -> None
+      Vm_object.find_resident (Container.obj container)
+        ~offset:(Vm_map.offset_of_vpn region vpn)
     else None
   in
   slot := found;

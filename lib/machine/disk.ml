@@ -90,7 +90,7 @@ type t = {
      the rotational-latency draws of the base model *)
   mutable faults : Faults.config;
   mutable fault_rng : Rng.t;
-  bad : (int, unit) Hashtbl.t;
+  bad : unit Int_table.t;
   mutable faults_injected : int;
   mutable bad_block_hits : int;
   mutable latency_spikes : int;
@@ -100,8 +100,8 @@ let set_faults t config =
   Faults.validate config;
   t.faults <- config;
   t.fault_rng <- Rng.create ~seed:config.Faults.seed;
-  Hashtbl.reset t.bad;
-  List.iter (fun b -> Hashtbl.replace t.bad b ()) config.Faults.bad_blocks
+  Int_table.reset t.bad;
+  List.iter (fun b -> Int_table.replace t.bad b ()) config.Faults.bad_blocks
 
 let create ?(params = default_params) ?(faults = Faults.none) ~engine ~rng () =
   if params.cylinders <= 0 || params.blocks_per_cylinder <= 0 then
@@ -120,7 +120,7 @@ let create ?(params = default_params) ?(faults = Faults.none) ~engine ~rng () =
       busy_time = Sim_time.zero;
       faults = Faults.none;
       fault_rng = Rng.create ~seed:0;
-      bad = Hashtbl.create 16;
+      bad = Int_table.create 16;
       faults_injected = 0;
       bad_block_hits = 0;
       latency_spikes = 0;
@@ -165,10 +165,10 @@ let service_time t ~block ~nblocks =
    Permanently bad blocks always fail; otherwise a transient error fires
    with the configured per-request probability. *)
 let rec first_bad t b ~stop =
-  if b >= stop then -1 else if Hashtbl.mem t.bad b then b else first_bad t (b + 1) ~stop
+  if b >= stop then -1 else if Int_table.mem t.bad b then b else first_bad t (b + 1) ~stop
 
 let fault_outcome t ~is_write ~block ~nblocks =
-  let bad = if Hashtbl.length t.bad > 0 then first_bad t block ~stop:(block + nblocks) else -1 in
+  let bad = if Int_table.length t.bad > 0 then first_bad t block ~stop:(block + nblocks) else -1 in
   if bad >= 0 then begin
     t.bad_block_hits <- t.bad_block_hits + 1;
     Error (Bad_block { block = bad })

@@ -4,7 +4,8 @@
     performs the hardware side of a memory reference: on a translation
     hit it sets the frame's reference bit (and modify bit on a write).
     Mirrors Mach's pmap module at the granularity this simulation
-    needs. *)
+    needs.  Translations sit in a {!Hipec_sim.Int_table} keyed by
+    virtual page number, so a lookup allocates nothing. *)
 
 type protection = Read_only | Read_write
 
@@ -56,7 +57,9 @@ val protection_violation : int
 val resident_count : t -> int
 
 val iter : t -> (vpn:int -> frame:Frame.t -> prot:protection -> unit) -> unit
-(** Every installed translation (used by the kernel auditor). *)
+(** Every installed translation (used by the kernel auditor), in the
+    table's {!Hipec_sim.Int_table.iter} order.  [f] must not enter or
+    remove translations. *)
 
 val vpn_of_va : int -> int
 (** Virtual page number of a byte address. *)

@@ -187,8 +187,7 @@ module Registry = struct
     series_cap : int;
     tbl : (string, metric) Hashtbl.t;
     profiles : (string * int, Profile.t) Hashtbl.t;
-    norm : (int, int) Hashtbl.t;  (* raw container id -> dense *)
-    mutable next_norm : int;
+    norm : int Int_table.t;  (* raw container id -> dense *)
   }
 
   let default_tick_ns = 10_000_000 (* 10 ms of simulated time *)
@@ -201,8 +200,7 @@ module Registry = struct
       series_cap;
       tbl = Hashtbl.create 64;
       profiles = Hashtbl.create 8;
-      norm = Hashtbl.create 8;
-      next_norm = 0;
+      norm = Int_table.create 8;
     }
 
   (* Container ids come from a process-global counter that survives
@@ -210,12 +208,11 @@ module Registry = struct
      the trace sink's id spaces) so snapshots are run-position
      independent. *)
   let norm_container t raw =
-    match Hashtbl.find_opt t.norm raw with
+    match Int_table.find_opt t.norm raw with
     | Some v -> v
     | None ->
-        let v = t.next_norm in
-        t.next_norm <- v + 1;
-        Hashtbl.add t.norm raw v;
+        let v = Int_table.length t.norm in
+        Int_table.replace t.norm raw v;
         v
 
   let tick_ns t = t.tick_ns

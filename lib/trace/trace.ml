@@ -6,37 +6,6 @@ let space_task = 0
 let space_obj = 1
 let space_container = 2
 
-(* Raw id -> dense id, by open addressing over one flat array of
-   (raw, dense) pairs, so a lookup usually reads one cache line.  Raw
-   ids come from counters, so their low bits spread them over the
-   slots.  No raw id is [min_int], which marks a free slot. *)
-type ids = { mutable cells : int array; mutable count : int }
-
-let free_slot = min_int
-let ids_create () = { cells = Array.make 128 free_slot; count = 0 }
-
-(* The pair index holding [raw], or the free one where it would go. *)
-let rec find_slot cells raw i =
-  let k = cells.(i) in
-  if k = raw || k = free_slot then i
-  else find_slot cells raw ((i + 2) land (Array.length cells - 1))
-
-let home cells raw = (2 * raw) land (Array.length cells - 1)
-
-(* Doubles at a quarter full (half the pair slots). *)
-let grow ids =
-  let old = ids.cells in
-  let cells = Array.make (2 * Array.length old) free_slot in
-  for i = 0 to (Array.length old / 2) - 1 do
-    let raw = old.(2 * i) in
-    if raw <> free_slot then begin
-      let j = find_slot cells raw (home cells raw) in
-      cells.(j) <- raw;
-      cells.(j + 1) <- old.((2 * i) + 1)
-    end
-  done;
-  ids.cells <- cells
-
 (* ------------------------------------------------------------------ *)
 (* The dispatcher                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -55,7 +24,8 @@ type collector = {
 
 let clock : (unit -> Sim_time.t) ref = ref (fun () -> Sim_time.zero)
 let seq = ref 0
-let norm_tables = Array.init 3 (fun _ -> ids_create ())  (* one per id space *)
+(* raw id -> dense id, one table per id space *)
+let norm_tables : int Int_table.t array = Array.init 3 (fun _ -> Int_table.create 64)
 let stages : stage list ref = ref []
 let staged = ref 0  (* the union of the attached stages' categories *)
 let current : collector option ref = ref None
@@ -110,19 +80,15 @@ let collected cat =
   | None -> ());
   Encoder.clear scratch
 
+(* Dense ids in first-seen order. *)
 let norm space raw =
   let ids = norm_tables.(space) in
-  let cells = ids.cells in
-  let i = find_slot cells raw (home cells raw) in
-  if cells.(i) = raw then cells.(i + 1)
-  else begin
-    let dense = ids.count in
-    cells.(i) <- raw;
-    cells.(i + 1) <- dense;
-    ids.count <- dense + 1;
-    if 4 * ids.count > Array.length cells then grow ids;
-    dense
-  end
+  match Int_table.find_opt ids raw with
+  | Some dense -> dense
+  | None ->
+      let dense = Int_table.length ids in
+      Int_table.replace ids raw dense;
+      dense
 
 (* ------------------------------------------------------------------ *)
 (* The collector and the consumer                                      *)
@@ -145,7 +111,7 @@ let stop () =
 let start ?(store = false) () =
   ignore (stop ());
   seq := 0;
-  Array.iteri (fun i _ -> norm_tables.(i) <- ids_create ()) norm_tables;
+  Array.iter Int_table.reset norm_tables;
   let c =
     {
       counts = Array.make Event.num_categories 0;

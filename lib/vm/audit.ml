@@ -17,12 +17,20 @@ let periods_per_pass = 8
    order they came and a removal leaves a hole.  A full array first
    squeezes its holes out, and grows only if that freed less than half.
    [slot] finds an entry's position by key. *)
-module Registry (Key : Hashtbl.HashedType) = struct
-  module Slot = Hashtbl.Make (Key)
+module Registry (Slot : sig
+  type key
+  type 'a t
 
+  val create : int -> 'a t
+  val mem : 'a t -> key -> bool
+  val find : 'a t -> key -> 'a
+  val replace : 'a t -> key -> 'a -> unit
+  val remove : 'a t -> key -> unit
+end) =
+struct
   type 'v t = {
     slot : int Slot.t;
-    mutable entries : (Key.t * 'v) option array;
+    mutable entries : (Slot.key * 'v) option array;
     mutable used : int;  (* entries past [used] are empty *)
   }
 
@@ -70,16 +78,15 @@ module Registry (Key : Hashtbl.HashedType) = struct
     done
 end
 
-(* Queue ids count up from 1, so the id is its own hash: the daemon asks
-   for every queued page whether its queue is audited. *)
+(* Keyed by queue id: the daemon asks for every queued page whether its
+   queue is audited. *)
 module Queues = Registry (struct
-  type t = int
+  type key = int
 
-  let equal = Int.equal
-  let hash id = id
+  include Int_table
 end)
 
-module Checks = Registry (String)
+module Checks = Registry (Hashtbl.Make (String))
 
 type t = {
   kernel : Kernel.t;
@@ -216,12 +223,12 @@ let sweep t =
                      vpn)
             | region -> (
                 let offset = Vm_map.offset_of_vpn region vpn in
-                match Vm_object.resident region.Vm_map.obj ~offset with
-                | exception Not_found ->
+                match Vm_object.find_resident region.Vm_map.obj ~offset with
+                | None ->
                     add "pmap-stale"
                       (Printf.sprintf "%s vpn %d translated but no page is resident"
                          (Task.name task) vpn)
-                | page ->
+                | Some page ->
                     if Frame.index (Vm_page.frame page) <> Frame.index frame then
                       add "pmap-wrong-frame"
                         (Printf.sprintf "%s vpn %d maps frame %d but the page is on %d"
@@ -262,9 +269,9 @@ let resident k page =
       match Kernel.resolve_object k oid with
       | exception Not_found -> false
       | obj -> (
-          match Vm_object.resident obj ~offset with
-          | exception Not_found -> false
-          | r -> r == page))
+          match Vm_object.find_resident obj ~offset with
+          | Some r -> r == page
+          | None -> false))
 
 (* Bound to an object the kernel does not know: the sweep never sees
    such a page through an object. *)

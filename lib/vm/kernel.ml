@@ -45,15 +45,6 @@ type stats = {
   mutable cow_pushes : int;  (* copies pushed down before a source write *)
 }
 
-(* Object ids count up from 1, so an id is its own hash: the auditor
-   resolves the object of every held frame it checks. *)
-module Ids = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash id = id
-end)
-
 type t = {
   engine : Engine.t;
   costs : Costs.t;
@@ -64,8 +55,10 @@ type t = {
   hipec_kernel : bool;
   readahead : int;
   mutable task_list : Task.t list;
-  objects : Vm_object.t Ids.t;
-  managers : (int, manager) Hashtbl.t;
+  (* by object id: the auditor resolves the object of every held frame
+     it checks, and every fault asks for its object's manager *)
+  objects : Vm_object.t Int_table.t;
+  managers : manager Int_table.t;
   next_disk_block : int ref;
   stats : stats;
   (* the frame table's frame -> page index: the access hot path finds
@@ -107,7 +100,7 @@ let create ?(config = default_config) () =
       ~rng:(Rng.split rng) ()
   in
   let frame_table = Frame.Table.create ~total:config.total_frames in
-  let objects = Ids.create 64 and next_disk_block = ref 0 in
+  let objects = Int_table.create 64 and next_disk_block = ref 0 in
   let io_stats = Io_retry.create_stats () in
   {
     engine;
@@ -120,7 +113,7 @@ let create ?(config = default_config) () =
     readahead = config.readahead;
     task_list = [];
     objects;
-    managers = Hashtbl.create 16;
+    managers = Int_table.create 16;
     next_disk_block;
     pages = Vm_page.index frame_table;
     access_recorder = None;
@@ -132,7 +125,7 @@ let create ?(config = default_config) () =
         disk;
         engine;
         costs = config.costs;
-        resolve_object = Ids.find objects;
+        resolve_object = Int_table.find objects;
         alloc_swap = (fun () -> alloc_extent disk next_disk_block ~npages:1);
         io_policy = config.io_retry;
         io_stats;
@@ -166,8 +159,8 @@ let charge t d = charge_engine t.engine d
 
 let drain_io t = Engine.run t.engine
 
-let resolve_object t oid = Ids.find t.objects oid
-let register_object t obj = Ids.replace t.objects (Vm_object.id obj) obj
+let resolve_object t oid = Int_table.find t.objects oid
+let register_object t obj = Int_table.replace t.objects (Vm_object.id obj) obj
 
 let alloc_disk_extent t ~npages = alloc_extent t.disk t.next_disk_block ~npages
 let pageout_ctx t = t.pageout_ctx
@@ -175,7 +168,7 @@ let pageout_ctx t = t.pageout_ctx
 let stats t = t.stats
 let io_stats t = t.io_stats
 let io_policy t = t.io_policy
-let iter_objects t f = Ids.iter (fun _ obj -> f obj) t.objects
+let iter_objects t f = Int_table.iter (fun _ obj -> f obj) t.objects
 
 (* ------------------------------------------------------------------ *)
 (* Memory pressure (overload protection)                               *)
@@ -224,22 +217,16 @@ let tasks t = t.task_list
 
 let release_region_pages t task region =
   let obj = region.Vm_map.obj in
-  if not (Hashtbl.mem t.managers (Vm_object.id obj)) then begin
-    (* collect first: disconnect mutates the resident table *)
-    let doomed = ref [] in
-    Vm_object.iter_resident
-      (fun ~offset page ->
-        if
-          offset >= region.Vm_map.obj_offset
-          && offset < region.Vm_map.obj_offset + region.Vm_map.npages
-        then doomed := page :: !doomed)
-      obj;
-    List.iter
-      (fun page ->
-        Pageout.forget t.pageout page;
-        Vm_object.disconnect obj page;
-        Vm_page.release_frame t.frame_table page)
-      !doomed
+  if not (Int_table.mem t.managers (Vm_object.id obj)) then begin
+    let first = region.Vm_map.obj_offset in
+    for offset = first to first + region.Vm_map.npages - 1 do
+      match Vm_object.find_resident obj ~offset with
+      | Some page ->
+          Pageout.forget t.pageout page;
+          Vm_object.disconnect obj page;
+          Vm_page.release_frame t.frame_table page
+      | None -> ()
+    done
   end;
   Vm_object.detach_copy obj;
   (* drop this task's translations for the region, and their entries in
@@ -262,8 +249,11 @@ let terminate_task t task ~reason =
     Task.kill task ~reason;
     List.iter (fun r -> release_region_pages t task r) (Vm_map.regions (Task.vm_map task));
     Pmap.remove_all (Task.pmap task);
-    (* notify managers so HiPEC containers can tear down *)
-    Hashtbl.iter (fun _ m -> m.on_task_terminated ~task) t.managers
+    (* notify managers so HiPEC containers can tear down; a manager that
+       tears down leaves the table, so collect them first *)
+    let managers = ref [] in
+    Int_table.iter (fun _ m -> managers := m :: !managers) t.managers;
+    List.iter (fun m -> m.on_task_terminated ~task) (List.rev !managers)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -313,7 +303,7 @@ let protect_region t task region ~prot =
 let vm_copy t task region =
   charge t t.costs.Costs.null_syscall;
   let src = region.Vm_map.obj in
-  if Hashtbl.mem t.managers (Vm_object.id src) then
+  if Int_table.mem t.managers (Vm_object.id src) then
     invalid_arg "Kernel.vm_copy: cannot copy a HiPEC-managed object";
   let child = Vm_object.create_copy src in
   register_object t child;
@@ -490,7 +480,7 @@ let fault t task region ~vpn ~write =
            else if t.stats.pagein_faults > pi then Hipec_trace.Event.File_pagein
            else Hipec_trace.Event.Soft)
       in
-      match Hashtbl.find_opt t.managers (Vm_object.id obj) with
+      match Int_table.find_opt t.managers (Vm_object.id obj) with
       | Some manager -> (
           t.stats.hipec_faults <- t.stats.hipec_faults + 1;
           match manager.on_fault ~task ~obj ~offset ~write with
@@ -624,9 +614,9 @@ let wire_region t task region =
 
 let set_manager t obj manager =
   register_object t obj;
-  Hashtbl.replace t.managers (Vm_object.id obj) manager
+  Int_table.replace t.managers (Vm_object.id obj) manager
 
-let clear_manager t obj = Hashtbl.remove t.managers (Vm_object.id obj)
-let managed t obj = Hashtbl.mem t.managers (Vm_object.id obj)
+let clear_manager t obj = Int_table.remove t.managers (Vm_object.id obj)
+let managed t obj = Int_table.mem t.managers (Vm_object.id obj)
 let null_syscall t = charge t t.costs.Costs.null_syscall
 let null_ipc t = charge t t.costs.Costs.null_ipc

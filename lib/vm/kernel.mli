@@ -68,7 +68,8 @@ val tasks : t -> Task.t list
 val terminate_task : t -> Task.t -> reason:string -> unit
 (** Kill the task and release every frame its regions hold back to the
     system (default-pool pages only; HiPEC containers release theirs
-    through the frame manager's deallocation path). *)
+    through the frame manager's deallocation path, which every
+    installed manager's [on_task_terminated] is offered). *)
 
 (** {1 Memory syscalls} *)
 
@@ -84,7 +85,9 @@ val vm_map_object : t -> Task.t -> obj:Vm_object.t -> obj_offset:int -> npages:i
 (** Map an existing object (used to share objects between tasks). *)
 
 val vm_deallocate : t -> Task.t -> Vm_map.region -> unit
-(** Unmap the region and free its resident default-pool pages. *)
+(** Unmap the region and free its resident default-pool pages: those at
+    the object offsets the region maps, in ascending offset order.  The
+    object's pages outside the region stay resident. *)
 
 val wire_region : t -> Task.t -> Vm_map.region -> unit
 (** Fault every page in and pin it (never evicted). *)
@@ -137,6 +140,10 @@ type manager = {
 }
 
 val set_manager : t -> Vm_object.t -> manager -> unit
+(** Install the object's manager, keyed by object id in a
+    {!Hipec_sim.Int_table}: the fault path finds it without
+    allocating. *)
+
 val clear_manager : t -> Vm_object.t -> unit
 val managed : t -> Vm_object.t -> bool
 
@@ -166,7 +173,8 @@ val resolve_object : t -> int -> Vm_object.t
 (** Registry lookup; raises [Not_found]. *)
 
 val iter_objects : t -> (Vm_object.t -> unit) -> unit
-(** Every registered VM object (used by the kernel auditor). *)
+(** Every registered VM object (used by the kernel auditor), in the
+    registry's {!Hipec_sim.Int_table.iter} order. *)
 
 (** {1 Mechanism micro-operations (Table 4)} *)
 

@@ -11,8 +11,13 @@ type t = {
   name : string;
   size_pages : int;
   backing : backing;
-  resident : (int, Vm_page.t) Hashtbl.t;  (* offset -> page *)
-  swap_slots : (int, int) Hashtbl.t;  (* offset -> block, Zero_fill only *)
+  (* indexed by offset: the page's preallocated [Vm_page.some], so a
+     lookup allocates nothing *)
+  resident : Vm_page.t option array;
+  mutable resident_count : int;
+  (* indexed by offset, [no_slot] where none is assigned; empty until a
+     zero-fill object's first swap assignment *)
+  mutable swap_slots : int array;
   mutable copy_parent : t option;
   mutable copy_children : t list;
 }
@@ -28,8 +33,9 @@ let create ?name ~size_pages ~backing () =
     name;
     size_pages;
     backing;
-    resident = Hashtbl.create 256;
-    swap_slots = Hashtbl.create 16;
+    resident = Array.make size_pages None;
+    resident_count = 0;
+    swap_slots = [||];
     copy_parent = None;
     copy_children = [];
   }
@@ -38,49 +44,70 @@ let id t = t.id
 let name t = t.name
 let size_pages t = t.size_pages
 let backing t = t.backing
-let find_resident t ~offset = Hashtbl.find_opt t.resident offset
-let resident t ~offset = Hashtbl.find t.resident offset
-let resident_count t = Hashtbl.length t.resident
-let iter_resident f t = Hashtbl.iter (fun offset page -> f ~offset page) t.resident
+let find_resident t ~offset =
+  if offset < 0 || offset >= t.size_pages then None else t.resident.(offset)
+
+let resident_count t = t.resident_count
+
+let iter_resident f t =
+  for offset = 0 to t.size_pages - 1 do
+    match t.resident.(offset) with Some page -> f ~offset page | None -> ()
+  done
 
 let connect t page ~offset =
   if offset < 0 || offset >= t.size_pages then invalid_arg "Vm_object.connect: bad offset";
-  if Hashtbl.mem t.resident offset then invalid_arg "Vm_object.connect: offset resident";
+  (match t.resident.(offset) with
+  | Some _ -> invalid_arg "Vm_object.connect: offset resident"
+  | None -> ());
   Vm_page.bind page ~object_id:t.id ~offset;
-  Hashtbl.replace t.resident offset page
+  t.resident.(offset) <- Vm_page.some page;
+  t.resident_count <- t.resident_count + 1
 
 let disconnect t page =
   match Vm_page.binding page with
   | Some (oid, offset) when oid = t.id ->
       Vm_page.unmap_all page;
       Vm_page.unbind page;
-      Hashtbl.remove t.resident offset
+      t.resident.(offset) <- None;
+      t.resident_count <- t.resident_count - 1
   | Some _ | None -> invalid_arg "Vm_object.disconnect: page not bound to this object"
+
+let no_slot = -1
+
+let swap_slot t offset =
+  if offset >= 0 && offset < Array.length t.swap_slots then t.swap_slots.(offset)
+  else no_slot
 
 let disk_block t ~offset =
   match t.backing with
   | File { base_block } -> Some (base_block + (offset * blocks_per_page))
-  | Zero_fill -> Hashtbl.find_opt t.swap_slots offset
+  | Zero_fill ->
+      let block = swap_slot t offset in
+      if block = no_slot then None else Some block
 
 let assign_swap t ~offset ~block =
   match t.backing with
   | File _ -> invalid_arg "Vm_object.assign_swap: file-backed object"
-  | Zero_fill -> (
-      match Hashtbl.find_opt t.swap_slots offset with
-      | Some b when b <> block -> invalid_arg "Vm_object.assign_swap: slot already assigned"
-      | Some _ -> ()
-      | None -> Hashtbl.replace t.swap_slots offset block)
+  | Zero_fill ->
+      let b = swap_slot t offset in
+      if b = no_slot then begin
+        if offset < 0 || offset >= t.size_pages then
+          invalid_arg "Vm_object.assign_swap: bad offset";
+        if Array.length t.swap_slots = 0 then t.swap_slots <- Array.make t.size_pages no_slot;
+        t.swap_slots.(offset) <- block
+      end
+      else if b <> block then invalid_arg "Vm_object.assign_swap: slot already assigned"
 
 let remap_swap t ~offset ~block =
   match t.backing with
   | File _ -> invalid_arg "Vm_object.remap_swap: file-backed object"
   | Zero_fill ->
-      if not (Hashtbl.mem t.swap_slots offset) then
+      if swap_slot t offset = no_slot then
         invalid_arg "Vm_object.remap_swap: no swap slot assigned"
-      else Hashtbl.replace t.swap_slots offset block
+      else t.swap_slots.(offset) <- block
 
 let has_backing_data t ~offset =
-  match t.backing with File _ -> true | Zero_fill -> Hashtbl.mem t.swap_slots offset
+  match t.backing with File _ -> true | Zero_fill -> swap_slot t offset <> no_slot
 
 let create_copy ?name source =
   let name =
@@ -106,7 +133,7 @@ let rec copy_source t ~offset =
   match t.copy_parent with
   | None -> `Zero
   | Some parent -> (
-      match Hashtbl.find_opt parent.resident offset with
+      match find_resident parent ~offset with
       | Some page -> `Page page
       | None -> (
           match disk_block parent ~offset with

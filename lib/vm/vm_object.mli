@@ -24,15 +24,22 @@ val name : t -> string
 val size_pages : t -> int
 val backing : t -> backing
 
-(** {1 Resident pages} *)
+(** {1 Resident pages}
+
+    As in Mach, a page is named by its offset in the object, and the
+    object indexes its resident pages by offset in one array of
+    [size_pages] slots: a lookup is one array read. *)
 
 val find_resident : t -> offset:int -> Vm_page.t option
-
-val resident : t -> offset:int -> Vm_page.t
-(** Like {!find_resident} without allocating; raises [Not_found]. *)
+(** The page resident at [offset]: its preallocated {!Vm_page.some}, so
+    the lookup allocates nothing.  [None] for an offset below 0 or
+    at {!size_pages} and above. *)
 
 val resident_count : t -> int
+
 val iter_resident : (offset:int -> Vm_page.t -> unit) -> t -> unit
+(** Every resident page in ascending offset order.  [f] may disconnect
+    the page it is given. *)
 
 val connect : t -> Vm_page.t -> offset:int -> unit
 (** Bind an unbound page slot to [offset] and record it resident.
@@ -54,7 +61,8 @@ val disk_block : t -> offset:int -> int option
 val assign_swap : t -> offset:int -> block:int -> unit
 (** Record the swap slot chosen by the kernel's swap allocator for a
     zero-fill page being written out.  Idempotent per offset only with
-    the same block. *)
+    the same block.  Raises [Invalid_argument] on a file-backed object
+    or an offset outside the object. *)
 
 val remap_swap : t -> offset:int -> block:int -> unit
 (** Move an already-assigned swap slot to a different block — the

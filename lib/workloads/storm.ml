@@ -207,7 +207,9 @@ let run config =
         incr shed;
         { index = i; kind; task; region = None }
   in
-  let late = min config.late_tenants config.tenants in
+  (* at least one tenant comes early, so a storm of any size admits
+     someone before the hog raises pressure *)
+  let late = min config.late_tenants (max 0 (config.tenants - 1)) in
   let early_tenants = List.init (config.tenants - late) admit_tenant in
   Audit.start auditor;
   let task_kills = ref 0 in

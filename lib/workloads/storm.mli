@@ -39,7 +39,8 @@ type config = {
           pressure ladder engages; 0 disables *)
   late_tenants : int;
       (** this many tenants are admitted only after the hog has run —
-          on a hot machine the admission governor sheds them *)
+          on a hot machine the admission governor sheds them.  At most
+          [tenants - 1]: the first tenant always comes early *)
   transient_rate : float;
   latency_spike_rate : float;
   bad_swap_blocks : int;

@@ -327,7 +327,8 @@ let fixture () =
   { k; daemon; reference; task; region; spare; broken }
 
 let resident_page fx i =
-  Vm_object.resident fx.region.Vm_map.obj ~offset:(fx.region.Vm_map.obj_offset + i)
+  Option.get
+    (Vm_object.find_resident fx.region.Vm_map.obj ~offset:(fx.region.Vm_map.obj_offset + i))
 
 let vpn fx i = fx.region.Vm_map.start_vpn + i
 let spare_page fx = Option.get (Page_queue.peek_head fx.spare)

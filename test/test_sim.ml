@@ -5,6 +5,7 @@ module Rng = Hipec_sim.Rng
 module Eq = Hipec_sim.Event_queue
 module Engine = Hipec_sim.Engine
 module Stats = Hipec_sim.Stats
+module Int_table = Hipec_sim.Int_table
 
 (* ------------------------------------------------------------------ *)
 (* Sim_time                                                            *)
@@ -350,6 +351,53 @@ let test_histogram () =
   Alcotest.(check (array int)) "buckets" [| 2; 1; 0; 1 |] (Stats.Histogram.bucket_counts h)
 
 (* ------------------------------------------------------------------ *)
+(* Int_table                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [min_int] marks a free slot: it cannot be bound, and no lookup finds
+   it. *)
+let test_int_table_min_int () =
+  let t = Int_table.create 4 in
+  Int_table.replace t 0 "zero";
+  Alcotest.check_raises "replace"
+    (Invalid_argument "Int_table.replace: min_int marks a free slot") (fun () ->
+      Int_table.replace t min_int "free");
+  Alcotest.(check bool) "mem" false (Int_table.mem t min_int);
+  Alcotest.(check (option string)) "find_opt" None (Int_table.find_opt t min_int);
+  Alcotest.check_raises "find" Not_found (fun () -> ignore (Int_table.find t min_int));
+  Int_table.remove t min_int;
+  Alcotest.(check int) "length" 1 (Int_table.length t)
+
+(* A warmed table answers [find], [find_opt] and [mem] without
+   allocating, hits and misses alike. *)
+let test_int_table_lookups_allocate_nothing () =
+  let t = Int_table.create 1 in
+  for i = 0 to 999 do
+    Int_table.replace t (i * 4096) i
+  done;
+  let sink = ref 0 in
+  let lookups () =
+    for i = 0 to 1999 do
+      let k = i * 4096 in
+      if Int_table.mem t k then sink := !sink + Int_table.find t k;
+      match Int_table.find_opt t k with Some v -> sink := !sink + v | None -> ()
+    done
+  in
+  lookups ();
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  sink := 0;
+  let a = Gc.minor_words () in
+  lookups ();
+  let b = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" overhead (b -. a);
+  (* keys 0..999 are bound to themselves and each is found twice *)
+  Alcotest.(check int) "found every bound key" (2 * (999 * 1000 / 2)) !sink
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -368,6 +416,88 @@ let prop_event_queue_sorted =
       in
       let popped = drain [] in
       popped = List.sort compare times)
+
+type int_table_op =
+  | Replace of int * int
+  | Remove of int
+  | Find of int
+  | Mem of int
+  | Iter
+
+(* Keys that stress the hash: a dense cluster, power-of-two strides,
+   single high bits, negatives and the largest ints. *)
+let gen_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range 0 63);
+        (3, map (fun i -> i * 4096) (int_range 0 63));
+        (2, map (fun b -> 1 lsl b) (int_range 0 61));
+        (2, map (fun i -> -i) (int_range 1 64));
+        (1, oneofl [ max_int; max_int - 1; min_int + 1 ]);
+      ])
+
+let gen_int_table_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun k v -> Replace (k, v)) gen_key small_nat);
+        (3, map (fun k -> Remove k) gen_key);
+        (2, map (fun k -> Find k) gen_key);
+        (1, map (fun k -> Mem k) gen_key);
+        (1, return Iter);
+      ])
+
+let show_int_table_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Iter -> "iter"
+
+(* Every call agrees with a [Hashtbl] model, across growth and
+   backward-shift removal; [length] and the full binding set are
+   compared after every call. *)
+let prop_int_table_matches_hashtbl =
+  QCheck.Test.make ~name:"int_table agrees with a Hashtbl model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_int_table_op ops))
+       QCheck.Gen.(list_size (int_range 0 400) gen_int_table_op))
+    (fun ops ->
+      let t = Int_table.create 1 and model = Hashtbl.create 16 in
+      let bindings () =
+        let acc = ref [] in
+        Int_table.iter (fun k v -> acc := (k, v) :: !acc) t;
+        List.sort compare !acc
+      in
+      let model_bindings () =
+        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
+      in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Replace (k, v) ->
+                Int_table.replace t k v;
+                Hashtbl.replace model k v;
+                true
+            | Remove k ->
+                Int_table.remove t k;
+                Hashtbl.remove model k;
+                true
+            | Find k ->
+                Int_table.find_opt t k = Hashtbl.find_opt model k
+                && (match Int_table.find t k with
+                   | v -> Hashtbl.find_opt model k = Some v
+                   | exception Not_found -> not (Hashtbl.mem model k))
+            | Mem k -> Int_table.mem t k = Hashtbl.mem model k
+            | Iter -> bindings () = model_bindings ()
+          in
+          agrees
+          && Int_table.length t = Hashtbl.length model
+          && List.length (bindings ()) = Hashtbl.length model)
+        ops
+      && bindings () = model_bindings ())
 
 let prop_rng_int_in_range =
   QCheck.Test.make ~name:"rng int_in stays in range" ~count:500
@@ -434,6 +564,18 @@ let () =
           Alcotest.test_case "summary empty" `Quick test_summary_empty;
           Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
+      ( "int_table",
+        [
+          Alcotest.test_case "min_int is never bound" `Quick test_int_table_min_int;
+          Alcotest.test_case "lookups allocate nothing" `Quick
+            test_int_table_lookups_allocate_nothing;
+        ] );
       ( "properties",
-        qc [ prop_event_queue_sorted; prop_rng_int_in_range; prop_summary_mean_bounded ] );
+        qc
+          [
+            prop_event_queue_sorted;
+            prop_rng_int_in_range;
+            prop_summary_mean_bounded;
+            prop_int_table_matches_hashtbl;
+          ] );
     ]

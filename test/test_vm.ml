@@ -265,6 +265,96 @@ let test_object_backing () =
   Alcotest.(check (option int)) "swap slot" (Some 500) (Vm_object.disk_block anon ~offset:0);
   Alcotest.(check bool) "now has data" true (Vm_object.has_backing_data anon ~offset:0)
 
+let test_object_iter_ascending () =
+  let obj = Vm_object.create ~size_pages:12 ~backing:Vm_object.Zero_fill () in
+  let tbl = Frame.Table.create ~total:8 in
+  List.iter
+    (fun offset ->
+      let p = Vm_page.create ~frame:(Option.get (Frame.Table.alloc tbl)) in
+      Vm_object.connect obj p ~offset)
+    [ 7; 2; 11; 0; 5 ];
+  let seen = ref [] in
+  Vm_object.iter_resident
+    (fun ~offset page ->
+      Alcotest.(check bool) "page at its offset" true
+        (Vm_object.find_resident obj ~offset == Vm_page.some page);
+      seen := offset :: !seen)
+    obj;
+  Alcotest.(check (list int)) "ascending offsets" [ 0; 2; 5; 7; 11 ] (List.rev !seen)
+
+let test_object_find_out_of_range () =
+  let obj = Vm_object.create ~size_pages:4 ~backing:Vm_object.Zero_fill () in
+  Vm_object.connect obj (make_page ()) ~offset:0;
+  Vm_object.connect obj (make_page ()) ~offset:3;
+  Alcotest.(check bool) "offset -1" true
+    (Option.is_none (Vm_object.find_resident obj ~offset:(-1)));
+  Alcotest.(check bool) "offset size_pages" true
+    (Option.is_none (Vm_object.find_resident obj ~offset:(Vm_object.size_pages obj)));
+  Alcotest.(check bool) "offset 3" true
+    (Option.is_some (Vm_object.find_resident obj ~offset:3))
+
+(* A lookup returns the page's preallocated option: hits, misses and
+   out-of-range offsets allocate nothing. *)
+let test_object_find_allocates_nothing () =
+  let obj = Vm_object.create ~size_pages:64 ~backing:Vm_object.Zero_fill () in
+  let tbl = Frame.Table.create ~total:32 in
+  for i = 0 to 31 do
+    Vm_object.connect obj (Vm_page.create ~frame:(Option.get (Frame.Table.alloc tbl)))
+      ~offset:(2 * i)
+  done;
+  let hits = ref 0 in
+  let lookups () =
+    for offset = -8 to 71 do
+      match Vm_object.find_resident obj ~offset with Some _ -> incr hits | None -> ()
+    done
+  in
+  lookups ();
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  hits := 0;
+  let a = Gc.minor_words () in
+  lookups ();
+  let b = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" overhead (b -. a);
+  Alcotest.(check int) "hits" 32 !hits
+
+(* After every connect and disconnect the count equals the offsets that
+   find a page. *)
+let test_object_resident_count_exact () =
+  let obj = Vm_object.create ~size_pages:16 ~backing:Vm_object.Zero_fill () in
+  let tbl = Frame.Table.create ~total:16 in
+  let pages = Array.init 16 (fun _ -> Vm_page.create ~frame:(Option.get (Frame.Table.alloc tbl))) in
+  let found () =
+    List.length
+      (List.filter
+         (fun offset -> Option.is_some (Vm_object.find_resident obj ~offset))
+         (List.init 16 Fun.id))
+  in
+  let check what =
+    Alcotest.(check int) what (found ()) (Vm_object.resident_count obj)
+  in
+  List.iter
+    (fun offset ->
+      Vm_object.connect obj pages.(offset) ~offset;
+      check (Printf.sprintf "connect %d" offset))
+    [ 3; 0; 15; 8; 9; 1 ];
+  Alcotest.(check int) "six resident" 6 (Vm_object.resident_count obj);
+  List.iter
+    (fun offset ->
+      Vm_object.disconnect obj pages.(offset);
+      check (Printf.sprintf "disconnect %d" offset))
+    [ 8; 3; 1 ];
+  Vm_object.connect obj pages.(8) ~offset:8;
+  check "reconnect 8";
+  Alcotest.check_raises "disconnect twice"
+    (Invalid_argument "Vm_object.disconnect: page not bound to this object") (fun () ->
+      Vm_object.disconnect obj pages.(3));
+  check "after a refused disconnect";
+  Alcotest.(check int) "four resident" 4 (Vm_object.resident_count obj)
+
 (* ------------------------------------------------------------------ *)
 (* Vm_map                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -459,6 +549,35 @@ let test_kernel_deallocate_releases_frames () =
   let region2 = Kernel.vm_allocate k task ~npages:10 in
   Kernel.touch_region k task region2 ~write:false;
   Alcotest.(check bool) "alive" true (Task.alive task)
+
+(* A region over the middle of a larger object frees the pages at its
+   own offsets and no others. *)
+let test_kernel_deallocate_middle_region () =
+  let k = small_kernel ~frames:64 () in
+  let task = Kernel.create_task k () in
+  let whole = Kernel.vm_allocate k task ~npages:16 in
+  let obj = whole.Vm_map.obj in
+  Kernel.touch_region k task whole ~write:true;
+  let middle =
+    Kernel.vm_map_object k task ~obj ~obj_offset:6 ~npages:4 ~prot:Pmap.Read_write
+  in
+  Kernel.touch_region k task middle ~write:false;
+  let tbl = Kernel.frame_table k in
+  let free_before = Frame.Table.free_count tbl in
+  Kernel.vm_deallocate k task middle;
+  Alcotest.(check int) "four frames returned" (free_before + 4) (Frame.Table.free_count tbl);
+  Alcotest.(check int) "twelve resident" 12 (Vm_object.resident_count obj);
+  for offset = 0 to 15 do
+    Alcotest.(check bool)
+      (Printf.sprintf "offset %d" offset)
+      (offset < 6 || offset >= 10)
+      (Option.is_some (Vm_object.find_resident obj ~offset))
+  done;
+  (* the pages outside the middle keep their translations *)
+  Alcotest.(check bool) "vpn of offset 0 mapped" true
+    (Pmap.frame_at (Task.pmap task) ~vpn:whole.Vm_map.start_vpn <> Pmap.miss);
+  Alcotest.(check bool) "vpn of offset 6 unmapped" true
+    (Pmap.frame_at (Task.pmap task) ~vpn:(whole.Vm_map.start_vpn + 6) = Pmap.miss)
 
 let test_kernel_manager_hook_grants () =
   let k = small_kernel ~hipec:true () in
@@ -984,6 +1103,11 @@ let () =
           Alcotest.test_case "connect/disconnect" `Quick test_object_connect_disconnect;
           Alcotest.test_case "connect validation" `Quick test_object_connect_validation;
           Alcotest.test_case "backing store" `Quick test_object_backing;
+          Alcotest.test_case "iter_resident ascends" `Quick test_object_iter_ascending;
+          Alcotest.test_case "find out of range" `Quick test_object_find_out_of_range;
+          Alcotest.test_case "find_resident allocates nothing" `Quick
+            test_object_find_allocates_nothing;
+          Alcotest.test_case "resident_count exact" `Quick test_object_resident_count_exact;
         ] );
       ( "vm_map",
         [
@@ -1011,6 +1135,8 @@ let () =
             test_kernel_terminate_releases_frames;
           Alcotest.test_case "deallocate releases frames" `Quick
             test_kernel_deallocate_releases_frames;
+          Alcotest.test_case "deallocate frees only its offsets" `Quick
+            test_kernel_deallocate_middle_region;
           Alcotest.test_case "manager hook grants" `Quick test_kernel_manager_hook_grants;
           Alcotest.test_case "manager deny kills" `Quick test_kernel_manager_deny_kills;
           Alcotest.test_case "null ops cost" `Quick test_kernel_null_ops_cost;
