@@ -1,10 +1,18 @@
-.PHONY: all test bench examples clean quick-bench chaos oracle golden backend-bench backend-check metrics-bench storm storm-sweep storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke pins fig6 ci
+.PHONY: all test release-test bench examples clean quick-bench chaos oracle golden backend-bench backend-check metrics-bench storm storm-sweep storm-bench adversary adversary-bench spans spans-bench lint hostbench-smoke pins fig6 ci
 
 all:
 	dune build @all
 
 test:
 	dune runtest
+
+# the whole tier-1 suite again in the release profile (no -opaque, so
+# the optimiser inlines across modules), in a build directory of its
+# own; every golden digest, metrics/span pin and cram output must come
+# out as in the default profile
+release-test:
+	dune build --profile release --build-dir _build-release
+	dune runtest --profile release --build-dir _build-release
 
 # the chaos acceptance checks at smoke scale; rewrites BENCH_chaos.json
 chaos:
@@ -146,7 +154,8 @@ fig6:
 	dune exec bench/main.exe -- fig6
 
 # What CI runs: full build, the whole test suite (which includes the
-# oracle, golden, storm, span and adversary suites), the policy lint
+# oracle, golden, storm, span and adversary suites) in the default and
+# the release profile, the policy lint
 # gate, the chaos and storm acceptance checks at smoke scale, the
 # storm tenant sweep at 1k-2k tenants with its pinned digests, the
 # adversary regression gate, the span cross-backend gate, the
@@ -154,7 +163,7 @@ fig6:
 # fingerprint, the full-scale Figure 6 fault-count gate, the
 # interp-vs-compiled trace and stat cross-checks, and the backend
 # equivalence benches.
-ci: all test lint oracle golden chaos storm storm-sweep adversary spans hostbench-smoke pins fig6 backend-bench backend-check metrics-bench storm-bench adversary-bench spans-bench
+ci: all test release-test lint oracle golden chaos storm storm-sweep adversary spans hostbench-smoke pins fig6 backend-bench backend-check metrics-bench storm-bench adversary-bench spans-bench
 
 bench:
 	dune exec bench/main.exe

@@ -108,18 +108,7 @@ let builtin_policy = function
 let builtin_names =
   "fifo|lru|mru|clock|second-chance|adaptive|greedy|looping|returns-garbage"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Hipec_trace.Event.json_escape
 
 let lint_cmd =
   let file =

@@ -166,7 +166,7 @@ let hipec_region_of_spec t task region spec =
               ~operands ~queues ~min_frames:spec.min_frames ()
           in
           match Frame_manager.admit t.manager container with
-          | Error msg -> fail msg
+          | Error e -> fail (Frame_manager.admission_error_message e)
           | Ok () ->
               (* decode-once: under the compiled backend the container
                  is bound here, at install time, to its program's

@@ -181,14 +181,16 @@ let scan_now t =
   let engine = Kernel.engine t.kernel in
   let now = Engine.now engine in
   let demoted = ref 0 in
+  (* demotion retires containers, so collect the victims first *)
   let victims =
-    List.filter
-      (fun c ->
+    Frame_manager.fold_containers
+      (fun victims c ->
         Engine.advance engine (Kernel.costs t.kernel).Costs.checker_scan_per_container;
         match Container.execution_started c with
-        | Some started -> Sim_time.(Sim_time.diff now started > t.timeout)
-        | None -> false)
-      (Frame_manager.containers t.manager)
+        | Some started when Sim_time.(Sim_time.diff now started > t.timeout) ->
+            c :: victims
+        | Some _ | None -> victims)
+      [] t.manager
   in
   List.iter
     (fun c ->
@@ -199,7 +201,7 @@ let scan_now t =
       t.timeouts_detected <- t.timeouts_detected + 1;
       Frame_manager.demote t.manager c
         ~reason:"HiPEC policy execution timeout (demoted by security checker)")
-    victims;
+    (List.rev victims);
   !demoted
 
 (* The paper's WakeUp equation: halve on timeout, double otherwise,

@@ -19,6 +19,7 @@ type t = {
   queues : Operand.std_queues;
   min_frames : int;
   mutable frames_held : int;
+  mutable admitted : bool;
   (* split representation so the fault hot path can mark a run
      started/stopped without allocating a [Some] per fault; the option
      view is rebuilt on demand for the checker *)
@@ -51,6 +52,7 @@ let create ~task ~obj ~region ~program ~operands ~queues ~min_frames () =
     queues;
     min_frames;
     frames_held = 0;
+    admitted = false;
     executing = false;
     execution_started_at = Sim_time.zero;
     timed_out = false;
@@ -83,6 +85,8 @@ let remove_frames t n =
   if n > t.frames_held then invalid_arg "Container.remove_frames: negative balance";
   t.frames_held <- t.frames_held - n
 
+let admitted t = t.admitted
+let set_admitted t v = t.admitted <- v
 let resident_pages t = Vm_object.resident_count t.obj
 let executing t = t.executing
 let execution_started t = if t.executing then Some t.execution_started_at else None

@@ -52,6 +52,12 @@ val add_frames : t -> int -> unit
 val remove_frames : t -> int -> unit
 (** Raises [Invalid_argument] if the count would go negative. *)
 
+val admitted : t -> bool
+(** On the frame manager's FAFR ledger: set at admission, cleared when
+    demotion or removal retires the container. *)
+
+val set_admitted : t -> bool -> unit
+
 val resident_pages : t -> int
 (** Pages currently bound under the container's object. *)
 

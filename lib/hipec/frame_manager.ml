@@ -16,7 +16,6 @@ type stats = {
   mutable forced_seizures : int;
   mutable flush_writes : int;
   mutable demotions : int;
-  mutable admissions_queued : int;
   mutable admissions_rejected : int;
   mutable throttles_entered : int;
   mutable throttles_exited : int;
@@ -37,7 +36,9 @@ let admission_error_message = function
 type t = {
   kernel : Kernel.t;
   mutable executor : Executor.t option;  (* wired right after creation *)
-  mutable containers : Container.t list;  (* FAFR: oldest first *)
+  (* the FAFR ledger, oldest first: exactly the containers whose
+     [Container.admitted] flag is set *)
+  ledger : Container.t Queue.t;
   mutable partition_burst : int;
   mutable specific_total : int;
   (* fuel ledger configuration; quota 0 disables the whole mechanism so
@@ -45,7 +46,6 @@ type t = {
   mutable fuel_quota : int;
   mutable fuel_window : T.t;
   mutable fuel_cooldown : T.t;
-  pending_admissions : Container.t Queue.t;
   stats : stats;
 }
 
@@ -56,12 +56,17 @@ let executor t = Option.get t.executor
 let partition_burst t = t.partition_burst
 let set_partition_burst t v = t.partition_burst <- v
 let specific_total t = t.specific_total
-let containers t = t.containers
+let fold_containers f acc t = Queue.fold f acc t.ledger
+
+(* The admitted containers that satisfy [p], FAFR: the snapshot a walk
+   keeps while policies run or frames move under it. *)
+let snapshot t p = List.rev (fold_containers (fun acc c -> if p c then c :: acc else acc) [] t)
+
+let containers t = snapshot t (fun _ -> true)
 let stats t = t.stats
 let fuel_quota t = t.fuel_quota
 let fuel_window t = t.fuel_window
 let fuel_cooldown t = t.fuel_cooldown
-let pending_admissions t = Queue.length t.pending_admissions
 
 let set_fuel_policy ?quota ?window ?cooldown t =
   (match quota with Some q -> t.fuel_quota <- max 0 q | None -> ());
@@ -271,11 +276,22 @@ let seize_one t container ~flush_dirty =
                   true
               | None -> false)))
 
-(* ------------------------------------------------------------------ *)
-(* Reclamation                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let same_container a b = Container.id a = Container.id b
+(* The one seizure loop: take frames from [c] one at a time while fewer
+   than [limit] are taken, the pool holds fewer than [until_free] frames
+   and, with [floor], [c] holds more than its minimum, until
+   {!seize_one} finds nothing left.  Returns how many it took. *)
+let seize t c ~flush_dirty ~floor ~limit ~until_free =
+  let tbl = Kernel.frame_table t.kernel in
+  let rec take n =
+    if
+      n < limit
+      && Frame.Table.free_count tbl < until_free
+      && ((not floor) || Container.frames_held c > Container.min_frames c)
+      && seize_one t c ~flush_dirty
+    then take (n + 1)
+    else n
+  in
+  take 0
 
 (* ------------------------------------------------------------------ *)
 (* Fuel ledger (per-tenant windowed command budget)                    *)
@@ -347,27 +363,14 @@ let charge_fuel t container ~delta =
     then enter_throttle t container
   end
 
-let run_event_raw t container ~event =
-  let traced = Tr.takes Hipec_trace.Event.Cat.policy in
-  let metered = fuel_enabled t || traced in
-  if not metered then Executor.run (executor t) container ~event
-  else begin
-    let before = Container.commands_interpreted container in
-    let outcome = Executor.run (executor t) container ~event in
-    let delta = Container.commands_interpreted container - before in
-    (* Policy_run lands at the instant the executor's sim-time charge
-       closes: Span attributes the interval ending here as [Policy] *)
-    if traced then
-      Tr.policy_run ~container:(Container.id container) ~event
-        ~outcome:
-          (match outcome with
-          | Executor.Returned _ -> Hipec_trace.Event.Returned
-          | Executor.Runtime_error _ -> Hipec_trace.Event.Policy_error
-          | Executor.Timed_out -> Hipec_trace.Event.Policy_timeout)
-        ~commands:delta;
-    charge_fuel t container ~delta;
-    outcome
-  end
+(* Take the container off the FAFR ledger.  Demotion and removal both
+   retire a container first, before any of its frames move. *)
+let retire t container =
+  Container.set_admitted container false;
+  let kept = Queue.create () in
+  Queue.iter (fun c -> if c != container then Queue.add c kept) t.ledger;
+  Queue.clear t.ledger;
+  Queue.transfer kept t.ledger
 
 (* Policy fallback (graceful degradation): strip the container of its
    private lists and hand the region back to the kernel's default
@@ -377,7 +380,7 @@ let run_event_raw t container ~event =
 let demote t container ~reason =
   if not (Container.degraded container) then begin
     Log.warn (fun m -> m "demoting %a: %s" Container.pp container reason);
-    t.containers <- List.filter (fun c -> not (same_container container c)) t.containers;
+    if Container.admitted container then retire t container;
     let tbl = Kernel.frame_table t.kernel in
     let daemon = Kernel.pageout t.kernel in
     let held = Container.frames_held container in
@@ -443,63 +446,80 @@ let demote t container ~reason =
     note_gauges t container
   end
 
-let handle_outcome t container outcome =
-  match outcome with
-  | Executor.Returned v -> Ok v
-  | Executor.Timed_out -> Error `Timed_out
+(* Run a policy event with the manager's services, metering its fuel
+   and tracing it when either is on.  A runtime error demotes the
+   container; the outcome is returned either way. *)
+let run_event t container ~event =
+  let traced = Tr.takes Hipec_trace.Event.Cat.policy in
+  let outcome =
+    if not (fuel_enabled t || traced) then Executor.run (executor t) container ~event
+    else begin
+      let before = Container.commands_interpreted container in
+      let outcome = Executor.run (executor t) container ~event in
+      let delta = Container.commands_interpreted container - before in
+      (* Policy_run lands at the instant the executor's sim-time charge
+         closes: Span attributes the interval ending here as [Policy] *)
+      if traced then
+        Tr.policy_run ~container:(Container.id container) ~event
+          ~outcome:
+            (match outcome with
+            | Executor.Returned _ -> Hipec_trace.Event.Returned
+            | Executor.Runtime_error _ -> Hipec_trace.Event.Policy_error
+            | Executor.Timed_out -> Hipec_trace.Event.Policy_timeout)
+          ~commands:delta;
+      charge_fuel t container ~delta;
+      outcome
+    end
+  in
+  (match outcome with
   | Executor.Runtime_error msg ->
       (* bad policy: the region falls back to the default pageout
          policy; the specific application keeps running *)
-      demote t container ~reason:("HiPEC policy error: " ^ msg);
-      Error (`Demoted msg)
+      demote t container ~reason:("HiPEC policy error: " ^ msg)
+  | Executor.Returned _ | Executor.Timed_out -> ());
+  outcome
 
 let remove_container t container ~flush_dirty =
-  if List.exists (same_container container) t.containers then begin
-    t.containers <- List.filter (fun c -> not (same_container container c)) t.containers;
-    let rec drain () = if seize_one t container ~flush_dirty then drain () in
-    drain ();
+  if Container.admitted container then begin
+    retire t container;
+    ignore (seize t container ~flush_dirty ~floor:false ~limit:max_int ~until_free:max_int);
     Option.iter (fun e -> Executor.forget e container) t.executor;
     Kernel.clear_manager t.kernel (Container.obj container)
   end
 
+(* ------------------------------------------------------------------ *)
+(* Reclamation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let excluded exclude c = match exclude with Some e -> e == c | None -> false
 
 (* Normal reclamation: FAFR walk, only containers above their minimum,
    driving each victim's ReclaimFrame event (paper: the specific
-   application decides which pages are least important). *)
+   application decides which pages are least important).  The victims
+   are chosen before the first policy runs. *)
 let reclaim_from_specific t ~need ~exclude =
   let tbl = Kernel.frame_table t.kernel in
   let start_free = Frame.Table.free_count tbl in
   let victims =
-    List.filter
-      (fun c ->
-        (match exclude with Some e -> not (same_container e c) | None -> true)
+    snapshot t (fun c ->
+        (not (excluded exclude c))
         && Container.frames_held c > Container.min_frames c
         && Task.alive (Container.task c)
         (* never re-enter a policy that is executing right now *)
         && not (Container.executing c))
-      t.containers
   in
   let rec walk = function
     | [] -> ()
     | c :: rest ->
         let freed = Frame.Table.free_count tbl - start_free in
-        if freed >= need then ()
-        else begin
+        if freed < need then begin
           maybe_recover t c;
           let overage = Container.frames_held c - Container.min_frames c in
           let want = min overage (need - freed) in
-          if Container.throttled c then begin
+          if Container.throttled c then
             (* never run a throttled tenant's policy: the manager seizes
                directly, free slots first, never below the minimum *)
-            let rec take k =
-              if
-                k > 0
-                && Container.frames_held c > Container.min_frames c
-                && seize_one t c ~flush_dirty:true
-              then take (k - 1)
-            in
-            take want
-          end
+            ignore (seize t c ~flush_dirty:true ~floor:true ~limit:want ~until_free:max_int)
           else begin
             (match Operand.write_int (Container.operands c) Operand.Std.reclaim_target
                      want
@@ -507,10 +527,7 @@ let reclaim_from_specific t ~need ~exclude =
             | Ok () -> ()
             | Error _ -> ());
             t.stats.reclaim_events <- t.stats.reclaim_events + 1;
-            (match
-               handle_outcome t c (run_event_raw t c ~event:Events.reclaim_frame)
-             with
-            | Ok _ | Error (`Timed_out | `Demoted _) -> ())
+            ignore (run_event t c ~event:Events.reclaim_frame)
           end;
           walk rest
         end
@@ -518,32 +535,19 @@ let reclaim_from_specific t ~need ~exclude =
   walk victims;
   max 0 (Frame.Table.free_count tbl - start_free)
 
+(* Seize frames FAFR until [need] are free.  A throttled tenant cannot
+   defend itself by policy, so forced seizure respects its guaranteed
+   floor.  Seizure runs no policy, so the walk needs no snapshot. *)
 let forced_reclaim t ~need ~exclude =
   let tbl = Kernel.frame_table t.kernel in
   let start_free = Frame.Table.free_count tbl in
-  let rec walk = function
-    | [] -> ()
-    | c :: rest ->
-        if Frame.Table.free_count tbl - start_free >= need then ()
-        else begin
-          (match exclude with
-          | Some e when same_container e c -> ()
-          | Some _ | None ->
-              let rec take () =
-                if
-                  Frame.Table.free_count tbl - start_free < need
-                  (* a throttled tenant cannot defend itself by policy,
-                     so forced seizure respects its guaranteed floor *)
-                  && ((not (Container.throttled c))
-                     || Container.frames_held c > Container.min_frames c)
-                  && seize_one t c ~flush_dirty:true
-                then take ()
-              in
-              take ());
-          walk rest
-        end
-  in
-  walk t.containers;
+  Queue.iter
+    (fun c ->
+      if not (excluded exclude c) then
+        ignore
+          (seize t c ~flush_dirty:true ~floor:(Container.throttled c) ~limit:max_int
+             ~until_free:(start_free + need)))
+    t.ledger;
   max 0 (Frame.Table.free_count tbl - start_free)
 
 (* Ensure the machine free pool holds at least [need] frames above the
@@ -576,11 +580,10 @@ let ensure_free t ~need ~exclude =
 (* Future work #1 of the paper: direct frame migration between relevant
    specific applications.  Frames move list-to-list; the global
    specific_total is unchanged. *)
-let migrate t ~src ~dst ~n =
+let migrate (_ : t) ~src ~dst ~n =
   if Container.id src = Container.id dst then
     invalid_arg "Frame_manager.migrate: src and dst are the same container";
-  let admitted c = List.exists (same_container c) t.containers in
-  if not (admitted src && admitted dst) then
+  if not (Container.admitted src && Container.admitted dst) then
     invalid_arg "Frame_manager.migrate: container not admitted";
   let rec move k =
     if k = 0 then n
@@ -612,134 +615,68 @@ let balance ?exclude t =
    back above the daemon's watermarks.  Never below a tenant's minimum:
    the guaranteed floor survives even an Emergency. *)
 let emergency_seize t ~level =
-  let tbl = Kernel.frame_table t.kernel in
   let daemon = Kernel.pageout t.kernel in
   let target = Pageout.free_target daemon + Pageout.reserved daemon in
   let overage c = Container.frames_held c - Container.min_frames c in
-  let victims =
-    List.filter (fun c -> overage c > 0 && not (Container.executing c))
-      t.containers
-    |> List.stable_sort (fun a b -> compare (overage b) (overage a))
-  in
-  List.iter
-    (fun c ->
-      if Frame.Table.free_count tbl < target then begin
-        let taken = ref 0 in
-        let rec take () =
-          if
-            Frame.Table.free_count tbl < target
-            && Container.frames_held c > Container.min_frames c
-            && seize_one t c ~flush_dirty:true
-          then begin
-            incr taken;
-            take ()
-          end
-        in
-        take ();
-        if !taken > 0 then begin
-          t.stats.emergency_seizures <- t.stats.emergency_seizures + 1;
-          t.stats.emergency_frames <- t.stats.emergency_frames + !taken;
-          Log.warn (fun m ->
-              m "emergency seizure: took %d frames from %a" !taken Container.pp c);
-          Tr.seize ~container:(Container.id c) ~frames:!taken
-            ~level:(Pressure.severity level)
-        end
-      end)
-    victims
+  snapshot t (fun c -> overage c > 0 && not (Container.executing c))
+  |> List.stable_sort (fun a b -> compare (overage b) (overage a))
+  |> List.iter (fun c ->
+         let taken =
+           seize t c ~flush_dirty:true ~floor:true ~limit:max_int ~until_free:target
+         in
+         if taken > 0 then begin
+           t.stats.emergency_seizures <- t.stats.emergency_seizures + 1;
+           t.stats.emergency_frames <- t.stats.emergency_frames + taken;
+           Log.warn (fun m ->
+               m "emergency seizure: took %d frames from %a" taken Container.pp c);
+           Tr.seize ~container:(Container.id c) ~frames:taken
+             ~level:(Pressure.severity level)
+         end)
 
-(* Admission under pressure: at Critical and above new tenants queue (or
-   are rejected with a typed reason) instead of carving up an already
-   starved pool. *)
-let critical_or_worse level = Pressure.severity level >= Pressure.severity Pressure.Critical
-
-let admit_now t container =
-  let need = Container.min_frames container in
-  Log.debug (fun m -> m "admission: %a wants %d frames" Container.pp container need);
-  if not (ensure_free t ~need ~exclude:(Some container)) then
-    Error
-      (No_memory
-         (Printf.sprintf "frame manager: cannot satisfy minFrame request of %d frames"
-            need))
-  else begin
-    (* the pool can still shrink between ensure_free and the
-       allocation: a short grant rejects the admission, never crashes *)
-    let got = grant_frames t container need in
-    if got < need then
-      Error
-        (No_memory
-           (Printf.sprintf
-              "frame manager: free pool shrank under minFrame request of %d frames" need))
-    else begin
-      t.containers <- t.containers @ [ container ];
-      balance t ~exclude:container;
-      Ok ()
-    end
-  end
-
-let try_admit ?(queue = true) t container =
+(* Admission: at Critical pressure and above a new tenant is shed with a
+   typed reason instead of carving up an already starved pool; below
+   it, the tenant gets its [min_frames] or is refused for memory. *)
+let admit t container =
   let level = pressure_level t in
-  if critical_or_worse level then
-    if queue then begin
-      Queue.add container t.pending_admissions;
-      t.stats.admissions_queued <- t.stats.admissions_queued + 1;
-      Log.info (fun m ->
-          m "admission of %a queued (pressure %s)" Container.pp container
-            (Pressure.level_name level));
-      (* direct: no event marks an admission *)
-      if Mx.on () then Mx.incr "hipec.manager.admissions.queued";
-      Ok `Queued
-    end
+  let admitted =
+    if Pressure.severity level >= Pressure.severity Pressure.Critical then
+      Error (Overloaded level)
     else begin
+      let need = Container.min_frames container in
+      Log.debug (fun m -> m "admission: %a wants %d frames" Container.pp container need);
+      if not (ensure_free t ~need ~exclude:(Some container)) then
+        Error
+          (No_memory
+             (Printf.sprintf "frame manager: cannot satisfy minFrame request of %d frames"
+                need))
+      else if
+        (* the pool can still shrink between ensure_free and the
+           allocation: a short grant rejects the admission, never crashes *)
+        grant_frames t container need < need
+      then
+        Error
+          (No_memory
+             (Printf.sprintf
+                "frame manager: free pool shrank under minFrame request of %d frames" need))
+      else begin
+        Queue.add container t.ledger;
+        Container.set_admitted container true;
+        balance t ~exclude:container;
+        Ok ()
+      end
+    end
+  in
+  (match admitted with
+  | Ok () -> ()
+  | Error _ ->
       t.stats.admissions_rejected <- t.stats.admissions_rejected + 1;
       (* direct: no event marks an admission *)
-      if Mx.on () then Mx.incr "hipec.manager.admissions.rejected";
-      Error (Overloaded level)
-    end
-  else
-    match admit_now t container with
-    | Ok () -> Ok `Admitted
-    | Error e ->
-        t.stats.admissions_rejected <- t.stats.admissions_rejected + 1;
-        (* direct: no event marks an admission *)
-        if Mx.on () then Mx.incr "hipec.manager.admissions.rejected";
-        Error e
-
-let admit t container =
-  match try_admit ~queue:false t container with
-  | Ok `Admitted -> Ok ()
-  | Ok `Queued -> assert false  (* ~queue:false never queues *)
-  | Error e -> Error (admission_error_message e)
-
-(* Drain the admission queue once pressure recedes below Critical.
-   Tenants whose task died while waiting are dropped; a failed grant
-   counts as a rejection (the waiter is not re-queued — memory did not
-   recover enough). *)
-let drain_admissions t =
-  let rec loop () =
-    if (not (critical_or_worse (pressure_level t))) && not (Queue.is_empty t.pending_admissions)
-    then begin
-      let container = Queue.pop t.pending_admissions in
-      if Task.alive (Container.task container) && not (Container.degraded container)
-      then begin
-        match admit_now t container with
-        | Ok () ->
-            Log.info (fun m -> m "queued admission of %a granted" Container.pp container)
-        | Error e ->
-            t.stats.admissions_rejected <- t.stats.admissions_rejected + 1;
-            (* direct: no event marks an admission *)
-            if Mx.on () then Mx.incr "hipec.manager.admissions.rejected";
-            Log.info (fun m ->
-                m "queued admission of %a rejected: %s" Container.pp container
-                  (admission_error_message e))
-      end;
-      loop ()
-    end
-  in
-  loop ()
+      if Mx.on () then Mx.incr "hipec.manager.admissions.rejected");
+  admitted
 
 (* Wire the manager to the kernel's pressure controller (which must
    already be enabled): entering Emergency triggers kernel-directed
-   seizure; receding below Critical drains queued admissions. *)
+   seizure. *)
 let attach_pressure t =
   match Kernel.pressure t.kernel with
   | None -> invalid_arg "Frame_manager.attach_pressure: kernel pressure not enabled"
@@ -748,37 +685,35 @@ let attach_pressure t =
           if
             Pressure.severity next >= Pressure.severity Pressure.Emergency
             && Pressure.severity prev < Pressure.severity Pressure.Emergency
-          then emergency_seize t ~level:next;
-          if not (critical_or_worse next) then drain_admissions t)
+          then emergency_seize t ~level:next)
 
 (* Isolation invariants, exported as an {!Hipec_vm.Audit.register_check}
    closure: the manager's specific accounting must agree with the sum of
    container balances, and a throttled tenant must still own its
    guaranteed floor (emergency seizure and forced reclaim both stop at
-   [min_frames]).  Violations name the offending container.  One walk
-   sums the balances and collects floor violations in container order;
-   the total's violation comes first. *)
-let rec audit_walk t held floors = function
-  | c :: rest ->
-      let floors =
+   [min_frames]).  Violations name the offending container: the total's
+   first, then each floor's in ledger order.  Both folds over the ledger
+   allocate nothing while it is clean. *)
+let audit_check t () =
+  let held = fold_containers (fun held c -> held + Container.frames_held c) 0 t in
+  let floors =
+    fold_containers
+      (fun floors c ->
         if Container.throttled c && Container.frames_held c < Container.min_frames c then
           ( "hipec-throttle-floor",
             Format.asprintf "%a holds %d < min %d while throttled" Container.pp c
               (Container.frames_held c) (Container.min_frames c) )
           :: floors
-        else floors
-      in
-      audit_walk t (held + Container.frames_held c) floors rest
-  | [] ->
-      (* [List.rev []] is [[]]: a clean walk allocates nothing *)
-      let floors = List.rev floors in
-      if held <> t.specific_total then
-        ( "hipec-specific-total",
-          Printf.sprintf "specific_total=%d but containers hold %d" t.specific_total held )
-        :: floors
-      else floors
-
-let audit_check t () = audit_walk t 0 [] t.containers
+        else floors)
+      [] t
+  in
+  (* [List.rev []] is [[]]: a clean check allocates nothing *)
+  let floors = List.rev floors in
+  if held <> t.specific_total then
+    ( "hipec-specific-total",
+      Printf.sprintf "specific_total=%d but containers hold %d" t.specific_total held )
+    :: floors
+  else floors
 
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)
@@ -831,13 +766,6 @@ let request t container n =
       end
     end
   end
-
-let run_event t container ~event =
-  let outcome = run_event_raw t container ~event in
-  (match outcome with
-  | Executor.Runtime_error _ -> ignore (handle_outcome t container outcome)
-  | Executor.Returned _ | Executor.Timed_out -> ());
-  outcome
 
 (* Kernel-run default policy over a throttled container's own lists: a
    free slot if any, else FIFO-second-chance over its inactive/active
@@ -957,7 +885,7 @@ let create ~kernel ?(burst_fraction = 0.5) ?max_steps () =
     {
       kernel;
       executor = None;
-      containers = [];
+      ledger = Queue.create ();
       partition_burst =
         int_of_float
           (burst_fraction *. float_of_int (Frame.Table.free_count (Kernel.frame_table kernel)));
@@ -965,7 +893,6 @@ let create ~kernel ?(burst_fraction = 0.5) ?max_steps () =
       fuel_quota = 0;
       fuel_window = T.ms 10;
       fuel_cooldown = T.ms 50;
-      pending_admissions = Queue.create ();
       stats =
         {
           requests_granted = 0;
@@ -976,7 +903,6 @@ let create ~kernel ?(burst_fraction = 0.5) ?max_steps () =
           forced_seizures = 0;
           flush_writes = 0;
           demotions = 0;
-          admissions_queued = 0;
           admissions_rejected = 0;
           throttles_entered = 0;
           throttles_exited = 0;

@@ -7,7 +7,16 @@
     normally through each victim container's [ReclaimFrame] event in
     FAFR (First Allocated, First Reclaimed) order, forcibly by seizing
     frames — and performs all paging I/O on behalf of policies so the
-    executor never waits on the disk. *)
+    executor never waits on the disk.
+
+    The manager has one way in and one way out.  {!admit} appends a
+    container to the FAFR ledger (a queue, so admission is O(1)) and
+    sets its {!Container.admitted} flag.  {!demote} and
+    {!remove_container} both retire it: the ledger is rebuilt without
+    it and the flag cleared, before any of its frames move.  Every
+    forced take of frames — from a throttled reclaim victim, by forced
+    reclamation, by emergency seizure, or at removal — goes through one
+    seizure loop. *)
 
 open Hipec_vm
 
@@ -32,16 +41,13 @@ val specific_total : t -> int
 (** Frames currently held by all containers. *)
 
 val containers : t -> Container.t list
-(** In allocation (FAFR) order. *)
+(** A fresh list of the ledger, in allocation (FAFR) order. *)
+
+val fold_containers : ('a -> Container.t -> 'a) -> 'a -> t -> 'a
+(** Fold over the ledger in FAFR order without copying it.  [f] must
+    not admit, demote or remove a container. *)
 
 (** {1 Container lifecycle} *)
-
-val admit : t -> Container.t -> (unit, string) result
-(** Grant the container its [min_frames] private list, reclaiming from
-    the default pool and then from older containers if needed; reject
-    when physical memory cannot cover the request — or, under
-    [Critical]+ memory pressure, shed the admission outright (see
-    {!try_admit} for the typed reason and the queueing variant). *)
 
 (** Why an admission was refused: shed by the admission governor under
     pressure, or physical memory genuinely cannot cover [min_frames]. *)
@@ -51,25 +57,20 @@ type admission_error =
 
 val admission_error_message : admission_error -> string
 
-val try_admit :
-  ?queue:bool ->
-  t ->
-  Container.t ->
-  ([ `Admitted | `Queued ], admission_error) result
-(** Admission with overload control: below [Critical] pressure this is
-    {!admit}.  At [Critical] and above the admission is queued (default)
-    or, with [~queue:false], rejected as {!admission_error.Overloaded}.
-    Queued admissions are granted in arrival order when pressure recedes
-    (see {!drain_admissions}, called automatically from the pressure
-    listener installed by {!attach_pressure}). *)
-
-val pending_admissions : t -> int
-val drain_admissions : t -> unit
+val admit : t -> Container.t -> (unit, admission_error) result
+(** Grant the container its [min_frames] private list, reclaiming from
+    the default pool and then from older containers if needed, and
+    append it to the ledger.  At [Critical] pressure or above the
+    admission is shed as [Overloaded]; below it, [No_memory] when
+    physical memory cannot cover [min_frames].  Every refusal counts in
+    [admissions_rejected] and [hipec.manager.admissions.rejected]; a
+    refused tenant may try again later. *)
 
 val remove_container : t -> Container.t -> flush_dirty:bool -> unit
 (** Tear a container down, returning every frame it holds.  With
     [flush_dirty] the resident dirty pages are written back first
-    (voluntary deallocation); without, they are dropped (task killed). *)
+    (voluntary deallocation); without, they are dropped (task killed).
+    A no-op for a container that is not admitted. *)
 
 val demote : t -> Container.t -> reason:string -> unit
 (** Policy fallback: retire the container's policy and hand the region
@@ -101,10 +102,14 @@ val request : t -> Container.t -> int -> bool
 
 val reclaim_from_specific : t -> need:int -> exclude:Container.t option -> int
 (** Normal reclamation: walk containers FAFR, running [ReclaimFrame]
-    on those holding more than their minimum.  Returns frames freed. *)
+    on those holding more than their minimum, until [need] frames are
+    free.  The victims are chosen before the first policy runs.  A
+    throttled victim's policy never runs: its frames are seized
+    directly, never below its minimum.  Returns frames freed. *)
 
 val forced_reclaim : t -> need:int -> exclude:Container.t option -> int
-(** Seize frames (free slots first, then resident pages) FAFR. *)
+(** Seize frames (free slots first, then resident pages) FAFR until
+    [need] are free; a throttled tenant keeps its minimum. *)
 
 val migrate : t -> src:Container.t -> dst:Container.t -> n:int -> int
 (** Move up to [n] free slots from [src]'s private free list directly
@@ -140,17 +145,18 @@ val fuel_window : t -> Hipec_sim.Sim_time.t
 val fuel_cooldown : t -> Hipec_sim.Sim_time.t
 
 val emergency_seize : t -> level:Pressure.level -> unit
-(** Kernel-directed seizure from the largest-over-minimum tenants until
-    the free pool is back above the daemon watermarks — the policies are
-    bypassed but the seizures are traced ({!Hipec_trace.Event.Seize}).
-    Never takes a tenant below [min_frames]. *)
+(** Kernel-directed seizure from the largest-over-minimum tenants (FAFR
+    among equal overages) until the free pool is back at the daemon's
+    free target plus its reserve — the policies are bypassed but the
+    seizures are traced ({!Hipec_trace.Event.Seize}).  Never takes a
+    tenant below [min_frames], and skips a tenant whose policy is
+    executing. *)
 
 val attach_pressure : t -> unit
 (** Subscribe the manager to the kernel's pressure controller (which
     must already be enabled via {!Hipec_vm.Kernel.enable_pressure}):
-    entering [Emergency] triggers {!emergency_seize}; receding below
-    [Critical] drains queued admissions.  Raises [Invalid_argument] if
-    pressure is not enabled. *)
+    entering [Emergency] triggers {!emergency_seize}.  Raises
+    [Invalid_argument] if pressure is not enabled. *)
 
 val audit_check : t -> unit -> (string * string) list
 (** Isolation invariants for {!Hipec_vm.Audit.register_check}: specific
@@ -169,7 +175,6 @@ type stats = {
   mutable forced_seizures : int;
   mutable flush_writes : int;
   mutable demotions : int;
-  mutable admissions_queued : int;
   mutable admissions_rejected : int;
   mutable throttles_entered : int;
   mutable throttles_exited : int;

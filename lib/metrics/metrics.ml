@@ -207,13 +207,7 @@ module Registry = struct
      across runs; normalize them to dense first-seen order (exactly like
      the trace sink's id spaces) so snapshots are run-position
      independent. *)
-  let norm_container t raw =
-    match Int_table.find_opt t.norm raw with
-    | Some v -> v
-    | None ->
-        let v = Int_table.length t.norm in
-        Int_table.replace t.norm raw v;
-        v
+  let norm_container t raw = Int_table.dense_id t.norm raw
 
   let tick_ns t = t.tick_ns
 
@@ -374,18 +368,7 @@ module Registry = struct
     in
     lines @ prof
 
-  let json_escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+  let json_escape = Hipec_trace.Event.json_escape
 
   let default_opcode_name i = Printf.sprintf "op%02d" i
 

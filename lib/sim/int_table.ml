@@ -99,3 +99,11 @@ let iter f t =
 let reset t =
   alloc t t.initial;
   t.count <- 0
+
+let dense_id t raw =
+  match find_opt t raw with
+  | Some dense -> dense
+  | None ->
+      let dense = t.count in
+      replace t raw dense;
+      dense

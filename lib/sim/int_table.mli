@@ -42,3 +42,10 @@ val iter : (int -> 'a -> unit) -> 'a t -> unit
 
 val reset : 'a t -> unit
 (** Empty the table and shrink it back to its created size. *)
+
+val dense_id : int t -> int -> int
+(** The dense id of a raw id: 0, 1, 2 … in order of first sight.  A raw
+    id seen before keeps its dense id; after {!reset} numbering starts
+    again at 0.  Trace and metrics normalize process-global ids (tasks,
+    objects, containers) this way, so outputs do not depend on what ran
+    earlier in the process.  Allocates only on first sight. *)

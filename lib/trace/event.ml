@@ -334,17 +334,24 @@ let decode s ~pos ~seq =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let json_escape s =
+  if not (String.exists needs_escape s) then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
 
 let fault_kind_name = function
   | Soft -> "soft"
@@ -373,9 +380,7 @@ let to_json b ev =
     Buffer.add_string b (Printf.sprintf ",\"%s\":%b" k v)
   in
   let field_str k v =
-    Buffer.add_string b (Printf.sprintf ",\"%s\":\"" k);
-    json_escape b v;
-    Buffer.add_char b '"'
+    Buffer.add_string b (Printf.sprintf ",\"%s\":\"%s\"" k (json_escape v))
   in
   Buffer.add_string b
     (Printf.sprintf "{\"seq\":%d,\"t_ns\":%d,\"kind\":\"%s\"" ev.seq

@@ -167,4 +167,11 @@ val decode_varint : string -> int ref -> int
 (** {1 Rendering} *)
 
 val to_json : Buffer.t -> t -> unit
+
+val json_escape : string -> string
+(** The body of a JSON string literal for [s]: quote, backslash and
+    control characters escaped.  Returns [s] itself when nothing needs
+    escaping.  Trace export, the metrics registry's JSON and the CLI's
+    JSON output all escape with it. *)
+
 val pp : Format.formatter -> t -> unit

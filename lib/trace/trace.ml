@@ -80,15 +80,7 @@ let collected cat =
   | None -> ());
   Encoder.clear scratch
 
-(* Dense ids in first-seen order. *)
-let norm space raw =
-  let ids = norm_tables.(space) in
-  match Int_table.find_opt ids raw with
-  | Some dense -> dense
-  | None ->
-      let dense = Int_table.length ids in
-      Int_table.replace ids raw dense;
-      dense
+let norm space raw = Int_table.dense_id norm_tables.(space) raw
 
 (* ------------------------------------------------------------------ *)
 (* The collector and the consumer                                      *)
@@ -447,7 +439,8 @@ module Recorded = struct
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" k v))
+        Buffer.add_string b
+          (Printf.sprintf "\"%s\":\"%s\"" (Event.json_escape k) (Event.json_escape v)))
       t.meta;
     Buffer.add_string b
       (Printf.sprintf "},\"digest\":\"%s\",\"events\":[" (digest_hex t.digest));

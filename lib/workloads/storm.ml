@@ -104,7 +104,6 @@ type result = {
   throttles_exited : int;
   emergency_seizures : int;
   emergency_frames : int;
-  admissions_queued : int;
   admissions_rejected : int;
   total_faults : int;
   faults_per_sec : float;
@@ -360,7 +359,6 @@ let run config =
     throttles_exited = stats.Frame_manager.throttles_exited;
     emergency_seizures = stats.Frame_manager.emergency_seizures;
     emergency_frames = stats.Frame_manager.emergency_frames;
-    admissions_queued = stats.Frame_manager.admissions_queued;
     admissions_rejected = stats.Frame_manager.admissions_rejected;
     total_faults;
     faults_per_sec =
@@ -416,13 +414,13 @@ let pp_result fmt r =
      demotions          %d@,\
      throttles          %d entered, %d exited@,\
      emergency seizure  %d events, %d frames@,\
-     admissions         %d queued, %d rejected@,\
+     admissions         %d rejected@,\
      pressure           %d changes, peak %s, final %s@,\
      auditor            %d sweeps, %d violations@,%a\
      conservation       %s@,\
      digest             %s@]"
     r.task_kills r.demotions r.throttles_entered r.throttles_exited
-    r.emergency_seizures r.emergency_frames r.admissions_queued r.admissions_rejected
+    r.emergency_seizures r.emergency_frames r.admissions_rejected
     r.pressure_changes r.peak_level r.final_level r.audit_sweeps r.audit_violations
     (fun fmt -> Option.iter (Format.fprintf fmt "first violation    %s@,"))
     r.first_violation

@@ -88,7 +88,6 @@ type result = {
   throttles_exited : int;
   emergency_seizures : int;
   emergency_frames : int;
-  admissions_queued : int;
   admissions_rejected : int;
   total_faults : int;
   faults_per_sec : float;  (** per simulated second *)

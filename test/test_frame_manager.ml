@@ -544,7 +544,7 @@ let test_fuel_window_resets () =
     (Frame_manager.stats manager).Frame_manager.throttles_entered
 
 (* a bare container the frame manager has not seen yet, for driving
-   try_admit directly *)
+   admission directly *)
 let raw_container kernel ~min_frames =
   let task = Kernel.create_task kernel () in
   let region = Kernel.vm_allocate kernel task ~npages:32 in
@@ -556,7 +556,7 @@ let raw_container kernel ~min_frames =
   Container.create ~task ~obj:region.Vm_map.obj ~region
     ~program:(Policies.fifo_second_chance ()) ~operands ~queues ~min_frames ()
 
-let test_admission_shed_and_drain () =
+let test_admission_shed () =
   let config =
     { Kernel.default_config with Kernel.total_frames = 256; hipec_kernel = true }
   in
@@ -573,43 +573,24 @@ let test_admission_shed_and_drain () =
   Alcotest.(check bool) "pressure critical or worse" true
     (Pressure.severity (Frame_manager.pressure_level manager)
     >= Pressure.severity Pressure.Critical);
-  (* default path queues the admission... *)
-  let waiting = raw_container kernel ~min_frames:8 in
-  (match Frame_manager.try_admit manager waiting with
-  | Ok `Queued -> ()
-  | Ok `Admitted -> Alcotest.fail "admitted under Critical pressure"
-  | Error e -> Alcotest.fail (Frame_manager.admission_error_message e));
-  Alcotest.(check int) "one admission waiting" 1
-    (Frame_manager.pending_admissions manager);
-  Alcotest.(check int) "no frames yet" 0 (Container.frames_held waiting);
-  (* ...and the no-queue path sheds with a typed reason *)
   let shed = raw_container kernel ~min_frames:8 in
-  (match Frame_manager.try_admit ~queue:false manager shed with
+  (match Frame_manager.admit manager shed with
   | Error (Frame_manager.Overloaded _) -> ()
   | Error (Frame_manager.No_memory e) -> Alcotest.fail ("wrong rejection: " ^ e)
-  | Ok _ -> Alcotest.fail "admitted under Critical pressure");
+  | Ok () -> Alcotest.fail "admitted under Critical pressure");
   Alcotest.(check int) "rejection counted" 1
     (Frame_manager.stats manager).Frame_manager.admissions_rejected;
-  (* release the hog: pressure recovers one step per evaluation and the
-     transition below Critical drains the queue automatically *)
-  Kernel.vm_deallocate kernel hog_task hog;
-  for _ = 1 to 4 do
-    Kernel.check_pressure kernel
-  done;
-  Alcotest.(check bool) "pressure receded" true
-    (Pressure.severity (Frame_manager.pressure_level manager)
-    < Pressure.severity Pressure.Critical);
-  Alcotest.(check int) "queue drained" 0 (Frame_manager.pending_admissions manager);
-  Alcotest.(check bool) "waiter granted its floor" true
-    (Container.frames_held waiting >= Container.min_frames waiting);
+  Alcotest.(check int) "no frames granted" 0 (Container.frames_held shed);
+  Alcotest.(check bool) "not on the ledger" false (Container.admitted shed);
   Alcotest.(check (list (pair string string))) "audit checks clean" []
     (Frame_manager.audit_check manager ());
   Alcotest.(check bool) "frames conserved" true
     (Frame.Table.check_conservation (Kernel.frame_table kernel))
 
-(* The isolation check is one walk over the containers.  Clean, it
-   allocates nothing; with planted breaks it reports the total first,
-   then each throttled tenant below its floor, in container order. *)
+(* The isolation check folds over the ledger without copying it.
+   Clean, it allocates nothing; with planted breaks it reports the
+   total first, then each throttled tenant below its floor, in
+   container order. *)
 let test_audit_check_one_walk () =
   let h = make cheap_probe in
   let manager = Api.manager h.sys in
@@ -617,7 +598,7 @@ let test_audit_check_one_walk () =
     (fun c ->
       match Frame_manager.admit manager c with
       | Ok () -> ()
-      | Error e -> Alcotest.fail ("admit: " ^ e))
+      | Error e -> Alcotest.fail ("admit: " ^ Frame_manager.admission_error_message e))
     (List.init 2 (fun _ -> raw_container h.kernel ~min_frames:4));
   let audit = Frame_manager.audit_check manager in
   Alcotest.(check (list (pair string string))) "clean" [] (audit ());
@@ -645,6 +626,126 @@ let test_audit_check_one_walk () =
        Printf.sprintf "specific_total=%d but containers hold 0" total )
     :: List.map floor all)
     (audit ())
+
+(* ------------------------------------------------------------------ *)
+(* Victim order: normal reclamation and emergency seizure              *)
+(* ------------------------------------------------------------------ *)
+
+(* A frame manager on a 512-frame machine with no tenant yet. *)
+let bare_manager () =
+  let config =
+    { Kernel.default_config with Kernel.total_frames = 512; hipec_kernel = true }
+  in
+  let kernel = Kernel.create ~config () in
+  let sys = Api.init ~start_checker:false kernel in
+  (kernel, Api.manager sys)
+
+(* Admit [c] and grow it to [held] free slots. *)
+let admit_holding manager c ~held =
+  (match Frame_manager.admit manager c with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "admission refused");
+  let extra = held - Container.frames_held c in
+  if extra > 0 && not (Frame_manager.request manager c extra) then
+    Alcotest.fail "request refused"
+
+(* Hold frames outside every tenant until the pool has [free] left. *)
+let drain_pool kernel ~free =
+  let tbl = Kernel.frame_table kernel in
+  ignore (Frame.Table.alloc_many tbl (Frame.Table.free_count tbl - free))
+
+(* Emergency seizure takes from the largest overage first, in FAFR
+   order among equal overages, takes no tenant below its minimum,
+   skips a tenant whose policy is executing, and stops as soon as the
+   pool is back at the daemon's free target plus its reserve. *)
+let test_emergency_seize_order () =
+  let kernel, manager = bare_manager () in
+  let tenant ~min ~held =
+    let c = raw_container kernel ~min_frames:min in
+    admit_holding manager c ~held;
+    c
+  in
+  let a = tenant ~min:4 ~held:8 in
+  let b = tenant ~min:4 ~held:12 in
+  let c = tenant ~min:2 ~held:10 in
+  let busy = tenant ~min:4 ~held:20 in
+  Container.start_execution busy ~at:(Kernel.now kernel);
+  let daemon = Kernel.pageout kernel in
+  let target = Pageout.free_target daemon + Pageout.reserved daemon in
+  drain_pool kernel ~free:(target - 10);
+  Frame_manager.emergency_seize manager ~level:Pressure.Emergency;
+  Alcotest.(check int) "pool back at the target" target
+    (Frame.Table.free_count (Kernel.frame_table kernel));
+  Alcotest.(check int) "largest overage, first admitted: down to its floor" 4
+    (Container.frames_held b);
+  Alcotest.(check int) "equal overage, admitted later: the remainder" 8
+    (Container.frames_held c);
+  Alcotest.(check int) "smaller overage untouched" 8 (Container.frames_held a);
+  Alcotest.(check int) "executing tenant skipped" 20 (Container.frames_held busy);
+  let stats = Frame_manager.stats manager in
+  Alcotest.(check int) "two seizure events" 2 stats.Frame_manager.emergency_seizures;
+  Alcotest.(check int) "ten frames seized" 10 stats.Frame_manager.emergency_frames
+
+(* Normal reclamation runs each victim's ReclaimFrame in FAFR order —
+   the order of admission, not of creation — and stops once [need]
+   frames are free. *)
+let test_reclaim_visits_fafr () =
+  let kernel, manager = bare_manager () in
+  let a = raw_container kernel ~min_frames:4 in
+  let b = raw_container kernel ~min_frames:4 in
+  let c = raw_container kernel ~min_frames:4 in
+  List.iter (fun x -> admit_holding manager x ~held:8) [ c; a; b ];
+  let runs = List.map Container.events_run [ a; b; c ] in
+  let got = Frame_manager.reclaim_from_specific manager ~need:6 ~exclude:None in
+  Alcotest.(check int) "frames freed" 6 got;
+  Alcotest.(check (list int)) "held: c gave its overage, a the rest, b nothing"
+    [ 6; 8; 4 ]
+    (List.map Container.frames_held [ a; b; c ]);
+  Alcotest.(check (list int)) "ReclaimFrame ran on c and a only" [ 1; 0; 1 ]
+    (List.map2 (fun x r -> Container.events_run x - r) [ a; b; c ] runs)
+
+(* A throttled victim's policy never runs: reclamation seizes its
+   frames directly, down to its minimum, and moves on. *)
+let test_reclaim_seizes_throttled () =
+  let kernel, manager = bare_manager () in
+  let a = raw_container kernel ~min_frames:4 in
+  let b = raw_container kernel ~min_frames:4 in
+  List.iter (fun x -> admit_holding manager x ~held:8) [ a; b ];
+  let now = Kernel.now kernel in
+  Container.set_throttled a ~since:now ~until:(T.add now (T.ms 100));
+  let runs_a = Container.events_run a and runs_b = Container.events_run b in
+  let stats = Frame_manager.stats manager in
+  let seized = stats.Frame_manager.forced_seizures in
+  let got = Frame_manager.reclaim_from_specific manager ~need:6 ~exclude:None in
+  Alcotest.(check int) "frames freed" 6 got;
+  Alcotest.(check int) "throttled victim seized to its floor" 4 (Container.frames_held a);
+  Alcotest.(check int) "its policy did not run" runs_a (Container.events_run a);
+  Alcotest.(check int) "four forced seizures" (seized + 4)
+    stats.Frame_manager.forced_seizures;
+  Alcotest.(check bool) "still throttled" true (Container.throttled a);
+  Alcotest.(check int) "next victim's policy gave the rest" 6 (Container.frames_held b);
+  Alcotest.(check int) "its policy ran once" (runs_b + 1) (Container.events_run b)
+
+(* Admission appends to the FAFR ledger in O(1): admitting the 1,000th
+   tenant allocates what admitting the 10th does, within a few words. *)
+let test_admit_allocation_flat () =
+  let config =
+    { Kernel.default_config with Kernel.total_frames = 4096; hipec_kernel = true }
+  in
+  let kernel = Kernel.create ~config () in
+  let manager = Api.manager (Api.init ~start_checker:false kernel) in
+  let admit_words () =
+    let c = raw_container kernel ~min_frames:1 in
+    let w0 = Gc.minor_words () in
+    let admitted = Frame_manager.admit manager c in
+    let words = Gc.minor_words () -. w0 in
+    (match admitted with Ok () -> () | Error _ -> Alcotest.fail "admission refused");
+    words
+  in
+  let words = Array.init 1_000 (fun _ -> admit_words ()) in
+  let w10 = words.(9) and w1000 = words.(999) in
+  if w1000 -. w10 > 16. then
+    Alcotest.failf "admitting the 1000th tenant: %.0f words, the 10th: %.0f" w1000 w10
 
 (* ------------------------------------------------------------------ *)
 (* Property: admissions, seizures and removals conserve frames         *)
@@ -679,9 +780,9 @@ let overload_conservation_prop =
         (match choice mod 5 with
         | 0 | 1 ->
             let c = raw_container kernel ~min_frames:(4 + (choice / 5 mod 3) * 8) in
-            (match Frame_manager.try_admit ~queue:false manager c with
-            | Ok `Admitted -> admitted := c :: !admitted
-            | Ok `Queued | Error _ -> ())
+            (match Frame_manager.admit manager c with
+            | Ok () -> admitted := c :: !admitted
+            | Error _ -> ())
         | 2 -> (
             match !admitted with
             | c :: _ -> ignore (Frame_manager.request manager c (1 + (choice / 5 mod 4)))
@@ -826,6 +927,12 @@ let () =
         [
           Alcotest.test_case "forced seize unlinks user queues" `Quick
             test_forced_seize_unlinks_user_queue;
+          Alcotest.test_case "emergency: largest overage first" `Quick
+            test_emergency_seize_order;
+          Alcotest.test_case "reclaim visits victims FAFR" `Quick test_reclaim_visits_fafr;
+          Alcotest.test_case "reclaim seizes a throttled victim" `Quick
+            test_reclaim_seizes_throttled;
+          Alcotest.test_case "admission allocates O(1)" `Quick test_admit_allocation_flat;
         ] );
       ( "overload",
         [
@@ -833,8 +940,8 @@ let () =
             test_fuel_throttle_round_trip;
           Alcotest.test_case "window rotation keeps honest policies clear" `Quick
             test_fuel_window_resets;
-          Alcotest.test_case "critical pressure queues and sheds admissions" `Quick
-            test_admission_shed_and_drain;
+          Alcotest.test_case "critical pressure sheds admissions" `Quick
+            test_admission_shed;
           Alcotest.test_case "audit check is one allocation-free walk" `Quick
             test_audit_check_one_walk;
         ] );

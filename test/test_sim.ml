@@ -397,6 +397,17 @@ let test_int_table_lookups_allocate_nothing () =
   (* keys 0..999 are bound to themselves and each is found twice *)
   Alcotest.(check int) "found every bound key" (2 * (999 * 1000 / 2)) !sink
 
+(* Dense ids number raw ids 0, 1, 2 … in order of first sight, keep
+   each raw id's number, and start again at 0 after a reset. *)
+let test_int_table_dense_ids () =
+  let t = Int_table.create 4 in
+  let ids raws = List.map (Int_table.dense_id t) raws in
+  Alcotest.(check (list int)) "first sight" [ 0; 1; 2; 0; 3; 1 ]
+    (ids [ 907; 12; 4096 * 7; 907; -5; 12 ]);
+  Alcotest.(check int) "one binding per raw id" 4 (Int_table.length t);
+  Int_table.reset t;
+  Alcotest.(check (list int)) "after reset" [ 0; 1; 0 ] (ids [ 12; 907; 12 ])
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -569,6 +580,8 @@ let () =
           Alcotest.test_case "min_int is never bound" `Quick test_int_table_min_int;
           Alcotest.test_case "lookups allocate nothing" `Quick
             test_int_table_lookups_allocate_nothing;
+          Alcotest.test_case "dense ids in first-seen order" `Quick
+            test_int_table_dense_ids;
         ] );
       ( "properties",
         qc

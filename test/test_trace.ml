@@ -454,6 +454,32 @@ let test_json_export_parses_shape () =
      in
      find 0)
 
+(* Meta keys and values are escaped in the JSON export: a recording
+   whose meta holds a quote, a backslash or a newline still exports as
+   valid JSON after a save and load. *)
+let test_json_export_escapes_meta () =
+  let r = record_ok (Trace_run.Policy small_cfg) in
+  let r = { r with Trace.Recorded.meta = [ ("say \"hi\"", "line 1\nline 2 \\ end") ] } in
+  let path = "escaped-meta.trace" in
+  Trace.Recorded.save r ~path;
+  let json =
+    match Trace.Recorded.load ~path with
+    | Error e -> Alcotest.fail e
+    | Ok r' -> Trace.Recorded.to_json r'
+  in
+  Sys.remove path;
+  let contains needle =
+    let rec find i =
+      i + String.length needle <= String.length json
+      && (String.sub json i (String.length needle) = needle || find (i + 1))
+    in
+    find 0
+  in
+  Alcotest.(check bool) "escaped meta pair" true
+    (contains {|{"meta":{"say \"hi\"":"line 1\nline 2 \\ end"}|});
+  Alcotest.(check bool) "no raw newline before the events" true
+    (not (String.contains (List.hd (String.split_on_char '[' json)) '\n'))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "trace"
@@ -498,5 +524,7 @@ let () =
           Alcotest.test_case "load detects corruption" `Quick test_load_detects_corruption;
           Alcotest.test_case "diff finds divergence" `Quick test_diff_finds_first_divergence;
           Alcotest.test_case "json export" `Quick test_json_export_parses_shape;
+          Alcotest.test_case "json export escapes meta" `Quick
+            test_json_export_escapes_meta;
         ] );
     ]
