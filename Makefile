@@ -113,16 +113,24 @@ spans-bench:
 	dune exec bench/main.exe -- spans --quick
 
 # the static analyzer over every built-in policy and every pseudo-code
-# example; exits nonzero on any error-severity finding
+# example: each target's JSON report goes into LINT.json, written whole
+# even when a target fails, and the target exits nonzero if any report
+# has an error-severity finding
+LINT_BUILTINS = fifo lru mru clock second-chance adaptive greedy
+
 lint:
-	for p in fifo lru mru clock second-chance adaptive greedy; do \
-	  echo "== builtin:$$p"; \
-	  dune exec bin/hipec_cli.exe -- lint --builtin $$p || exit 1; \
-	done
-	for f in examples/*.hp; do \
-	  echo "== $$f"; \
-	  dune exec bin/hipec_cli.exe -- lint $$f || exit 1; \
-	done
+	dune build bin/hipec_cli.exe
+	status=0; sep=''; \
+	echo '{ "reports": [' > LINT.json; \
+	for t in $(LINT_BUILTINS) examples/*.hp; do \
+	  case $$t in *.hp) args=$$t ;; *) args="--builtin $$t"; t=builtin:$$t ;; esac; \
+	  printf '%s{ "target": "%s", "report":\n' "$$sep" "$$t" >> LINT.json; \
+	  if dune exec bin/hipec_cli.exe -- lint $$args --json >> LINT.json; \
+	  then echo "lint $$t: ok"; else echo "lint $$t: FAILED"; status=1; fi; \
+	  echo '}' >> LINT.json; sep=','; \
+	done; \
+	echo '] }' >> LINT.json; \
+	exit $$status
 
 # the host-time benchmark (BENCHMARK.json) at reduced size: builds
 # hostbench/hostbench.exe against the current library API, runs every

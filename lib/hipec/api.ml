@@ -24,11 +24,10 @@ let manager t = t.manager
 let checker t = t.checker
 
 (* One-call overload protection: engage the kernel's pressure controller,
-   subscribe the frame manager (emergency seizure, admission draining)
-   and arm the per-tenant fuel ledger.  The default quota extends the
+   subscribe the frame manager (emergency seizure) and arm the per-tenant fuel ledger.  The default quota extends the
    executor's per-run step budget into the window: a tenant may burn up
    to four full runs' worth of commands per window before throttling. *)
-let enable_overload ?fuel_quota ?fuel_window ?fuel_cooldown t =
+let enable_overload ?fuel_quota t =
   ignore (Kernel.enable_pressure t.kernel);
   Frame_manager.attach_pressure t.manager;
   let quota =
@@ -36,8 +35,7 @@ let enable_overload ?fuel_quota ?fuel_window ?fuel_cooldown t =
     | Some q -> q
     | None -> 4 * Executor.max_steps (Frame_manager.executor t.manager)
   in
-  Frame_manager.set_fuel_policy ~quota ?window:fuel_window ?cooldown:fuel_cooldown
-    t.manager
+  Frame_manager.set_fuel_quota t.manager quota
 
 type spec = {
   policy : Program.t;

@@ -32,17 +32,12 @@ val kernel : t -> Kernel.t
 val manager : t -> Frame_manager.t
 val checker : t -> Checker.t
 
-val enable_overload :
-  ?fuel_quota:int ->
-  ?fuel_window:Sim_time.t ->
-  ?fuel_cooldown:Sim_time.t ->
-  t ->
-  unit
+val enable_overload : ?fuel_quota:int -> t -> unit
 (** Engage the overload-protection stack in one call: the kernel's
     memory-pressure controller ({!Kernel.enable_pressure}), the frame
     manager's pressure subscription (emergency seizure at [Emergency],
-    admission draining on recovery — {!Frame_manager.attach_pressure})
-    and the per-tenant fuel ledger ({!Frame_manager.set_fuel_policy}).
+    {!Frame_manager.attach_pressure}) and the per-tenant fuel ledger
+    ({!Frame_manager.set_fuel_quota}).
     [fuel_quota] defaults to 4x the executor's per-run step budget.
     Call at most once per [t]; everything is off until this is called,
     so existing runs are byte-identical. *)

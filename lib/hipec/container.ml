@@ -77,6 +77,32 @@ let operands t = t.operands
 let free_queue t = t.queues.Operand.free
 let active_queue t = t.queues.Operand.active
 let inactive_queue t = t.queues.Operand.inactive
+
+let iter_queues t f =
+  let { Operand.free; active; inactive } = t.queues in
+  f free;
+  f active;
+  f inactive;
+  for ix = Operand.Std.first_user to Operand.size - 1 do
+    match Operand.get t.operands ix with
+    | Some (Operand.Queue q) when not (q == free || q == active || q == inactive) -> f q
+    | _ -> ()
+  done
+
+let rec user_queue_of_page t page ix =
+  if ix >= Operand.size then raise Not_found
+  else
+    match Operand.get t.operands ix with
+    | Some (Operand.Queue q) when Page_queue.mem q page -> q
+    | _ -> user_queue_of_page t page (ix + 1)
+
+let queue_of_page t page =
+  let { Operand.free; active; inactive } = t.queues in
+  if Page_queue.mem free page then free
+  else if Page_queue.mem active page then active
+  else if Page_queue.mem inactive page then inactive
+  else user_queue_of_page t page Operand.Std.first_user
+
 let min_frames t = t.min_frames
 let frames_held t = t.frames_held
 let add_frames t n = t.frames_held <- t.frames_held + n

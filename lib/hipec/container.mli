@@ -43,6 +43,21 @@ val free_queue : t -> Page_queue.t
 val active_queue : t -> Page_queue.t
 val inactive_queue : t -> Page_queue.t
 
+(** {1 The container's queues}
+
+    The one definition of the private lists the frame manager owns for
+    this container: the standard slots {!Operand.Std.free_queue},
+    [active_queue] and [inactive_queue] (0x01, 0x03, 0x05), then every
+    user slot from {!Operand.Std.first_user} up to [Operand.size - 1]
+    that holds a [Queue], in ascending order.  A user slot holding a
+    standard queue is skipped.  Neither function allocates. *)
+
+val iter_queues : t -> (Page_queue.t -> unit) -> unit
+
+val queue_of_page : t -> Vm_page.t -> Page_queue.t
+(** The container queue [page] sits on.  Raises [Not_found] when the
+    page is off-queue or on a queue the container does not hold. *)
+
 val min_frames : t -> int
 
 val frames_held : t -> int

@@ -41,11 +41,9 @@ type t = {
   ledger : Container.t Queue.t;
   mutable partition_burst : int;
   mutable specific_total : int;
-  (* fuel ledger configuration; quota 0 disables the whole mechanism so
-     pre-existing runs are byte-identical *)
+  (* the fuel ledger's command budget per window; 0 disables the whole
+     mechanism so pre-existing runs are byte-identical *)
   mutable fuel_quota : int;
-  mutable fuel_window : T.t;
-  mutable fuel_cooldown : T.t;
   stats : stats;
 }
 
@@ -65,13 +63,9 @@ let snapshot t p = List.rev (fold_containers (fun acc c -> if p c then c :: acc 
 let containers t = snapshot t (fun _ -> true)
 let stats t = t.stats
 let fuel_quota t = t.fuel_quota
-let fuel_window t = t.fuel_window
-let fuel_cooldown t = t.fuel_cooldown
-
-let set_fuel_policy ?quota ?window ?cooldown t =
-  (match quota with Some q -> t.fuel_quota <- max 0 q | None -> ());
-  (match window with Some w -> t.fuel_window <- w | None -> ());
-  (match cooldown with Some c -> t.fuel_cooldown <- c | None -> ())
+let set_fuel_quota t q = t.fuel_quota <- max 0 q
+let fuel_window = T.ms 10
+let fuel_cooldown = T.ms 50
 
 let pressure_level t = Kernel.pressure_level t.kernel
 
@@ -194,34 +188,6 @@ let take_free_slots t container n =
   note_gauges t container;
   got
 
-(* The queue a page currently sits on, resolved against this container:
-   its three standard queues first, then any queue parked in a user
-   operand slot.  [None] when the page is off-queue or on a queue this
-   container cannot reach. *)
-let container_queue_of_page container page =
-  match Vm_page.on_queue page with
-  | None -> None
-  | Some qid -> (
-      let std =
-        [
-          Container.free_queue container;
-          Container.inactive_queue container;
-          Container.active_queue container;
-        ]
-      in
-      match List.find_opt (fun q -> Page_queue.id q = qid) std with
-      | Some _ as found -> found
-      | None ->
-          let ops = Container.operands container in
-          let found = ref None in
-          for ix = 0 to Operand.size - 1 do
-            if !found = None then
-              match Operand.get ops ix with
-              | Some (Operand.Queue q) when Page_queue.id q = qid -> found := Some q
-              | _ -> ()
-          done;
-          !found)
-
 (* Seize one frame from the container: a free slot if any, otherwise a
    resident page (inactive, then active queue, then anything bound). *)
 let seize_one t container ~flush_dirty =
@@ -269,9 +235,9 @@ let seize_one t container ~flush_dirty =
                   (* The container queues were drained above, so the page
                      should be off-queue — but never free a frame while a
                      queue node still points at it: unlink defensively. *)
-                  (match container_queue_of_page container page with
-                  | Some q -> Page_queue.remove q page
-                  | None -> ());
+                  (match Container.queue_of_page container page with
+                  | q -> Page_queue.remove q page
+                  | exception Not_found -> ());
                   free_page page;
                   true
               | None -> false)))
@@ -309,7 +275,7 @@ let fuel_enabled t = t.fuel_quota > 0
 let enter_throttle t container =
   let now = Kernel.now t.kernel in
   let level = Container.cooldown_level container in
-  let cooldown = T.mul t.fuel_cooldown (1 lsl min 4 level) in
+  let cooldown = T.mul fuel_cooldown (1 lsl min 4 level) in
   let deficit = Container.min_frames container - Container.frames_held container in
   if deficit > 0 then ignore (grant_frames t container deficit);
   if Container.frames_held container >= Container.min_frames container then begin
@@ -342,7 +308,7 @@ let maybe_recover t container =
 let charge_fuel t container ~delta =
   if fuel_enabled t && not (Container.degraded container) then begin
     let now = Kernel.now t.kernel in
-    if T.( >= ) now (T.add (Container.fuel_window_start container) t.fuel_window)
+    if T.( >= ) now (T.add (Container.fuel_window_start container) fuel_window)
     then begin
       (* window rotation; a clean window (under half quota) decays the
          cooldown hysteresis *)
@@ -687,13 +653,13 @@ let attach_pressure t =
             && Pressure.severity prev < Pressure.severity Pressure.Emergency
           then emergency_seize t ~level:next)
 
-(* Isolation invariants, exported as an {!Hipec_vm.Audit.register_check}
-   closure: the manager's specific accounting must agree with the sum of
-   container balances, and a throttled tenant must still own its
-   guaranteed floor (emergency seizure and forced reclaim both stop at
-   [min_frames]).  Violations name the offending container: the total's
-   first, then each floor's in ledger order.  Both folds over the ledger
-   allocate nothing while it is clean. *)
+(* Isolation invariants, the check {!watch} hands the auditor: the
+   manager's specific accounting must agree with the sum of container
+   balances, and a throttled tenant must still own its guaranteed floor
+   (emergency seizure and forced reclaim both stop at [min_frames]).
+   Violations name the offending container: the total's first, then each
+   floor's in ledger order.  Both folds over the ledger allocate nothing
+   while it is clean. *)
 let audit_check t () =
   let held = fold_containers (fun held c -> held + Container.frames_held c) 0 t in
   let floors =
@@ -714,6 +680,13 @@ let audit_check t () =
       Printf.sprintf "specific_total=%d but containers hold %d" t.specific_total held )
     :: floors
   else floors
+
+(* What the auditor watches of the manager: every ledger container's
+   queues, FAFR, and the isolation invariants above. *)
+let watch t auditor =
+  Audit.watch auditor
+    ~queues:(fun f -> Queue.iter (fun c -> Container.iter_queues c f) t.ledger)
+    ~check:(audit_check t)
 
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)
@@ -854,9 +827,10 @@ let page_fault t container ~fault_va =
         match Vm_page.on_queue page with
         | None -> Ok page
         | Some _ -> (
-            match container_queue_of_page container page with
-            | None -> Error "PageFault policy returned a page on an unknown queue"
-            | Some q ->
+            match Container.queue_of_page container page with
+            | exception Not_found ->
+                Error "PageFault policy returned a page on an unknown queue"
+            | q ->
                 Page_queue.remove q page;
                 if
                   q == Container.free_queue container
@@ -891,8 +865,6 @@ let create ~kernel ?(burst_fraction = 0.5) ?max_steps () =
           (burst_fraction *. float_of_int (Frame.Table.free_count (Kernel.frame_table kernel)));
       specific_total = 0;
       fuel_quota = 0;
-      fuel_window = T.ms 10;
-      fuel_cooldown = T.ms 50;
       stats =
         {
           requests_granted = 0;
@@ -929,9 +901,9 @@ let create ~kernel ?(burst_fraction = 0.5) ?max_steps () =
               match Vm_page.on_queue page with
               | None -> Ok ()
               | Some _ -> (
-                  match container_queue_of_page c page with
-                  | Some q -> Ok (Page_queue.remove q page)
-                  | None -> Error "page is on an unknown queue")
+                  match Container.queue_of_page c page with
+                  | q -> Ok (Page_queue.remove q page)
+                  | exception Not_found -> Error "page is on an unknown queue")
           in
           match unlinked with
           | Error msg -> Error ("Release: " ^ msg)

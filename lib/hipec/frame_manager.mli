@@ -133,16 +133,20 @@ val burst_limit : t -> int
 
 val pressure_level : t -> Pressure.level
 
-val set_fuel_policy : ?quota:int -> ?window:Hipec_sim.Sim_time.t -> ?cooldown:Hipec_sim.Sim_time.t -> t -> unit
-(** Configure the per-tenant fuel ledger.  [quota] is the command budget
-    per accounting [window] (default 10 ms); 0 (the default) disables
-    fuel accounting entirely.  A tenant that burns more than [quota]
-    commands inside one window is {!Container.state.Throttled} for
-    [cooldown] (default 50 ms), doubled per rapid re-offence. *)
+val set_fuel_quota : t -> int -> unit
+(** Configure the per-tenant fuel ledger: the command budget per
+    {!fuel_window}; 0 (the default) disables fuel accounting entirely.
+    A tenant that burns more than the quota inside one window is
+    {!Container.state.Throttled} for {!fuel_cooldown}, doubled per rapid
+    re-offence (at most 16x). *)
 
 val fuel_quota : t -> int
-val fuel_window : t -> Hipec_sim.Sim_time.t
-val fuel_cooldown : t -> Hipec_sim.Sim_time.t
+
+val fuel_window : Hipec_sim.Sim_time.t
+(** 10 ms: the fuel ledger's accounting window. *)
+
+val fuel_cooldown : Hipec_sim.Sim_time.t
+(** 50 ms: a first throttle's length. *)
 
 val emergency_seize : t -> level:Pressure.level -> unit
 (** Kernel-directed seizure from the largest-over-minimum tenants (FAFR
@@ -158,11 +162,20 @@ val attach_pressure : t -> unit
     entering [Emergency] triggers {!emergency_seize}.  Raises
     [Invalid_argument] if pressure is not enabled. *)
 
+(** {1 Auditing} *)
+
 val audit_check : t -> unit -> (string * string) list
-(** Isolation invariants for {!Hipec_vm.Audit.register_check}: specific
-    accounting agrees with the sum of container balances, and every
-    throttled tenant still owns at least [min_frames].  Violations name
-    the offending container. *)
+(** Isolation invariants: specific accounting agrees with the sum of
+    container balances, and every throttled tenant still owns at least
+    [min_frames].  Violations name the offending container, the total's
+    first, then each floor's in FAFR order. *)
+
+val watch : t -> Audit.t -> unit
+(** Make the auditor watch this manager, in one {!Hipec_vm.Audit.watch}:
+    the queues of every container on the ledger as it stands at each
+    sweep, in FAFR order and each container's in {!Container.iter_queues}
+    order, and {!audit_check}.  A retired container's queues leave the
+    sweep with it. *)
 
 (** {1 Statistics} *)
 

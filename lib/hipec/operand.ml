@@ -111,13 +111,3 @@ let install_std t ~name ~free_target ~inactive_target ~reserved_target =
   set t Std.scratch1 (Int (ref 0));
   set t Std.scratch2 (Int (ref 0));
   { free; active; inactive }
-
-let pp_value fmt = function
-  | Int r -> Format.fprintf fmt "int(%d)" !r
-  | Bool r -> Format.fprintf fmt "bool(%b)" !r
-  | Page r -> (
-      match !r with
-      | None -> Format.pp_print_string fmt "page(empty)"
-      | Some p -> Format.fprintf fmt "page(%a)" Vm_page.pp p)
-  | Queue q -> Format.fprintf fmt "queue(%s,%d)" (Page_queue.name q) (Page_queue.length q)
-  | Count q -> Format.fprintf fmt "count(%s=%d)" (Page_queue.name q) (Page_queue.length q)

@@ -37,8 +37,6 @@ let io_error_to_string = function
   | Out_of_range { block; nblocks } ->
       Printf.sprintf "extent [%d..%d) outside the device" block (block + nblocks)
 
-let pp_io_error fmt e = Format.pp_print_string fmt (io_error_to_string e)
-
 module Faults = struct
   type config = {
     seed : int;

@@ -54,7 +54,6 @@ type io_error =
           event loop surfaces as a typed completion, not a crash. *)
 
 val io_error_to_string : io_error -> string
-val pp_io_error : Format.formatter -> io_error -> unit
 
 module Faults : sig
   type config = {

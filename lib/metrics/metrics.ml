@@ -184,20 +184,18 @@ module Registry = struct
 
   type t = {
     tick_ns : int;
-    series_cap : int;
     tbl : (string, metric) Hashtbl.t;
     profiles : (string * int, Profile.t) Hashtbl.t;
     norm : int Int_table.t;  (* raw container id -> dense *)
   }
 
   let default_tick_ns = 10_000_000 (* 10 ms of simulated time *)
+  let series_cap = 512
 
-  let create ?(tick_ns = default_tick_ns) ?(series_cap = 512) () =
+  let create ?(tick_ns = default_tick_ns) () =
     if tick_ns <= 0 then invalid_arg "Registry.create: tick_ns <= 0";
-    if series_cap <= 0 then invalid_arg "Registry.create: series_cap <= 0";
     {
       tick_ns;
-      series_cap;
       tbl = Hashtbl.create 64;
       profiles = Hashtbl.create 8;
       norm = Int_table.create 8;
@@ -246,7 +244,7 @@ module Registry = struct
     | Some (Srs s) -> s
     | Some _ -> kind_error name "series"
     | None ->
-        let s = Series.create ~tick_ns:t.tick_ns ~cap:t.series_cap name in
+        let s = Series.create ~tick_ns:t.tick_ns ~cap:series_cap name in
         Hashtbl.replace t.tbl name (Srs s);
         s
 
@@ -662,9 +660,9 @@ let uninstall () =
       enabled := false;
       Some r
 
-let install ?tick_ns ?series_cap () =
+let install ?tick_ns () =
   ignore (uninstall ());
-  let r = Registry.create ?tick_ns ?series_cap () in
+  let r = Registry.create ?tick_ns () in
   current := Some (r, Tr.attach ~categories:derived (derive r));
   enabled := true;
   r

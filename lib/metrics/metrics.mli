@@ -74,7 +74,10 @@ module Registry : sig
 
   val default_tick_ns : int
 
-  val create : ?tick_ns:int -> ?series_cap:int -> unit -> t
+  val series_cap : int
+  (** 512: the points each {!Series} ring keeps. *)
+
+  val create : ?tick_ns:int -> unit -> t
   val tick_ns : t -> int
 
   (** Find-or-create accessors; a name maps to exactly one metric kind
@@ -134,7 +137,7 @@ end
 
 (** {1 Global install point} *)
 
-val install : ?tick_ns:int -> ?series_cap:int -> unit -> Registry.t
+val install : ?tick_ns:int -> unit -> Registry.t
 (** Install a fresh registry as the process-wide sink (replacing any
     prior one), attach its stage to the trace sink, and return it. *)
 

@@ -248,8 +248,6 @@ let insert t ~key ~row =
       new_root.children <- [ t.root; right_page ];
       t.root <- new_root.page
 
-let bulk_load t pairs = Array.iter (fun (key, row) -> insert t ~key ~row) pairs
-
 let height t =
   let rec go node acc =
     if node.leaf then acc else go (node_of t (List.hd node.children)) (acc + 1)

@@ -33,9 +33,6 @@ val delete : t -> key:int -> bool
     empties (textbook B+-tree rebalancing).  Emptied node pages are
     recycled for future splits. *)
 
-val bulk_load : t -> (int * int) array -> unit
-(** Insert many pairs (any order). *)
-
 val entry_count : t -> int
 val node_count : t -> int
 val height : t -> int

@@ -7,7 +7,6 @@
 type t = private int
 
 val zero : t
-val is_zero : t -> bool
 
 (** {1 Constructors} *)
 

@@ -9,92 +9,19 @@ type violation = { check : string; detail : string }
 
 let pp_violation fmt v = Format.fprintf fmt "%s: %s" v.check v.detail
 
-exception Violation of violation list
-
 let periods_per_pass = 8
 
-(* Registration order with O(1) removal: entries sit in an array in the
-   order they came and a removal leaves a hole.  A full array first
-   squeezes its holes out, and grows only if that freed less than half.
-   [slot] finds an entry's position by key. *)
-module Registry (Slot : sig
-  type key
-  type 'a t
-
-  val create : int -> 'a t
-  val mem : 'a t -> key -> bool
-  val find : 'a t -> key -> 'a
-  val replace : 'a t -> key -> 'a -> unit
-  val remove : 'a t -> key -> unit
-end) =
-struct
-  type 'v t = {
-    slot : int Slot.t;
-    mutable entries : (Slot.key * 'v) option array;
-    mutable used : int;  (* entries past [used] are empty *)
-  }
-
-  let create () = { slot = Slot.create 16; entries = Array.make 16 None; used = 0 }
-  let mem r key = Slot.mem r.slot key
-
-  let squeeze r =
-    let live = ref 0 in
-    for i = 0 to r.used - 1 do
-      match r.entries.(i) with
-      | None -> ()
-      | Some (key, _) as e ->
-          r.entries.(i) <- None;
-          r.entries.(!live) <- e;
-          Slot.replace r.slot key !live;
-          incr live
-    done;
-    r.used <- !live
-
-  let add r key v =
-    if not (mem r key) then begin
-      if r.used = Array.length r.entries then begin
-        squeeze r;
-        if 2 * r.used >= Array.length r.entries then begin
-          let grown = Array.make (2 * Array.length r.entries) None in
-          Array.blit r.entries 0 grown 0 r.used;
-          r.entries <- grown
-        end
-      end;
-      r.entries.(r.used) <- Some (key, v);
-      Slot.replace r.slot key r.used;
-      r.used <- r.used + 1
-    end
-
-  let remove r key =
-    match Slot.find r.slot key with
-    | exception Not_found -> ()
-    | i ->
-        r.entries.(i) <- None;
-        Slot.remove r.slot key
-
-  let iter f r =
-    for i = 0 to r.used - 1 do
-      match r.entries.(i) with Some (_, v) -> f v | None -> ()
-    done
-end
-
-(* Keyed by queue id: the daemon asks for every queued page whether its
-   queue is audited. *)
-module Queues = Registry (struct
-  type key = int
-
-  include Int_table
-end)
-
-module Checks = Registry (Hashtbl.Make (String))
+(* What one {!watch} call handed the auditor. *)
+type source = {
+  queues : (Page_queue.t -> unit) -> unit;
+  check : unit -> (string * string) list;
+}
 
 type t = {
   kernel : Kernel.t;
   period : Sim_time.t;
-  raise_on_violation : bool;
   kernel_queues : Page_queue.t list;  (* the pageout daemon's, fixed per kernel *)
-  queues : Page_queue.t Queues.t;  (* keyed by queue id *)
-  checks : (unit -> (string * string) list) Checks.t;
+  mutable sources : source list;  (* in watch order *)
   pages : Vm_page.index;
   mutable cursor : int;  (* the first frame the next period checks *)
   mutable running : bool;
@@ -104,14 +31,12 @@ type t = {
   mutable first_violation : violation option;
 }
 
-let create ?(period = Sim_time.ms 500) ?(raise_on_violation = true) kernel =
+let create ?(period = Sim_time.ms 500) kernel =
   {
     kernel;
     period;
-    raise_on_violation;
     kernel_queues = Pageout.queues (Kernel.pageout kernel);
-    queues = Queues.create ();
-    checks = Checks.create ();
+    sources = [];
     pages = Vm_page.index (Kernel.frame_table kernel);
     cursor = 0;
     running = false;
@@ -121,21 +46,18 @@ let create ?(period = Sim_time.ms 500) ?(raise_on_violation = true) kernel =
     first_violation = None;
   }
 
-let register_queue t q = Queues.add t.queues (Page_queue.id q) q
-let unregister_queue t q = Queues.remove t.queues (Page_queue.id q)
-
 (* Layered invariants: the VM auditor cannot see HiPEC containers (the
-   dependency points the other way), so the hipec layer registers a
-   closure that re-derives its own invariants — e.g. "a throttled
-   container still owns its minimum frames" — and reports violations
-   naming the offending container. *)
-let register_check t ~name f = Checks.add t.checks name f
-let unregister_check t ~name = Checks.remove t.checks name
+   dependency points the other way), so the hipec layer hands over an
+   iterator over its queues and a closure that re-derives its own
+   invariants, e.g. "a throttled container still owns its minimum
+   frames".  Watched once per run, so appending is cheap. *)
+let watch t ~queues ~check = t.sources <- t.sources @ [ { queues; check } ]
 
 (* One full consistency sweep.  Checks, in order:
    - the frame table's free-list conservation;
-   - every audited queue's link invariants, each member's [on_queue],
-     and that each unbound member still holds its frame;
+   - the link invariants of the kernel's queues and of every watched
+     queue, each member's [on_queue], and that each unbound member still
+     holds its frame;
    - every object's resident table: bindings point back at (object,
      offset) and each page holds its frame;
    - every live task's pmap: translations target allocated frames and
@@ -185,7 +107,7 @@ let sweep t =
       q
   in
   List.iter audit_queue t.kernel_queues;
-  Queues.iter audit_queue t.queues;
+  List.iter (fun s -> s.queues audit_queue) t.sources;
   (* objects *)
   Kernel.iter_objects k (fun obj ->
       Vm_object.iter_resident
@@ -235,15 +157,12 @@ let sweep t =
                            (Task.name task) vpn (Frame.index frame)
                            (Frame.index (Vm_page.frame page))))))
     (Kernel.tasks k);
-  (* registered external checks (HiPEC isolation invariants) *)
-  Checks.iter (fun f -> List.iter (fun (check, detail) -> add check detail) (f ())) t.checks;
+  (* watched checks (HiPEC isolation invariants) *)
+  List.iter (fun s -> List.iter (fun (check, detail) -> add check detail) (s.check ())) t.sources;
   let violations = List.rev !out in
   t.sweeps <- t.sweeps + 1;
   t.violations_found <- t.violations_found + List.length violations;
-  if violations <> [] then begin
-    List.iter (fun v -> Log.err (fun m -> m "audit: %a" pp_violation v)) violations;
-    if t.raise_on_violation then raise (Violation violations)
-  end;
+  List.iter (fun v -> Log.err (fun m -> m "audit: %a" pp_violation v)) violations;
   violations
 
 (* ------------------------------------------------------------------ *)
@@ -254,12 +173,6 @@ let sweep t =
    side, so a clean period visits no hash-table buckets and allocates
    nothing.  Every function below is top-level (no closures) and
    answers [true] when what it checks is clean. *)
-
-let rec mem_queue qid = function
-  | [] -> false
-  | q :: rest -> Page_queue.id q = qid || mem_queue qid rest
-
-let audited t qid = mem_queue qid t.kernel_queues || Queues.mem t.queues qid
 
 (* The page sits in its object's resident table at its binding. *)
 let resident k page =
@@ -304,14 +217,12 @@ let rec mappings_ok page frame = function
   | (pmap, vpn) :: rest -> translation_ok page frame pmap vpn && mappings_ok page frame rest
 
 (* The page the index holds for one frame: it holds the frame (unless
-   the sweep cannot reach it: neither on an audited queue nor
-   resident), its queue links agree, its binding reads back through its
-   object, and its translations check out. *)
+   it is neither queued nor resident), its queue links agree, its
+   binding reads back through its object, and its translations check
+   out. *)
 let page_ok t page =
   let k = t.kernel in
-  let queued =
-    match Vm_page.on_queue page with Some qid -> audited t qid | None -> false
-  in
+  let queued = match Vm_page.on_queue page with Some _ -> true | None -> false in
   let resident = resident k page in
   (Vm_page.holds_frame page || not (queued || resident))
   && ((not queued) || Vm_page.links_ok page)
@@ -337,12 +248,9 @@ let counts_ok t tbl =
   Frame.Table.free_count tbl + Vm_page.holding_count t.pages = Frame.Table.total tbl
   && translations 0 (Kernel.tasks t.kernel) = Vm_page.mapping_count t.pages
 
-let rec checks_ok entries i used =
-  i >= used
-  || (match entries.(i) with
-     | Some (_, f) -> ( match f () with [] -> true | _ :: _ -> false)
-     | None -> true)
-     && checks_ok entries (i + 1) used
+let rec checks_ok = function
+  | [] -> true
+  | s :: rest -> (match s.check () with [] -> true | _ :: _ -> false) && checks_ok rest
 
 let tick t =
   let tbl = Kernel.frame_table t.kernel in
@@ -353,7 +261,7 @@ let tick t =
   if
     ((first > 0 || Frame.Table.check_conservation tbl)
     && counts_ok t tbl && frames_ok t first last
-    && checks_ok t.checks.entries 0 t.checks.used)
+    && checks_ok t.sources)
   then t.sweeps <- t.sweeps + 1
   else begin
     Log.debug (fun m -> m "audit: period escalates to a full sweep");

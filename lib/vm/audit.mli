@@ -4,11 +4,18 @@
     {!sweep} re-derives the structural invariants the rest of the VM
     relies on — frame conservation, queue membership, object/page
     binding agreement, frame aliasing, and pmap consistency — and
-    reports (or raises on) any violation.  Aliasing is read off each
-    frame's recorded holder ({!Hipec_machine.Frame.holder}) as the sweep
-    visits the page, so a clean sweep allocates nothing per page.  HiPEC
-    container queues are registered dynamically so a policy's private
-    lists are audited exactly like the kernel's own queues.
+    returns and records any violation; a sweep never raises.  Aliasing
+    is read off each frame's recorded holder
+    ({!Hipec_machine.Frame.holder}) as the sweep visits the page, so a
+    clean sweep allocates nothing per page.
+
+    The auditor keeps no list of queues of its own beyond the pageout
+    daemon's.  The layer that owns other queues hands the auditor an
+    iterator over them ({!watch}), which every sweep calls afresh: the
+    HiPEC frame manager's iterator visits each admitted container's
+    private lists, so a policy's queues are audited exactly like the
+    kernel's own, from the moment the container is admitted until it
+    is retired.
 
     {2 The daemon's periods}
 
@@ -18,7 +25,7 @@
     - the next ⌈frames / {!periods_per_pass}⌉ frames from a cursor that
       wraps, so every frame is checked within {!periods_per_pass}
       periods.  For each frame a page holds, that page: still holds the
-      frame; if it is on an audited queue, its own links agree with its
+      frame; if it is on a queue, its own links agree with its
       neighbours' and its queue's ends ([queue-invariants],
       [queue-membership]); if bound, it is resident at its binding in
       its object ([binding]); and each translation it lists is present,
@@ -34,7 +41,7 @@
     - the free-list walk of {!Hipec_machine.Frame.Table.check_conservation}
       ([frame-conservation]), in the period whose slice starts at
       frame 0;
-    - every registered check ({!register_check}).
+    - every watched check ({!watch}).
 
     These read, from the frame side, the same invariants the sweep
     reads from the queue, object and pmap side.  Any hit or count
@@ -43,10 +50,11 @@
     {!first_violation}, {!violations_found} and each violation's text
     are exactly what the sweep reports at that instant; a hit on
     damage the sweep cannot see (a bound page missing from every
-    resident table, say) records nothing.  A clean period allocates
-    nothing beyond what the registered checks allocate.  Queue
-    damage no member's links show (a wrong length, a dangling end on an
-    empty queue) waits for a full sweep, as every run ends with one. *)
+    resident table, say, or broken links on a queue no source names)
+    records nothing.  A clean period allocates nothing beyond what the
+    watched checks allocate.  Queue damage no member's links show (a
+    wrong length, a dangling end on an empty queue) waits for a full
+    sweep, as every run ends with one. *)
 
 open Hipec_sim
 
@@ -54,44 +62,37 @@ type violation = { check : string; detail : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-exception Violation of violation list
-(** Raised by {!sweep} when [raise_on_violation] is set and the sweep
-    found anything. *)
-
 type t
 
 val periods_per_pass : int
 (** 8: the daemon checks every frame at least once in this many
     consecutive periods. *)
 
-val create : ?period:Sim_time.t -> ?raise_on_violation:bool -> Kernel.t -> t
-(** [period] (default 500 ms) spaces the daemon's periods;
-    [raise_on_violation] (default true) makes every failing sweep raise
-    {!Violation} instead of merely recording it. *)
+val create : ?period:Sim_time.t -> Kernel.t -> t
+(** [period] (default 500 ms) spaces the daemon's periods. *)
 
-val register_queue : t -> Page_queue.t -> unit
-(** Audit an additional queue (a HiPEC container's private list) on
-    every sweep.  Idempotent and O(1): a storm registers three queues
-    per tenant.  Sweeps visit registered queues in registration order. *)
-
-val unregister_queue : t -> Page_queue.t -> unit
-(** O(1); a no-op for a queue not registered. *)
-
-val register_check : t -> name:string -> (unit -> (string * string) list) -> unit
-(** Run an external invariant check on every sweep.  The closure
-    returns [(check, detail)] pairs for each violation it finds; they
-    are counted and reported like the auditor's own.  Used by the HiPEC
-    layer (which the VM auditor cannot depend on) to assert isolation
-    invariants — a [Throttled] container still owning ≥ its minimum
-    frames, emergency seizure never stripping a container below its
-    minimum — with the violating container named in [detail].
-    Idempotent per [name]; checks run in registration order, every
-    sweep and every daemon period. *)
-
-val unregister_check : t -> name:string -> unit
+val watch :
+  t ->
+  queues:((Page_queue.t -> unit) -> unit) ->
+  check:(unit -> (string * string) list) ->
+  unit
+(** Add a source: [queues f] calls [f] on each queue the source owns at
+    that moment, and [check ()] returns a [(check, detail)] pair per
+    violation of the source's own invariants, counted and reported like
+    the auditor's.  Every sweep walks the queues right after the
+    kernel's own and runs [check] after the pmaps; every daemon period
+    runs [check].  Sources are visited in the order they were watched,
+    and none is ever dropped.  The HiPEC layer, which the VM auditor
+    cannot depend on, watches through [Frame_manager.watch]: its
+    containers' queues and its isolation invariants (a [Throttled]
+    container still owning its minimum frames, with the container named
+    in [detail]). *)
 
 val sweep : t -> violation list
-(** Run one full sweep now; returns (and counts) the violations found. *)
+(** Run one full sweep now; returns (and counts) the violations found,
+    in the sweep's order: frame conservation, the kernel's queues, each
+    source's queues, the objects' resident pages, the pmaps, each
+    source's check. *)
 
 val tick : t -> unit
 (** Run one daemon period now (see above): the incremental checks, and

@@ -152,7 +152,6 @@ let disk t = t.disk
 let frame_table t = t.frame_table
 let pageout t = t.pageout
 let rng t = t.rng
-let is_hipec_kernel t = t.hipec_kernel
 let now t = Engine.now t.engine
 
 let charge t d = charge_engine t.engine d
@@ -247,13 +246,17 @@ let terminate_task t task ~reason =
     Log.warn (fun m -> m "terminating %s: %s" (Task.name task) reason);
     Tr.kill ~task:(Task.id task) ~reason;
     Task.kill task ~reason;
-    List.iter (fun r -> release_region_pages t task r) (Vm_map.regions (Task.vm_map task));
+    let regions = Vm_map.regions (Task.vm_map task) in
+    List.iter (fun r -> release_region_pages t task r) regions;
     Pmap.remove_all (Task.pmap task);
-    (* notify managers so HiPEC containers can tear down; a manager that
-       tears down leaves the table, so collect them first *)
-    let managers = ref [] in
-    Int_table.iter (fun _ m -> managers := m :: !managers) t.managers;
-    List.iter (fun m -> m.on_task_terminated ~task) (List.rev !managers)
+    (* notify the managers of the task's own regions so HiPEC containers
+       can tear down *)
+    List.iter
+      (fun r ->
+        match Int_table.find_opt t.managers (Vm_object.id r.Vm_map.obj) with
+        | Some m -> m.on_task_terminated ~task
+        | None -> ())
+      regions
   end
 
 (* ------------------------------------------------------------------ *)

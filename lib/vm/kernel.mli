@@ -50,7 +50,6 @@ val frame_table : t -> Frame.Table.t
 val pageout : t -> Pageout.t
 val pageout_ctx : t -> Pageout.ctx
 val rng : t -> Rng.t
-val is_hipec_kernel : t -> bool
 val now : t -> Sim_time.t
 
 val charge : t -> Sim_time.t -> unit
@@ -68,8 +67,10 @@ val tasks : t -> Task.t list
 val terminate_task : t -> Task.t -> reason:string -> unit
 (** Kill the task and release every frame its regions hold back to the
     system (default-pool pages only; HiPEC containers release theirs
-    through the frame manager's deallocation path, which every
-    installed manager's [on_task_terminated] is offered). *)
+    through the frame manager's deallocation path: the manager of each
+    region's object, looked up in the task's own map in region order,
+    gets [on_task_terminated]).  A manager of an object the task does
+    not map is not called. *)
 
 (** {1 Memory syscalls} *)
 

@@ -8,8 +8,6 @@ let level_name = function
   | Critical -> "critical"
   | Emergency -> "emergency"
 
-let pp_level fmt l = Format.pp_print_string fmt (level_name l)
-
 let of_severity = function
   | 0 -> Normal
   | 1 -> Elevated

@@ -21,7 +21,6 @@ val severity : level -> int
 (** 0..3, the wire encoding used by trace events and metrics gauges. *)
 
 val level_name : level -> string
-val pp_level : Format.formatter -> level -> unit
 
 type t
 

@@ -9,7 +9,6 @@ type t = {
   mutable death_reason : string option;
   mutable faults : int;
   mutable pageins : int;
-  mutable pageouts : int;
   mutable zero_fills : int;
   mutable cpu_time : Sim_time.t;
 }
@@ -30,7 +29,6 @@ let create ?name () =
       death_reason = None;
       faults = 0;
       pageins = 0;
-      pageouts = 0;
       zero_fills = 0;
       cpu_time = Sim_time.zero;
     }
@@ -53,8 +51,6 @@ let faults t = t.faults
 let count_fault t = t.faults <- t.faults + 1
 let pageins t = t.pageins
 let count_pagein t = t.pageins <- t.pageins + 1
-let pageouts t = t.pageouts
-let count_pageout t = t.pageouts <- t.pageouts + 1
 let zero_fills t = t.zero_fills
 let count_zero_fill t = t.zero_fills <- t.zero_fills + 1
 let cpu_time t = t.cpu_time

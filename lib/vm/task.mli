@@ -26,8 +26,6 @@ val faults : t -> int
 val count_fault : t -> unit
 val pageins : t -> int
 val count_pagein : t -> unit
-val pageouts : t -> int
-val count_pageout : t -> unit
 val zero_fills : t -> int
 val count_zero_fill : t -> unit
 

@@ -77,13 +77,11 @@ let run ?(faults = true) config =
   in
   let kernel = Kernel.create ~config:kconfig () in
   let sys = Api.init kernel in
-  let auditor =
-    Audit.create ~period:config.audit_period ~raise_on_violation:false kernel
-  in
+  let auditor = Audit.create ~period:config.audit_period kernel in
   let db_task = Kernel.create_task kernel ~name:"db" () in
   let runaway_task = Kernel.create_task kernel ~name:"runaway" () in
   let writer_task = Kernel.create_task kernel ~name:"writer" () in
-  let db_region, db_container =
+  let db_region, _ =
     match
       Api.vm_map_hipec sys db_task ~name:"db-table" ~npages:config.pages
         (Api.default_spec
@@ -123,12 +121,7 @@ let run ?(faults = true) config =
          latency_spike = Sim_time.ms 20;
          bad_blocks;
        });
-  List.iter
-    (fun c ->
-      Audit.register_queue auditor (Container.free_queue c);
-      Audit.register_queue auditor (Container.active_queue c);
-      Audit.register_queue auditor (Container.inactive_queue c))
-    [ db_container; runaway_container ];
+  Frame_manager.watch (Api.manager sys) auditor;
   Audit.start auditor;
   let task_kills = ref 0 in
   (* a phase whose task already died (an exhausted-pagein kill at an

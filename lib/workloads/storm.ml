@@ -32,8 +32,6 @@ type config = {
   max_steps : int;
   overload : bool;  (** engage {!Hipec_core.Api.enable_overload} *)
   fuel_quota : int option;
-  fuel_window : Sim_time.t;
-  fuel_cooldown : Sim_time.t;
   slo_ns : int;  (** per-access latency objective *)
   slo_budget : float;  (** allowed violating fraction of a tenant's accesses *)
 }
@@ -57,8 +55,6 @@ let smoke =
     max_steps = 2_000;
     overload = true;
     fuel_quota = Some 200;
-    fuel_window = Sim_time.ms 10;
-    fuel_cooldown = Sim_time.ms 50;
     slo_ns = 10_000_000;
     slo_budget = 0.05;
   }
@@ -151,8 +147,7 @@ let run config =
   let kernel = Kernel.create ~config:kconfig () in
   let sys = Api.init ~max_steps:config.max_steps kernel in
   if config.overload then
-    Api.enable_overload ?fuel_quota:config.fuel_quota ~fuel_window:config.fuel_window
-      ~fuel_cooldown:config.fuel_cooldown sys;
+    Api.enable_overload ?fuel_quota:config.fuel_quota sys;
   let manager = Api.manager sys in
   (* own trace collector only when the caller did not install one: the
      digest doubles as the determinism check *)
@@ -161,10 +156,8 @@ let run config =
     | Some _ -> None
     | None -> Some (Hipec_trace.Trace.start ())
   in
-  let auditor =
-    Audit.create ~period:config.audit_period ~raise_on_violation:false kernel
-  in
-  Audit.register_check auditor ~name:"hipec-isolation" (Frame_manager.audit_check manager);
+  let auditor = Audit.create ~period:config.audit_period kernel in
+  Frame_manager.watch manager auditor;
   (* disk fault injection: bad blocks land in the swap slots laundering
      will write (same construction as the chaos scenario) *)
   (if config.bad_swap_blocks > 0 then
@@ -195,11 +188,7 @@ let run config =
     in
     let spec = Api.default_spec ~policy:(policy_for kind) ~min_frames:config.min_frames in
     match Api.vm_allocate_hipec sys task ~npages:config.pages_per_tenant spec with
-    | Ok (region, container) ->
-        Audit.register_queue auditor (Container.free_queue container);
-        Audit.register_queue auditor (Container.active_queue container);
-        Audit.register_queue auditor (Container.inactive_queue container);
-        { index = i; kind; task; region = Some region }
+    | Ok (region, _) -> { index = i; kind; task; region = Some region }
     | Error _ ->
         (* admission shed or genuinely out of memory: the tenant is
            turned away, counted, and the storm goes on without it *)

@@ -47,9 +47,9 @@ type config = {
   audit_period : Sim_time.t;
   max_steps : int;  (** per-run policy step budget *)
   overload : bool;  (** engage {!Hipec_core.Api.enable_overload} *)
-  fuel_quota : int option;  (** commands per window; [None] = executor-derived default *)
-  fuel_window : Sim_time.t;
-  fuel_cooldown : Sim_time.t;
+  fuel_quota : int option;
+      (** commands per {!Hipec_core.Frame_manager.fuel_window}; [None] =
+          executor-derived default *)
   slo_ns : int;  (** per-access latency objective *)
   slo_budget : float;
       (** the error budget: the fraction of a tenant's accesses allowed

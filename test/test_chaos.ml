@@ -145,35 +145,40 @@ let test_audit_clean_kernel () =
   let region = Kernel.vm_allocate k task ~npages:32 in
   Kernel.touch_region k task region ~write:true;
   Kernel.drain_io k;
-  let auditor = Audit.create ~raise_on_violation:false k in
+  let auditor = Audit.create k in
   Alcotest.(check (list string)) "no violations" []
     (List.map (fun v -> v.Audit.check) (Audit.sweep auditor));
   Alcotest.(check int) "one sweep recorded" 1 (Audit.sweeps auditor);
   Alcotest.(check int) "no violations recorded" 0 (Audit.violations_found auditor)
 
-(* Plant deliberately corrupt structures: a registered queue holding a
+let no_check () = []
+let watch_queue a q = Audit.watch a ~queues:(fun f -> f q) ~check:no_check
+
+(* Plant deliberately corrupt structures: a watched queue holding a
    page whose frame has been returned to the free pool, then the same
    frame handed to a second page while the first stays queued. *)
 let test_audit_detects_free_frame_on_queue () =
   let k = Kernel.create ~config:{ Kernel.default_config with total_frames = 64 } () in
-  let auditor = Audit.create ~raise_on_violation:false k in
+  let auditor = Audit.create k in
   let tbl = Kernel.frame_table k in
   let frame = List.hd (Frame.Table.alloc_many tbl 1) in
   let page = Vm_page.create ~frame in
   let rogue = Page_queue.create "rogue" in
   Page_queue.enqueue_tail rogue page;
   Frame.Table.free tbl frame;
-  Audit.register_queue auditor rogue;
+  watch_queue auditor rogue;
   let violations = Audit.sweep auditor in
   Alcotest.(check bool) "free-frame-on-queue flagged" true
     (List.exists (fun v -> v.Audit.check = "free-frame-on-queue") violations);
   Alcotest.(check bool) "violations recorded" true (Audit.violations_found auditor > 0);
-  (* with [raise_on_violation] the same sweep raises *)
-  let strict = Audit.create k in
-  Audit.register_queue strict rogue;
-  (match Audit.sweep strict with
-  | exception Audit.Violation (_ :: _) -> ()
-  | _ -> Alcotest.fail "strict auditor should raise");
+  (* a sweep returns what it finds: a second auditor's sweep of the same
+     state returns the same violations, and counts them *)
+  let other = Audit.create k in
+  watch_queue other rogue;
+  Alcotest.(check (list string)) "the same violations returned"
+    (List.map (fun v -> v.Audit.check) violations)
+    (List.map (fun v -> v.Audit.check) (Audit.sweep other));
+  Alcotest.(check int) "and counted" (List.length violations) (Audit.violations_found other);
   Alcotest.(check (option string)) "first violation kept" (Some "free-frame-on-queue")
     (Option.map (fun v -> v.Audit.check) (Audit.first_violation auditor));
   (* two pages on one frame: the stale one no longer holds it *)
@@ -183,9 +188,7 @@ let test_audit_detects_free_frame_on_queue () =
   let violations = List.map (fun v -> v.Audit.check) (Audit.sweep auditor) in
   Alcotest.(check (list string)) "frame-aliasing flagged" [ "frame-aliasing" ] violations;
   Alcotest.(check (option string)) "first violation unchanged" (Some "free-frame-on-queue")
-    (Option.map (fun v -> v.Audit.check) (Audit.first_violation auditor));
-  (* clean up so the queue cannot leak into later checks *)
-  Audit.unregister_queue auditor rogue
+    (Option.map (fun v -> v.Audit.check) (Audit.first_violation auditor))
 
 (* A clean sweep formats nothing and allocates nothing per page: its
    minor-heap allocation is the same at 64 and at 1024 resident pages. *)
@@ -208,44 +211,65 @@ let test_audit_sweep_allocation_flat () =
   if Float.abs (large -. small) > 16. then
     Alcotest.failf "sweep allocates %.0f words at 64 pages but %.0f at 1024" small large
 
-(* Registering a queue costs the same allocation however many are
-   already registered, and the sweep still visits registered queues in
-   registration order, also after one is unregistered and registered
-   again. *)
-let test_audit_register_queue_allocation_flat () =
-  let k = Kernel.create ~config:{ Kernel.default_config with total_frames = 64 } () in
-  let queues n = List.init n (fun i -> Page_queue.create (Printf.sprintf "q%d" i)) in
-  (* registering as many again as are already there amortises the
-     registry's growth the same way at both sizes *)
-  let words_per_call registered =
-    let auditor = Audit.create ~raise_on_violation:false k in
-    List.iter (Audit.register_queue auditor) (queues registered);
-    let more = queues registered in
-    let before = Gc.minor_words () in
-    List.iter (Audit.register_queue auditor) more;
-    let words = Gc.minor_words () -. before in
-    (words /. float_of_int registered, auditor)
+(* Sources are swept in the order they were watched.  The frame
+   manager's one source visits its containers FAFR, and each container's
+   queues free, active, inactive, then user slots ascending.  Each queue
+   holds one page whose frame is back in the pool, so each violation
+   names its queue through the frame. *)
+let test_audit_sweeps_in_watch_order () =
+  let k =
+    Kernel.create
+      ~config:{ Kernel.default_config with total_frames = 256; hipec_kernel = true }
+      ()
   in
-  let small, _ = words_per_call 64 in
-  let large, auditor = words_per_call 2048 in
-  if large -. small > 4. then
-    Alcotest.failf "register_queue allocates %.1f words at 64 queues but %.1f at 2048" small
-      large;
+  let sys = Api.init ~start_checker:false k in
+  let auditor = Audit.create k in
+  let first = Page_queue.create "first" and last = Page_queue.create "last" in
+  Audit.watch auditor ~queues:(fun f -> f first) ~check:(fun () -> [ ("planted", "first") ]);
+  Frame_manager.watch (Api.manager sys) auditor;
+  Audit.watch auditor ~queues:(fun f -> f last) ~check:(fun () -> [ ("planted", "last") ]);
+  let admit name =
+    let lo = Page_queue.create (name ^ ".lo") and hi = Page_queue.create (name ^ ".hi") in
+    let spec =
+      {
+        (Api.default_spec ~policy:(Policies.fifo ()) ~min_frames:8) with
+        Api.extra_operands =
+          [ (Operand.Std.first_user + 3, Operand.Queue hi);
+            (Operand.Std.first_user + 1, Operand.Queue lo) ];
+      }
+    in
+    match Api.vm_allocate_hipec sys (Kernel.create_task k ()) ~npages:16 spec with
+    | Error e -> Alcotest.fail ("admission: " ^ e)
+    | Ok (_, c) ->
+        [ (name ^ ".free", Container.free_queue c);
+          (name ^ ".active", Container.active_queue c);
+          (name ^ ".inactive", Container.inactive_queue c);
+          (name ^ ".lo", lo); (name ^ ".hi", hi) ]
+  in
+  let a = admit "a" in
+  let b = admit "b" in
+  let queues = (("first", first) :: a) @ b @ [ ("last", last) ] in
+  (* every frame is taken before any goes back, so each is distinct *)
   let tbl = Kernel.frame_table k in
-  let rogue name =
-    let q = Page_queue.create name in
-    let frame = List.hd (Frame.Table.alloc_many tbl 1) in
-    Page_queue.enqueue_tail q (Vm_page.create ~frame);
-    Frame.Table.free tbl frame;
-    q
+  let planted =
+    List.map
+      (fun (label, q) ->
+        let frame = Option.get (Frame.Table.alloc tbl) in
+        Page_queue.enqueue_tail q (Vm_page.create ~frame);
+        (Frame.index frame, label))
+      queues
   in
-  let a = rogue "a" and b = rogue "b" and c = rogue "c" in
-  List.iter (Audit.register_queue auditor) [ a; b; c; a ];
-  Audit.unregister_queue auditor b;
-  Audit.register_queue auditor b;
-  let queue_of v = List.nth (String.split_on_char ' ' v.Audit.detail) 1 in
-  Alcotest.(check (list string)) "violations in registration order" [ "a"; "c"; "b" ]
-    (List.map queue_of (Audit.sweep auditor))
+  List.iter (fun (i, _) -> Frame.Table.free tbl (Frame.Table.get tbl i)) planted;
+  let label v =
+    match v.Audit.check with
+    | "free-frame-on-queue" ->
+        let frame = Scanf.sscanf v.Audit.detail "queue %_s holds a page whose frame %d" Fun.id in
+        List.assoc frame planted
+    | check -> check ^ " " ^ v.Audit.detail
+  in
+  Alcotest.(check (list string)) "violations in watch order"
+    (List.map fst queues @ [ "planted first"; "planted last" ])
+    (List.map label (Audit.sweep auditor))
 
 (* A clean daemon period allocates nothing: over a whole pass (the
    frame-table walk included) the incremental checks cost 0 words. *)
@@ -260,7 +284,7 @@ let test_audit_tick_allocation_zero () =
   List.iter
     (fun frame -> Page_queue.enqueue_tail spare (Vm_page.create ~frame))
     (Frame.Table.alloc_many (Kernel.frame_table k) 16);
-  Audit.register_queue auditor spare;
+  watch_queue auditor spare;
   let pass () =
     for _ = 1 to Audit.periods_per_pass do
       Audit.tick auditor
@@ -287,11 +311,11 @@ let test_audit_tick_allocation_zero () =
 type fixture = {
   k : Kernel.t;
   daemon : Audit.t;
-  reference : Audit.t;  (* sweeps only, same registrations *)
+  reference : Audit.t;  (* sweeps only, same sources *)
   task : Task.t;
   region : Vm_map.region;
-  spare : Page_queue.t;  (* unbound slots on an audited queue *)
-  broken : bool ref;  (* makes the registered check fail *)
+  spare : Page_queue.t;  (* unbound slots on a watched queue *)
+  broken : bool ref;  (* makes the watched check fail *)
 }
 
 let period = T.ms 10
@@ -300,8 +324,8 @@ let fixture () =
   let k =
     Kernel.create ~config:{ Kernel.default_config with total_frames = 256; seed = 5 } ()
   in
-  let daemon = Audit.create ~period ~raise_on_violation:false k in
-  let reference = Audit.create ~raise_on_violation:false k in
+  let daemon = Audit.create ~period k in
+  let reference = Audit.create k in
   let task = Kernel.create_task k ~name:"planted" () in
   let region = Kernel.vm_allocate k task ~npages:64 in
   for i = 0 to 47 do
@@ -313,11 +337,7 @@ let fixture () =
     (Frame.Table.alloc_many (Kernel.frame_table k) 8);
   let broken = ref false in
   let check () = if !broken then [ ("planted-check", "the planted check fails") ] else [] in
-  List.iter
-    (fun a ->
-      Audit.register_queue a spare;
-      Audit.register_check a ~name:"planted" check)
-    [ daemon; reference ];
+  List.iter (fun a -> Audit.watch a ~queues:(fun f -> f spare) ~check) [ daemon; reference ];
   Kernel.drain_io k;
   Audit.start daemon;
   (* mid-run: the cursor is part-way through a pass *)
@@ -536,13 +556,8 @@ let prop_conservation_under_demote_migrate_faults =
           | _ -> Frame_manager.demote manager cb ~reason:"chaos property")
         ops;
       Kernel.drain_io k;
-      let auditor = Audit.create ~raise_on_violation:false k in
-      List.iter
-        (fun c ->
-          Audit.register_queue auditor (Container.free_queue c);
-          Audit.register_queue auditor (Container.active_queue c);
-          Audit.register_queue auditor (Container.inactive_queue c))
-        [ ca; cb ];
+      let auditor = Audit.create k in
+      Frame_manager.watch manager auditor;
       Frame.Table.check_conservation (Kernel.frame_table k)
       && Audit.sweep auditor = [])
 
@@ -581,8 +596,8 @@ let () =
             test_audit_detects_free_frame_on_queue;
           Alcotest.test_case "clean sweep allocation is flat" `Quick
             test_audit_sweep_allocation_flat;
-          Alcotest.test_case "register_queue allocation is flat" `Quick
-            test_audit_register_queue_allocation_flat;
+          Alcotest.test_case "sweeps sources in watch order" `Quick
+            test_audit_sweeps_in_watch_order;
           Alcotest.test_case "clean daemon period allocates nothing" `Quick
             test_audit_tick_allocation_zero;
           Alcotest.test_case "incremental daemon reports what the sweep does" `Quick

@@ -293,13 +293,12 @@ let stale_register () =
   in
   (kernel, sys, a, b, heir)
 
-let check_heir_intact kernel sys b heir =
+let check_heir_intact kernel sys heir =
   Alcotest.(check bool) "other tenant's frame still allocated" false
     (Frame.is_free (Vm_page.frame heir));
   Alcotest.(check bool) "other tenant's page still holds it" true (Vm_page.holds_frame heir);
-  let auditor = Audit.create ~raise_on_violation:false kernel in
-  List.iter (Audit.register_queue auditor)
-    [ Container.free_queue b; Container.inactive_queue b; Container.active_queue b ];
+  let auditor = Audit.create kernel in
+  Frame_manager.watch (Api.manager sys) auditor;
   Alcotest.(check (list string)) "audit sweep clean" []
     (List.map (fun v -> v.Audit.check) (Audit.sweep auditor));
   Alcotest.(check (list (pair string string))) "isolation checks clean" []
@@ -308,13 +307,13 @@ let check_heir_intact kernel sys b heir =
     (Frame.Table.check_conservation (Kernel.frame_table kernel))
 
 let test_demote_skips_stale_register () =
-  let kernel, sys, a, b, heir = stale_register () in
+  let kernel, sys, a, _, heir = stale_register () in
   Frame_manager.demote (Api.manager sys) a ~reason:"test";
   Alcotest.(check bool) "policy demoted" true (Container.degraded a);
-  check_heir_intact kernel sys b heir
+  check_heir_intact kernel sys heir
 
 let test_release_stale_register_fails () =
-  let kernel, sys, a, b, heir = stale_register () in
+  let kernel, sys, a, _, heir = stale_register () in
   (match Frame_manager.run_event (Api.manager sys) a ~event:release_again_event with
   | Executor.Runtime_error e ->
       Alcotest.(check bool) ("error names the frame: " ^ e) true
@@ -323,7 +322,7 @@ let test_release_stale_register_fails () =
   | Executor.Timed_out -> Alcotest.fail "timed out"
   | exception Invalid_argument e -> Alcotest.fail ("Release raised: " ^ e));
   Alcotest.(check bool) "policy demoted" true (Container.degraded a);
-  check_heir_intact kernel sys b heir
+  check_heir_intact kernel sys heir
 
 (* A PageFault handler that releases its slot and then returns it would
    hand the kernel a page whose frame is back in the pool.  The fault
@@ -357,7 +356,7 @@ let test_fault_returns_released_slot () =
       Alcotest.(check (option string)) "demotion reason"
         (Some "HiPEC policy error: PageFault policy returned a slot it had released")
         (Container.degraded_reason container);
-      let auditor = Audit.create ~raise_on_violation:false kernel in
+      let auditor = Audit.create kernel in
       Alcotest.(check (list string)) "audit sweep clean" []
         (List.map (fun v -> v.Audit.check) (Audit.sweep auditor));
       Alcotest.(check bool) "frames conserved" true
@@ -472,13 +471,102 @@ let test_forced_seize_unlinks_user_queue () =
     ];
   Alcotest.(check bool) "frames conserved" true
     (Frame.Table.check_conservation (Kernel.frame_table h.kernel));
-  let auditor = Audit.create ~raise_on_violation:false h.kernel in
-  Audit.register_queue auditor h.user_q;
-  Audit.register_queue auditor (Container.free_queue h.container);
-  Audit.register_queue auditor (Container.inactive_queue h.container);
-  Audit.register_queue auditor (Container.active_queue h.container);
+  let auditor = Audit.create h.kernel in
+  Frame_manager.watch manager auditor;
   Alcotest.(check (list string)) "audit sweep clean" []
     (List.map (fun v -> v.Audit.check) (Audit.sweep auditor))
+
+(* ------------------------------------------------------------------ *)
+(* The container's queues                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One auditor call wires every queue of every admitted container,
+   including a queue the policy declared as a user operand: a slot on
+   it whose frame went back to the pool behind the manager's back is
+   reported.  Registering the three standard queues per container by
+   hand never saw it. *)
+let test_watch_sees_user_queue () =
+  let h =
+    make
+      (asm
+         [
+           Op (Instr.Dequeue (Std.page_reg, Std.free_queue, Opcode.Queue_end.Head));
+           Op (Instr.Enqueue (Std.page_reg, uq_slot, Opcode.Queue_end.Tail));
+           Op (Instr.Return Std.null);
+         ])
+  in
+  (match run h with
+  | Executor.Returned _ -> ()
+  | _ -> Alcotest.fail "probe failed");
+  let slot = Option.get (Page_queue.peek_head h.user_q) in
+  let auditor = Audit.create h.kernel in
+  Frame_manager.watch (Api.manager h.sys) auditor;
+  Alcotest.(check (list string)) "clean before the plant" []
+    (List.map (fun v -> v.Audit.check) (Audit.sweep auditor));
+  Frame.Table.free (Kernel.frame_table h.kernel) (Vm_page.frame slot);
+  Alcotest.(check (list string)) "the user queue's member reported"
+    [
+      Printf.sprintf
+        "free-frame-on-queue: queue user-q holds a page whose frame %d is in the free pool"
+        (Frame.index (Vm_page.frame slot));
+    ]
+    (List.map (Format.asprintf "%a" Audit.pp_violation) (Audit.sweep auditor))
+
+(* [queue_of_page] finds a standard member and a user-queue member
+   without allocating, and [iter_queues] visits the standard queues,
+   then the user slots ascending, skipping one that aliases a standard
+   queue. *)
+let test_container_queues () =
+  let kernel =
+    Kernel.create ~config:{ Kernel.default_config with Kernel.total_frames = 64 } ()
+  in
+  let task = Kernel.create_task kernel () in
+  let region = Kernel.vm_allocate kernel task ~npages:8 in
+  let operands = Operand.create () in
+  let queues =
+    Operand.install_std operands ~name:"c" ~free_target:4 ~inactive_target:8
+      ~reserved_target:2
+  in
+  let lo = Page_queue.create "lo" and hi = Page_queue.create "hi" in
+  List.iter
+    (fun (ix, q) -> Operand.set operands ix (Operand.Queue q))
+    [
+      (Std.first_user + 7, hi);
+      (Std.first_user + 2, lo);
+      (Std.first_user + 4, queues.Operand.active);  (* aliases a standard queue *)
+      (Std.scratch0, hi);  (* below the user range: not a container queue *)
+    ];
+  let c =
+    Container.create ~task ~obj:region.Vm_map.obj ~region
+      ~program:(Policies.fifo ()) ~operands ~queues ~min_frames:1 ()
+  in
+  let names = ref [] in
+  Container.iter_queues c (fun q -> names := Page_queue.name q :: !names);
+  Alcotest.(check (list string)) "standard queues, then user slots ascending"
+    [ "c.free"; "c.active"; "c.inactive"; "lo"; "hi" ]
+    (List.rev !names);
+  let frames = Frame.Table.alloc_many (Kernel.frame_table kernel) 3 in
+  let std_page, user_page, stray =
+    match List.map (fun frame -> Vm_page.create ~frame) frames with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> Alcotest.fail "frames"
+  in
+  Page_queue.enqueue_tail queues.Operand.inactive std_page;
+  Page_queue.enqueue_tail hi user_page;
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let a = Gc.minor_words () in
+  let std_found = Container.queue_of_page c std_page in
+  let user_found = Container.queue_of_page c user_page in
+  let b = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" 0. (b -. a -. overhead);
+  Alcotest.(check bool) "standard member" true (std_found == queues.Operand.inactive);
+  Alcotest.(check bool) "user-queue member" true (user_found == hi);
+  Alcotest.check_raises "off-queue" Not_found (fun () ->
+      ignore (Container.queue_of_page c stray))
 
 (* ------------------------------------------------------------------ *)
 (* Overload protection: fuel throttling and admission shedding         *)
@@ -493,8 +581,7 @@ let test_fuel_throttle_round_trip () =
   let h = make cheap_probe in
   let manager = Api.manager h.sys in
   (* any run at all blows a one-command budget *)
-  Frame_manager.set_fuel_policy ~quota:1 ~window:(T.ms 1_000) ~cooldown:(T.ms 10)
-    manager;
+  Frame_manager.set_fuel_quota manager 1;
   (match run h with
   | Executor.Returned _ -> ()
   | Executor.Runtime_error e -> Alcotest.fail ("probe raised: " ^ e)
@@ -514,9 +601,8 @@ let test_fuel_throttle_round_trip () =
   (* past the cooldown the next manager touchpoint lifts the throttle;
      the touchpoint must be a real fault, so touch a fresh page — and
      the budget must be sane again or that very fault re-trips it *)
-  Frame_manager.set_fuel_policy ~quota:1_000_000 ~window:(T.ms 1_000)
-    ~cooldown:(T.ms 10) manager;
-  Hipec_sim.Engine.advance (Kernel.engine h.kernel) (T.ms 50);
+  Frame_manager.set_fuel_quota manager 1_000_000;
+  Hipec_sim.Engine.advance (Kernel.engine h.kernel) Frame_manager.fuel_cooldown;
   let region = Container.region h.container in
   Kernel.access_vpn h.kernel (Container.task h.container)
     ~vpn:(region.Vm_map.start_vpn + 7) ~write:false;
@@ -529,15 +615,14 @@ let test_fuel_throttle_round_trip () =
 let test_fuel_window_resets () =
   let h = make cheap_probe in
   let manager = Api.manager h.sys in
-  (* a generous budget with a short window: repeated runs spread across
-     windows must never trip the throttle *)
-  Frame_manager.set_fuel_policy ~quota:1_000 ~window:(T.ms 1) ~cooldown:(T.ms 10)
-    manager;
+  (* a budget a handful of runs would blow inside one window: runs one
+     window apart must never trip the throttle *)
+  Frame_manager.set_fuel_quota manager 10;
   for _ = 1 to 50 do
     (match run h with
     | Executor.Returned _ -> ()
     | _ -> Alcotest.fail "probe failed");
-    Hipec_sim.Engine.advance (Kernel.engine h.kernel) (T.ms 2)
+    Hipec_sim.Engine.advance (Kernel.engine h.kernel) Frame_manager.fuel_window
   done;
   Alcotest.(check bool) "never throttled" false (Container.throttled h.container);
   Alcotest.(check int) "no entries" 0
@@ -933,6 +1018,11 @@ let () =
           Alcotest.test_case "reclaim seizes a throttled victim" `Quick
             test_reclaim_seizes_throttled;
           Alcotest.test_case "admission allocates O(1)" `Quick test_admit_allocation_flat;
+        ] );
+      ( "queues",
+        [
+          Alcotest.test_case "one watch sees a user queue" `Quick test_watch_sees_user_queue;
+          Alcotest.test_case "one definition, allocation-free" `Quick test_container_queues;
         ] );
       ( "overload",
         [

@@ -28,7 +28,7 @@ let test_registry_kinds () =
     (fun () -> Mx.Registry.gauge_set reg "c" 1)
 
 let test_series_downsampling () =
-  let reg = Mx.Registry.create ~tick_ns:100 ~series_cap:4 () in
+  let reg = Mx.Registry.create ~tick_ns:100 () in
   (* only samples >= tick apart are accepted *)
   Mx.Registry.sample reg "s" ~now_ns:0 10;
   Mx.Registry.sample reg "s" ~now_ns:50 11;   (* rejected: < tick *)
@@ -40,14 +40,21 @@ let test_series_downsampling () =
     "downsampled points"
     [ (0, 10); (100, 12); (200, 14) ]
     (Array.to_list (Mx.Series.points s));
-  (* the ring keeps the newest cap points and counts evictions *)
-  Mx.Registry.sample reg "s" ~now_ns:300 15;
-  Mx.Registry.sample reg "s" ~now_ns:400 16;
+  (* the ring keeps the newest [series_cap] points and counts evictions *)
+  let cap = Mx.Registry.series_cap in
+  for i = 3 to cap - 1 do
+    Mx.Registry.sample reg "s" ~now_ns:(i * 100) i
+  done;
+  Alcotest.(check int) "full ring dropped nothing" 0 (Mx.Series.dropped s);
+  Mx.Registry.sample reg "s" ~now_ns:(cap * 100) cap;
   Alcotest.(check int) "dropped" 1 (Mx.Series.dropped s);
+  let points = Mx.Series.points s in
+  Alcotest.(check int) "ring holds cap points" cap (Array.length points);
   Alcotest.(check (list (pair int int)))
     "ring keeps newest"
-    [ (100, 12); (200, 14); (300, 15); (400, 16) ]
-    (Array.to_list (Mx.Series.points s))
+    [ (100, 12); (200, 14); (300, 3) ]
+    (Array.to_list (Array.sub points 0 3));
+  Alcotest.(check (pair int int)) "newest last" (cap * 100, cap) points.(cap - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Zero cost when disabled                                             *)
